@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace scoded {
@@ -21,13 +22,21 @@ std::vector<std::string> Split(std::string_view input, char delimiter) {
   return parts;
 }
 
+namespace {
+
+// std::isspace in the "C" locale (the library never sets another), without
+// a libc call per character: that call was a sixth of csv::ReadFile's time.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view Trim(std::string_view input) {
   size_t begin = 0;
   size_t end = input.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(input[begin]))) {
+  while (begin < end && IsAsciiSpace(input[begin])) {
     ++begin;
   }
-  while (end > begin && std::isspace(static_cast<unsigned char>(input[end - 1]))) {
+  while (end > begin && IsAsciiSpace(input[end - 1])) {
     --end;
   }
   return input.substr(begin, end - begin);
@@ -49,8 +58,15 @@ std::optional<double> ParseDouble(std::string_view input) {
   if (trimmed.empty()) {
     return std::nullopt;
   }
-  // std::from_chars for double is not universally available; strtod on a
-  // NUL-terminated copy is portable and exact.
+  // Fast path: from_chars rounds exactly like strtod, but rejects spellings
+  // strtod accepts ("+5", "0x10", "1e400") and drops NaN payloads, so any
+  // error, unread tail, or non-finite result goes to strtod instead.
+  double fast = 0.0;
+  auto [ptr, ec] = std::from_chars(trimmed.data(), trimmed.data() + trimmed.size(), fast);
+  if (ec == std::errc() && ptr == trimmed.data() + trimmed.size() && std::isfinite(fast)) {
+    return fast;
+  }
+  // strtod needs a NUL-terminated copy.
   std::string buffer(trimmed);
   char* end = nullptr;
   double value = std::strtod(buffer.c_str(), &end);

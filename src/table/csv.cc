@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/string_util.h"
 #include "table/csv_scan.h"
@@ -9,18 +11,6 @@
 namespace scoded::csv {
 
 namespace {
-
-// Scans the whole input into records with a single quote-aware pass (see
-// RecordScanner for the field/record semantics). The incremental scanner
-// is the one implementation of those semantics, so the in-memory and
-// chunked shard paths cannot diverge.
-Result<std::vector<RawRecord>> ScanRecords(std::string_view text, char delimiter) {
-  RecordScanner scanner(delimiter);
-  std::vector<RawRecord> records;
-  scanner.Consume(text, &records);
-  SCODED_RETURN_IF_ERROR(scanner.Finish(&records));
-  return records;
-}
 
 bool NeedsQuoting(std::string_view value, char delimiter) {
   if (value.empty()) {
@@ -51,65 +41,41 @@ std::string QuoteField(std::string_view value) {
 }  // namespace
 
 Result<Table> ReadString(std::string_view text, const ReadOptions& options) {
-  SCODED_ASSIGN_OR_RETURN(std::vector<RawRecord> rows, ScanRecords(text, options.delimiter));
-  if (rows.empty()) {
-    return InvalidArgumentError("CSV input is empty");
-  }
-
-  std::vector<std::string> names;
-  size_t first_data_row = 0;
-  if (options.has_header) {
-    for (const RawField& name : rows[0]) {
-      names.push_back(name.text);
-    }
-    first_data_row = 1;
-  } else {
-    for (size_t i = 0; i < rows[0].size(); ++i) {
-      names.push_back("c" + std::to_string(i));
+  RecordScanner scanner(text, options.delimiter);
+  SCODED_ASSIGN_OR_RETURN(TableScan scan, ScanTable(scanner, options, /*keep_values=*/true));
+  // A column that turned out categorical after keeping numeric values is
+  // re-encoded from a second scan of the text.
+  std::vector<size_t> rebuild;
+  for (size_t c = 0; c < scan.columns.size(); ++c) {
+    if (scan.columns[c].needs_rebuild()) {
+      scan.columns[c] = ColumnBuilder::Typed(/*numeric=*/false);
+      rebuild.push_back(c);
     }
   }
-  size_t num_cols = names.size();
-  for (size_t r = first_data_row; r < rows.size(); ++r) {
-    if (rows[r].size() != num_cols) {
-      return InvalidArgumentError("CSV row " + std::to_string(r + 1) + " has " +
-                                  std::to_string(rows[r].size()) + " fields, expected " +
-                                  std::to_string(num_cols));
-    }
-  }
-
-  std::vector<bool> numeric(num_cols, false);
-  for (size_t c = 0; c < num_cols; ++c) {
-    bool is_numeric = options.infer_types;
-    if (is_numeric) {
-      bool any_value = false;
-      for (size_t r = first_data_row; r < rows.size(); ++r) {
-        const std::string& cell = rows[r][c].text;
-        if (cell.empty()) {
-          continue;
-        }
-        any_value = true;
-        if (!ParseDouble(cell).has_value()) {
-          is_numeric = false;
-          break;
-        }
+  if (!rebuild.empty()) {
+    RecordScanner again(text, options.delimiter);
+    bool header = options.has_header;
+    while (true) {
+      SCODED_ASSIGN_OR_RETURN(bool more, again.Next());
+      if (!more) {
+        break;
       }
-      if (!any_value) {
-        is_numeric = false;  // all-null columns default to categorical
+      if (header) {
+        header = false;
+        continue;
+      }
+      for (size_t c : rebuild) {
+        scan.columns[c].Add(again.fields()[c]);
       }
     }
-    numeric[c] = is_numeric;
   }
-  return BuildTableFromRecords(rows, first_data_row, names, numeric);
+  return BuildTable(scan.names, std::move(scan.columns));
 }
 
 Result<Table> ReadFile(const std::string& path, const ReadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFoundError("cannot open CSV file '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ReadString(buffer.str(), options);
+  SCODED_ASSIGN_OR_RETURN(InputFile file, InputFile::Open(path));
+  SCODED_ASSIGN_OR_RETURN(std::string text, file.ReadAll());
+  return ReadString(text, options);
 }
 
 std::string WriteString(const Table& table, char delimiter) {

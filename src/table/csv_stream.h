@@ -1,7 +1,7 @@
 #ifndef SCODED_TABLE_CSV_STREAM_H_
 #define SCODED_TABLE_CSV_STREAM_H_
 
-#include <fstream>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,12 +27,16 @@ struct ShardReaderOptions {
 ///
 /// Open() makes a first streaming pass over the file that validates the
 /// record structure (field counts, quoting) and infers the column types
-/// from *all* rows — exactly the types csv::ReadFile would infer — so every
-/// shard uses the same schema regardless of which values it happens to
-/// contain. Next() then makes a second pass, yielding Tables of at most
-/// shard_rows data rows each. Categorical dictionaries are shard-local
-/// (first-appearance order within the shard); callers that need global
-/// codes remap them (see PairwiseShardSummary in stats/shard_stats.h).
+/// from *all* rows. It is the same scan and the same type inference
+/// csv::ReadString runs (ScanTable in csv_scan.h, with nothing kept but the
+/// verdicts), so the types, and any error, are exactly the ones
+/// csv::ReadFile would produce, and every shard uses the same schema
+/// regardless of which values it happens to contain. Next() then makes a
+/// second pass, typing and dictionary-encoding each field straight from the
+/// read buffer into at most shard_rows rows of columns. Categorical
+/// dictionaries are shard-local (first-appearance order within the shard);
+/// callers that need global codes remap them (see PairwiseShardSummary in
+/// stats/shard_stats.h).
 ///
 /// The two passes assume the file does not change in between. That
 /// assumption is verified, not trusted: the final Next() compares the
@@ -40,9 +44,11 @@ struct ShardReaderOptions {
 /// fails with kDataLoss on any mismatch, so a concurrent truncation or
 /// append surfaces as an error instead of silently mis-shaped shards
 /// (rows typed under one inference but materialised from another file).
+/// A failed read is an error naming the path, never an early end of file.
 ///
 /// Peak memory is O(buffer_bytes + shard_rows * row width), independent of
-/// the file size.
+/// the file size: the scanner holds one read buffer plus the record it cut
+/// (RecordScanner), and a shard holds only its typed columns.
 class ShardReader {
  public:
   /// Validates and types `path`; fails with the same errors csv::ReadFile
@@ -64,11 +70,8 @@ class ShardReader {
 
  private:
   ShardReader(std::string path, ShardReaderOptions options, std::vector<std::string> names,
-              std::vector<bool> numeric, size_t num_data_rows, uint64_t total_bytes);
-
-  /// Reads one chunk from the stream into pending_, running Finish() at
-  /// end of input. Sets stream_done_ when the input is exhausted.
-  Status FillPending();
+              std::vector<bool> numeric, size_t num_data_rows, uint64_t total_bytes,
+              RecordScanner scanner);
 
   std::string path_;
   ShardReaderOptions options_;
@@ -77,13 +80,8 @@ class ShardReader {
   size_t num_data_rows_ = 0;
   uint64_t total_bytes_ = 0;  // bytes the first pass consumed
 
-  std::ifstream in_;
-  RecordScanner scanner_;
-  std::vector<RawRecord> pending_;
-  size_t next_pending_ = 0;
+  RecordScanner scanner_;     // the second pass
   bool header_skipped_ = false;
-  bool stream_done_ = false;
-  uint64_t bytes_read_ = 0;   // bytes the second pass consumed so far
   size_t rows_yielded_ = 0;   // data rows handed out by Next() so far
 };
 

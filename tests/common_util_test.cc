@@ -1,8 +1,16 @@
 #include <cerrno>
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -180,6 +188,77 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("abc").has_value());
   EXPECT_FALSE(ParseDouble("1.5x").has_value());
   EXPECT_FALSE(ParseDouble("").has_value());
+}
+
+// The reference ParseDouble: strtod on an isspace-trimmed, NUL-terminated
+// copy, accepted only when it consumes the whole trimmed text.
+std::optional<double> StrtodReference(std::string_view input) {
+  size_t begin = 0;
+  size_t end = input.size();
+  while (begin < end && std::isspace(static_cast<unsigned char>(input[begin]))) {
+    ++begin;
+  }
+  while (end > begin && std::isspace(static_cast<unsigned char>(input[end - 1]))) {
+    --end;
+  }
+  std::string buffer(input.substr(begin, end - begin));
+  if (buffer.empty()) {
+    return std::nullopt;
+  }
+  char* parsed_end = nullptr;
+  double value = std::strtod(buffer.c_str(), &parsed_end);
+  if (parsed_end != buffer.c_str() + buffer.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+void ExpectSameAsStrtod(const std::string& text) {
+  std::optional<double> expected = StrtodReference(text);
+  std::optional<double> actual = ParseDouble(text);
+  ASSERT_EQ(actual.has_value(), expected.has_value()) << "'" << text << "'";
+  if (expected.has_value()) {
+    EXPECT_EQ(Bits(*actual), Bits(*expected)) << "'" << text << "'";
+  }
+}
+
+TEST(StringUtilTest, ParseDoubleMatchesStrtodOnEdgeSpellings) {
+  // Spellings the from_chars fast path rejects or reads differently from
+  // strtod (sign, hex, overflow, NaN payloads) must come out of the strtod
+  // fallback bit for bit.
+  for (const char* text :
+       {"+5", "0x10", "1e400", "-1e400", "1e-320", "-0", ".5", "5.", "1e", "-", "inf", "-nan",
+        " 7 ", "", "nan", "nan(123)", "-nan(0x7)", "INFINITY", "-inf", "1e-400", "-1e-400",
+        "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+        "1.7976931348623157e308", "1.7976931348623159e308", "0x1p-1074", "+.5e+1", "1_0",
+        ".", "e5", "--1", "1e+", "\t-3.25\n", "00012", "1.e5", "0.1"}) {
+    ExpectSameAsStrtod(text);
+  }
+}
+
+TEST(StringUtilTest, ParseDoubleMatchesStrtodOnRandomDoubles) {
+  Rng rng(20201013);
+  char text[64];
+  for (int i = 0; i < 10000; ++i) {
+    // Random bit patterns cover subnormals, huge magnitudes, infinities and
+    // NaNs; a scaled uniform adds the everyday magnitudes.
+    uint64_t bits = static_cast<uint64_t>(rng.UniformInt(INT64_MIN, INT64_MAX));
+    double value;
+    std::memcpy(&value, &bits, sizeof value);
+    if (i % 2 == 1) {
+      value = rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.UniformInt(-30, 30));
+    }
+    for (const char* format : {"%.17g", "%.6g", "%g"}) {
+      std::snprintf(text, sizeof text, format, value);
+      ExpectSameAsStrtod(text);
+    }
+  }
 }
 
 TEST(StringUtilTest, ParseInt) {

@@ -1,7 +1,13 @@
 #include "table/csv.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -137,6 +143,17 @@ TEST(CsvReadTest, UnterminatedQuoteIsError) {
   Result<Table> r = ReadString("a\n\"oops\n");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CsvReadTest, OpenQuoteOutranksRaggedRow) {
+  // Input that ends inside quotes reports the open quote even when an
+  // earlier row is ragged: the quote is what threw the field count off.
+  Result<Table> open = ReadString("x,y\n1,a\n2\n3,c\n\"open\n");
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.status().message(), "CSV input ends inside a quoted field");
+  Result<Table> ragged = ReadString("x,y\n1,a\n2\n3,c\n");
+  ASSERT_FALSE(ragged.ok());
+  EXPECT_EQ(ragged.status().message(), "CSV row 3 has 1 fields, expected 2");
 }
 
 TEST(CsvWriteTest, RoundTripPreservesNewlinesQuotesAndPadding) {
@@ -306,6 +323,282 @@ TEST(ShardReaderChangeDetectionTest, AppendBetweenPassesIsDataLoss) {
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
   EXPECT_NE(status.message().find("changed between passes"), std::string::npos)
       << status.message();
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Read errors: a file that opens but cannot be read (here a directory, where
+// read() fails with EISDIR) is an error naming the path and the OS reason,
+// not an empty or truncated input.
+
+TEST(CsvFileTest, ReadErrorIsNotEndOfInput) {
+  std::string dir = ::testing::TempDir() + "/scoded_csv_dir_input";
+  ::mkdir(dir.c_str(), 0700);
+  Result<Table> table = ReadFile(dir);
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kDataLoss) << table.status().ToString();
+  EXPECT_NE(table.status().message().find("'" + dir + "'"), std::string::npos)
+      << table.status().message();
+  EXPECT_NE(table.status().message().find(ErrnoMessage(EISDIR)), std::string::npos)
+      << table.status().message();
+
+  Result<ShardReader> reader = ShardReader::Open(dir);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss) << reader.status().ToString();
+  EXPECT_NE(reader.status().message().find("'" + dir + "'"), std::string::npos)
+      << reader.status().message();
+  EXPECT_NE(reader.status().message().find(ErrnoMessage(EISDIR)), std::string::npos)
+      << reader.status().message();
+  ::rmdir(dir.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Chunk invariance: the shard reader scans the file in buffer_bytes reads,
+// carrying quote and '\r' state and unfinished records across every read
+// boundary. Wherever those boundaries fall, and however the rows are cut
+// into shards, the concatenated shards must be exactly the table
+// ReadString builds from the whole text, or both must fail alike.
+
+namespace {
+
+uint64_t NextRandom(uint64_t& state) {
+  state ^= state << 13;
+  state ^= state >> 7;
+  state ^= state << 17;
+  return state;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+// Hand-written inputs, one per feature the scanner has to carry across a
+// read boundary, plus well-formed CSV over the hostile alphabet of
+// RandomizedRoundTripProperty.
+std::vector<std::string> ChunkInvarianceCorpus() {
+  std::vector<std::string> corpus = {
+      "name,score\r\nann,1.5\r\nbob,2\r\n",                 // CRLF
+      "a,b\rc\n1,x\ry\n2,z\n",                              // lone CR is content
+      "a\r\n1\r",                                           // CR at end of input
+      "v\n\"say \"\"hi\"\"\"\n\"\"\"\"\n\"\"\n",            // "" escapes
+      "a,b\n\"line1\nline2\",x\n\"x\r\ny\",\"\r\"\n",       // quoted newlines
+      "a\n\n1\n\r\n\n2\n\n",                                // blank lines
+      "a,b\n  plain  ,\"  padded  \"\n\t7\t, \" q \" x\n",  // padded fields
+      "x,y\n1,a\n2,b",                                      // last record without newline
+      "x,y\n1,a\n2\n3,c\n",                                 // ragged row
+      "x,y\n1,a,extra\n",                                   // ragged row, too many
+      "x\n1\n\"open\n2\n",                                  // unterminated quote
+      "x,y\n1,a\n2\n\"open\n",                              // ragged row, then open quote
+      "",                                                   // empty input
+      "\n\r\n\n",                                           // only blank lines
+      "h\n",                                                // header only
+      "n,m\n1,\n,2\n+5,0x10\n1e400,-0\n.5,5.\n nan ,inf\n",  // numeric spellings and nulls
+      "n\n1\n2\nthree\n4\n",                                // numeric column turns categorical
+      "n\n\n\nword\n1\n",                                   // nulls, then categorical
+      "n\n\"1\".5\n\" 2 \"\n3\n",                           // quoted numbers
+      "q\nab\"cd\"ef\n\"a\"\rb\n\"a\"\r\r\n",               // text around quotes, CR after a quote
+  };
+  const std::string alphabet = "ab,\"\n\r \t;x";
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (int table = 0; table < 6; ++table) {
+    std::vector<std::string> col_a;
+    std::vector<std::string> col_b;
+    std::vector<double> col_n;
+    for (int r = 0; r < 12; ++r) {
+      std::string a = "x";
+      std::string b;
+      for (size_t i = NextRandom(state) % 6; i > 0; --i) {
+        a.push_back(alphabet[NextRandom(state) % alphabet.size()]);
+      }
+      for (size_t i = NextRandom(state) % 6; i > 0; --i) {
+        b.push_back(alphabet[NextRandom(state) % alphabet.size()]);
+      }
+      col_a.push_back(a);
+      col_b.push_back(b);
+      col_n.push_back(static_cast<double>(NextRandom(state) % 100000) / 7.0);
+    }
+    TableBuilder builder;
+    builder.AddCategorical("a", col_a);
+    builder.AddCategorical("b", col_b);
+    builder.AddNumeric("n", col_n);
+    corpus.push_back(WriteString(std::move(builder).Build().value()));
+  }
+  // Seeded byte mutations of everything above.
+  const std::string mutations = "\"\r\n, a1.";
+  size_t base = corpus.size();
+  for (size_t i = 0; i < 4 * base; ++i) {
+    std::string text = corpus[i % base];
+    for (uint64_t edits = 1 + NextRandom(state) % 3; edits > 0; --edits) {
+      char byte = mutations[NextRandom(state) % mutations.size()];
+      size_t at = text.empty() ? 0 : NextRandom(state) % text.size();
+      switch (NextRandom(state) % 3) {
+        case 0:
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), byte);
+          break;
+        case 1:
+          if (!text.empty()) {
+            text[at] = byte;
+          }
+          break;
+        default:
+          if (!text.empty()) {
+            text.erase(at, 1);
+          }
+          break;
+      }
+    }
+    corpus.push_back(text);
+  }
+  return corpus;
+}
+
+// Compares row `row` of `whole` with row `shard_row` of `shard`, column by
+// column: bitwise numeric values (nulls read as NaN), null masks, and
+// categories. A numeric column without nulls carries no validity mask and
+// reports a "nan" cell as null, so whether such a cell is null depends on
+// the other rows a shard holds; its bits must still match.
+void ExpectSameRow(const Table& whole, size_t row, const Table& shard, size_t shard_row,
+                   const std::string& context) {
+  for (size_t c = 0; c < whole.NumColumns(); ++c) {
+    const Column& expected = whole.column(c);
+    const Column& actual = shard.column(c);
+    std::string where = context + " row " + std::to_string(row) + " column " + std::to_string(c);
+    if (expected.type() == ColumnType::kNumeric) {
+      EXPECT_EQ(Bits(actual.NumericAt(shard_row)), Bits(expected.NumericAt(row))) << where;
+      if (expected.IsNull(row)) {
+        EXPECT_TRUE(actual.IsNull(shard_row)) << where;
+      } else if (!std::isnan(expected.NumericAt(row))) {
+        EXPECT_FALSE(actual.IsNull(shard_row)) << where;
+      }
+      continue;
+    }
+    ASSERT_EQ(actual.IsNull(shard_row), expected.IsNull(row)) << where;
+    if (!expected.IsNull(row)) {
+      EXPECT_EQ(actual.CategoryAt(shard_row), expected.CategoryAt(row)) << where;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ShardReaderChunkInvarianceTest, ShardsMatchReadStringAtEveryCut) {
+  std::string path = ::testing::TempDir() + "/shard_reader_chunk_invariance.csv";
+  std::vector<std::string> corpus = ChunkInvarianceCorpus();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const std::string& text = corpus[i];
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    for (bool has_header : {true, false}) {
+      ReadOptions csv_options;
+      csv_options.has_header = has_header;
+      Result<Table> whole = ReadString(text, csv_options);
+      for (size_t buffer_bytes : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64},
+                                  size_t{1} << 18}) {
+        for (size_t shard_rows : {size_t{1}, size_t{3}, size_t{1000}}) {
+          std::string context = "input " + std::to_string(i) + " header " +
+                                std::to_string(has_header) + " buffer_bytes " +
+                                std::to_string(buffer_bytes) + " shard_rows " +
+                                std::to_string(shard_rows);
+          ShardReaderOptions options;
+          options.csv = csv_options;
+          options.buffer_bytes = buffer_bytes;
+          options.shard_rows = shard_rows;
+          Status failure;
+          size_t rows = 0;
+          Result<ShardReader> reader = ShardReader::Open(path, options);
+          if (!reader.ok()) {
+            failure = reader.status();
+          } else {
+            if (whole.ok()) {
+              ASSERT_EQ(reader->column_names().size(), whole->NumColumns()) << context;
+              for (size_t c = 0; c < whole->NumColumns(); ++c) {
+                EXPECT_EQ(reader->column_names()[c], whole->schema().field(c).name) << context;
+                EXPECT_EQ(reader->numeric()[c],
+                          whole->schema().field(c).type == ColumnType::kNumeric)
+                    << context;
+              }
+            }
+            while (true) {
+              Result<std::optional<Table>> shard = reader->Next();
+              if (!shard.ok()) {
+                failure = shard.status();
+                break;
+              }
+              if (!shard->has_value()) {
+                break;
+              }
+              const Table& table = **shard;
+              ASSERT_TRUE(whole.ok()) << context << ": shard read from an input ReadString rejects";
+              ASSERT_LE(table.NumRows(), shard_rows) << context;
+              ASSERT_LE(rows + table.NumRows(), whole->NumRows()) << context;
+              ASSERT_EQ(table.NumColumns(), whole->NumColumns()) << context;
+              for (size_t c = 0; c < table.NumColumns(); ++c) {
+                EXPECT_EQ(table.schema().field(c).name, whole->schema().field(c).name) << context;
+                EXPECT_EQ(table.schema().field(c).type, whole->schema().field(c).type) << context;
+              }
+              for (size_t r = 0; r < table.NumRows(); ++r) {
+                ExpectSameRow(*whole, rows + r, table, r, context);
+              }
+              rows += table.NumRows();
+            }
+          }
+          if (whole.ok()) {
+            ASSERT_TRUE(failure.ok()) << context << ": " << failure.ToString();
+            EXPECT_EQ(rows, whole->NumRows()) << context;
+            EXPECT_EQ(reader->num_data_rows(), whole->NumRows()) << context;
+          } else {
+            ASSERT_FALSE(failure.ok()) << context << ": ReadString failed with "
+                                       << whole.status().ToString();
+            EXPECT_EQ(failure.code(), whole.status().code()) << context;
+            EXPECT_EQ(failure.message(), whole.status().message()) << context;
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ShardReaderChunkInvarianceTest, RecordLongerThanTheBufferReadsWhole) {
+  // One record many times buffer_bytes long, with an unquoted and a quoted
+  // field, is carried across hundreds of reads and still reads whole.
+  std::string path = ::testing::TempDir() + "/shard_reader_long_record.csv";
+  std::string plain(100000, 'p');
+  std::string quoted(100000, 'q');
+  quoted[5000] = '\n';
+  quoted[6000] = '"';
+  std::string escaped;
+  for (char c : quoted) {
+    escaped += c == '"' ? std::string("\"\"") : std::string(1, c);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "a,b\r\nshort,1\r\n" << plain << ",\"" << escaped << "\"\r\nlast,2\r\n";
+  }
+  ShardReaderOptions options;
+  options.buffer_bytes = 64;
+  options.shard_rows = 2;
+  Result<ShardReader> reader = ShardReader::Open(path, options);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<std::string> a;
+  std::vector<std::string> b;
+  while (true) {
+    Result<std::optional<Table>> shard = reader->Next();
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    if (!shard->has_value()) {
+      break;
+    }
+    for (size_t r = 0; r < (*shard)->NumRows(); ++r) {
+      a.push_back((*shard)->column(0).CategoryAt(r));
+      b.push_back((*shard)->column(1).CategoryAt(r));
+    }
+  }
+  EXPECT_EQ(a, (std::vector<std::string>{"short", plain, "last"}));
+  EXPECT_EQ(b, (std::vector<std::string>{"1", quoted, "2"}));
   std::remove(path.c_str());
 }
 

@@ -939,6 +939,11 @@ int RunServe(const Args& args) {
   options.handler_threads = static_cast<size_t>(*handlers);
   options.sessions.max_sessions = static_cast<size_t>(*max_sessions);
   options.sessions.idle_evict_millis = *idle_secs * 1000;
+  // The handlers go in before the listening banner can be printed, so a
+  // script that signals the daemon as soon as it reads the banner gets the
+  // orderly drain, not the default action.
+  std::signal(SIGTERM, HandleServeSignal);
+  std::signal(SIGINT, HandleServeSignal);
   serve::Server server(options);
   if (Status status = server.Start(); !status.ok()) {
     return Fail(status);
@@ -951,8 +956,6 @@ int RunServe(const Args& args) {
                {{"port", static_cast<int64_t>(server.port())},
                 {"max_sessions", *max_sessions},
                 {"idle_secs", *idle_secs}});
-  std::signal(SIGTERM, HandleServeSignal);
-  std::signal(SIGINT, HandleServeSignal);
   while (g_serve_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
