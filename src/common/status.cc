@@ -10,11 +10,12 @@ namespace {
 // the caller's buffer; the GNU variant (what glibc gives C++ builds, which
 // predefine _GNU_SOURCE) returns a char* that may point at a static string
 // instead of the buffer. Overload resolution on the return type handles
-// whichever one this libc declared.
-const char* StrerrorResult(int rc, const char* buffer) {
+// whichever one this libc declared; the other overload goes unused, which
+// -Wunused-function (and -Werror builds) would otherwise reject.
+[[maybe_unused]] const char* StrerrorResult(int rc, const char* buffer) {
   return rc == 0 ? buffer : "Unknown error";
 }
-const char* StrerrorResult(const char* result, const char* /*buffer*/) {
+[[maybe_unused]] const char* StrerrorResult(const char* result, const char* /*buffer*/) {
   return result != nullptr ? result : "Unknown error";
 }
 
@@ -54,6 +55,17 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Unavailable";
   }
   return "Unknown";
+}
+
+StatusCode StatusCodeFromString(std::string_view name) {
+  for (int c = static_cast<int>(StatusCode::kInvalidArgument);
+       c <= static_cast<int>(StatusCode::kUnavailable); ++c) {
+    StatusCode code = static_cast<StatusCode>(c);
+    if (name == StatusCodeToString(code)) {
+      return code;
+    }
+  }
+  return StatusCode::kInternal;
 }
 
 std::string Status::ToString() const {

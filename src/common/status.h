@@ -28,6 +28,12 @@ enum class StatusCode {
 /// Returns a stable, human-readable name for `code` (e.g. "InvalidArgument").
 std::string_view StatusCodeToString(StatusCode code);
 
+/// Reverse of StatusCodeToString for the error codes, used to rebuild a
+/// peer's Status from a wire error envelope. Unknown names (a newer peer?)
+/// and "OK" decode to kInternal, so an error envelope never reads as
+/// success.
+StatusCode StatusCodeFromString(std::string_view name);
+
 /// A `Status` carries either success (`ok()`) or an error code plus a
 /// human-readable message. The library does not throw exceptions; fallible
 /// operations return `Status` or `Result<T>`.

@@ -192,7 +192,10 @@ class TauEngine : public DrilldownEngine {
 // G engine: records grouped into contingency cells (Sec. 5.3 "Categorical
 // Data"); removing one record from cell (x, y) changes
 //   G/2 = Σ f(O) − Σ f(R) − Σ f(C) + f(N)   (f = t·ln t)
-// by four O(1) terms, so each greedy step costs O(#live cells).
+// by four O(1) terms, so each greedy step costs O(#live cells). Each term
+// is a bracket f(t−1) − f(t) of one count — the cell's, its row and
+// column marginals', and the stratum's n — cached beside that count and
+// refreshed when a removal changes it, so the scan does no logs.
 // --------------------------------------------------------------------------
 class GEngine : public DrilldownEngine {
  public:
@@ -230,17 +233,23 @@ class GEngine : public DrilldownEngine {
     g_half_ = 0.0;
     for (StratumState& st : strata_) {
       g_half_ += XLogX(static_cast<double>(st.n));
+      st.n_drop = Drop(st.n);
+      st.row_drop.reserve(cx_);
       for (int64_t m : st.row_marginal) {
         g_half_ -= XLogX(static_cast<double>(m));
         st.live_rows += m > 0 ? 1 : 0;
+        st.row_drop.push_back(Drop(m));
       }
+      st.col_drop.reserve(cy_);
       for (int64_t m : st.col_marginal) {
         g_half_ -= XLogX(static_cast<double>(m));
         st.live_cols += m > 0 ? 1 : 0;
+        st.col_drop.push_back(Drop(m));
       }
     }
-    for (const Cell& cell : cells_) {
+    for (Cell& cell : cells_) {
       g_half_ += XLogX(static_cast<double>(cell.count));
+      cell.drop = Drop(cell.count);
     }
   }
 
@@ -301,6 +310,10 @@ class GEngine : public DrilldownEngine {
       --st.live_cols;
     }
     --st.n;
+    cell.drop = Drop(cell.count);
+    st.row_drop[cell.x] = Drop(st.row_marginal[cell.x]);
+    st.col_drop[cell.y] = Drop(st.col_marginal[cell.y]);
+    st.n_drop = Drop(st.n);
     --alive_count_;
     *removed_row = cell.rows.back();
     cell.rows.pop_back();
@@ -332,15 +345,26 @@ class GEngine : public DrilldownEngine {
     size_t x = 0;
     size_t y = 0;
     int64_t count = 0;
+    double drop = 0.0;         // Drop(count)
     std::vector<size_t> rows;  // stack: removals pop the most recent row
   };
   struct StratumState {
     std::vector<int64_t> row_marginal;
     std::vector<int64_t> col_marginal;
+    std::vector<double> row_drop;  // Drop(row_marginal[x])
+    std::vector<double> col_drop;  // Drop(col_marginal[y])
     int64_t n = 0;
+    double n_drop = 0.0;           // Drop(n)
     int64_t live_rows = 0;  // categories with a positive marginal
     int64_t live_cols = 0;
   };
+
+  // f(t−1) − f(t): the change to one f term of G/2 when its count t
+  // loses a record.
+  static double Drop(int64_t count) {
+    double t = static_cast<double>(count);
+    return XLogX(t - 1.0) - XLogX(t);
+  }
 
   // Change to the stratum's dof (live_rows−1)(live_cols−1) if one record
   // were removed from `cell`.
@@ -362,12 +386,7 @@ class GEngine : public DrilldownEngine {
   // Change to G/2 caused by removing one record from `cell`.
   double RemovalDeltaHalf(const Cell& cell) const {
     const StratumState& st = strata_[cell.stratum];
-    double o = static_cast<double>(cell.count);
-    double r = static_cast<double>(st.row_marginal[cell.x]);
-    double c = static_cast<double>(st.col_marginal[cell.y]);
-    double n = static_cast<double>(st.n);
-    return (XLogX(o - 1.0) - XLogX(o)) - (XLogX(r - 1.0) - XLogX(r)) -
-           (XLogX(c - 1.0) - XLogX(c)) + (XLogX(n - 1.0) - XLogX(n));
+    return cell.drop - st.row_drop[cell.x] - st.col_drop[cell.y] + st.n_drop;
   }
 
   size_t cx_;

@@ -138,9 +138,13 @@ Result<ShardedCheckResult> FinishShardedCheck(const std::string& path,
         }
       }
     }
-    for (ShardedComponent& state : components) {
+    // One fallback per pool task, as CheckAll runs one constraint per
+    // task: each seeds its own Rng and writes only its own component, so
+    // the p-values do not depend on the thread count.
+    parallel::ParallelFor(0, components.size(), /*grain=*/1, [&](size_t c) {
+      ShardedComponent& state = components[c];
       if (!state.needs_row_pass) {
-        continue;
+        return;
       }
       state.result.p_value = GPermutationFallbackPValue(
           state.permutation_strata, options.test.permutation_fallback_iterations,
@@ -148,7 +152,7 @@ Result<ShardedCheckResult> FinishShardedCheck(const std::string& path,
       state.result.used_exact = true;
       state.permutation_strata.clear();
       state.permutation_strata.shrink_to_fit();
-    }
+    });
   }
 
   // Assemble one ViolationReport per constraint exactly as DetectViolation

@@ -25,22 +25,6 @@ namespace scoded::dist {
 
 namespace {
 
-// Reverse of StatusCodeToString, for reconstructing a worker's Status from
-// its error envelope (same table as the serve client).
-StatusCode StatusCodeFromString(const std::string& name) {
-  if (name == "InvalidArgument") return StatusCode::kInvalidArgument;
-  if (name == "NotFound") return StatusCode::kNotFound;
-  if (name == "OutOfRange") return StatusCode::kOutOfRange;
-  if (name == "FailedPrecondition") return StatusCode::kFailedPrecondition;
-  if (name == "Unimplemented") return StatusCode::kUnimplemented;
-  if (name == "AlreadyExists") return StatusCode::kAlreadyExists;
-  if (name == "DataLoss") return StatusCode::kDataLoss;
-  if (name == "DeadlineExceeded") return StatusCode::kDeadlineExceeded;
-  if (name == "ResourceExhausted") return StatusCode::kResourceExhausted;
-  if (name == "Unavailable") return StatusCode::kUnavailable;
-  return StatusCode::kInternal;
-}
-
 struct TaskRange {
   uint64_t begin = 0;  // shard indices [begin, end)
   uint64_t end = 0;

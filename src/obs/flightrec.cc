@@ -372,7 +372,11 @@ void JournalAppend(JournalEventType type, const char* name, std::string_view tex
   e.name.store(name, std::memory_order_relaxed);
   e.type.store(type, std::memory_order_relaxed);
   size_t n = std::min(text.size(), kEventTextBytes - 1);
-  std::memcpy(e.text, text.data(), n);
+  // Spans and heartbeats journal an empty view whose data() is null, and
+  // memcpy from a null source is undefined even for zero bytes.
+  if (n > 0) {
+    std::memcpy(e.text, text.data(), n);
+  }
   e.text[n] = '\0';
   j->seq.store(seq + 1, std::memory_order_release);
 }

@@ -7,27 +7,6 @@
 
 namespace scoded::serve {
 
-namespace {
-
-// Reverse of StatusCodeToString, for reconstructing the server's Status
-// from an error envelope. Unknown strings (a newer server?) degrade to
-// kInternal rather than being dropped.
-StatusCode StatusCodeFromString(const std::string& name) {
-  if (name == "InvalidArgument") return StatusCode::kInvalidArgument;
-  if (name == "NotFound") return StatusCode::kNotFound;
-  if (name == "OutOfRange") return StatusCode::kOutOfRange;
-  if (name == "FailedPrecondition") return StatusCode::kFailedPrecondition;
-  if (name == "Unimplemented") return StatusCode::kUnimplemented;
-  if (name == "AlreadyExists") return StatusCode::kAlreadyExists;
-  if (name == "DataLoss") return StatusCode::kDataLoss;
-  if (name == "DeadlineExceeded") return StatusCode::kDeadlineExceeded;
-  if (name == "ResourceExhausted") return StatusCode::kResourceExhausted;
-  if (name == "Unavailable") return StatusCode::kUnavailable;
-  return StatusCode::kInternal;
-}
-
-}  // namespace
-
 Result<Client> Client::Connect(uint16_t port, int deadline_millis) {
   SCODED_ASSIGN_OR_RETURN(net::TcpConn conn, net::DialLoopback(port));
   SCODED_RETURN_IF_ERROR(conn.SetRecvTimeout(deadline_millis));

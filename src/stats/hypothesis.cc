@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 
 #include "common/check.h"
@@ -262,33 +263,142 @@ std::optional<double> FisherExact2x2FromContingency(const ContingencyTable& ct) 
                                 ct.Count(live_x[1], live_y[0]), ct.Count(live_x[1], live_y[1]));
 }
 
-double GPermutationFallbackPValue(const std::vector<PermutationStratum>& strata,
-                                  size_t iterations, uint64_t seed) {
-  auto joint_xlogx = [](const std::vector<int32_t>& x, const std::vector<int32_t>& y) {
-    std::map<int64_t, int64_t> cells;
-    for (size_t i = 0; i < x.size(); ++i) {
-      ++cells[(static_cast<int64_t>(x[i]) << 32) | static_cast<uint32_t>(y[i])];
+namespace {
+
+// Σ c·ln c over the joint (x, y) cells of each permutation stratum, for
+// the G fallback's 1 + iterations evaluations. Only y is shuffled, so the
+// rows are grouped by x once (a counting sort: `order_` lists each
+// stratum's row positions x ascending); an evaluation then counts y per x
+// group into `counts_`, remembers the codes it touched, and adds
+// `xlogx_[c]` over the touched codes sorted ascending. That is the
+// ascending (x, y) cell order, and the t·ln t values and the single
+// running sum, of a std::map over the cells, so every sum is bit-identical
+// to it. Count-1 cells are skipped: 1·ln 1 is exactly +0.0, and adding
+// +0.0 to a sum of non-negative terms leaves its bits alone — which also
+// drops every one-row x group from `order_`.
+class JointCellSums {
+ public:
+  explicit JointCellSums(const std::vector<PermutationStratum>& strata) {
+    int32_t max_code = -1;
+    size_t rows = 0;
+    for (const PermutationStratum& s : strata) {
+      SCODED_CHECK(s.x.size() == s.y.size());
+      for (size_t i = 0; i < s.x.size(); ++i) {
+        SCODED_CHECK(s.x[i] >= 0 && s.y[i] >= 0);
+        max_code = std::max({max_code, s.x[i], s.y[i]});
+      }
+      rows += s.x.size();
     }
+    SCODED_CHECK(rows < kLoneRow);
+    counts_.assign(static_cast<size_t>(max_code) + 1, 0);
+    uint32_t max_group = 1;
+    group_bound_.push_back(0);
+    stratum_groups_.reserve(strata.size() + 1);
+    stratum_groups_.push_back(0);
+    for (const PermutationStratum& s : strata) {
+      // Histogram x, then turn each multi-row group's count into its
+      // offset in `order_` (x ascending) and place the rows stably.
+      touched_.clear();
+      for (int32_t x : s.x) {
+        if (counts_[x]++ == 0) {
+          touched_.push_back(x);
+        }
+      }
+      std::sort(touched_.begin(), touched_.end());
+      uint32_t placed = static_cast<uint32_t>(order_.size());
+      for (int32_t x : touched_) {
+        uint32_t size = counts_[x];
+        if (size < 2) {
+          counts_[x] = kLoneRow;
+          continue;
+        }
+        counts_[x] = placed;
+        placed += size;
+        group_bound_.push_back(placed);
+        max_group = std::max(max_group, size);
+      }
+      order_.resize(placed);
+      for (size_t i = 0; i < s.x.size(); ++i) {
+        uint32_t& slot = counts_[s.x[i]];
+        if (slot != kLoneRow) {
+          order_[slot++] = static_cast<uint32_t>(i);
+        }
+      }
+      for (int32_t x : touched_) {
+        counts_[x] = 0;
+      }
+      stratum_groups_.push_back(group_bound_.size() - 1);
+    }
+    touched_.assign(max_group, 0);
+    touched_.shrink_to_fit();
+    xlogx_.resize(static_cast<size_t>(max_group) + 1);
+    for (size_t c = 1; c < xlogx_.size(); ++c) {
+      double t = static_cast<double>(c);
+      xlogx_[c] = t * std::log(t);
+    }
+  }
+
+  // Σ c·ln c over stratum `s`'s cells with its y codes as given (row order
+  // of the stratum passed to the constructor).
+  double Sum(size_t s, const std::vector<int32_t>& y) {
     double sum = 0.0;
-    for (const auto& [key, count] : cells) {
-      (void)key;
-      double c = static_cast<double>(count);
-      sum += c * std::log(c);
+    for (size_t g = stratum_groups_[s]; g < stratum_groups_[s + 1]; ++g) {
+      size_t touched = 0;
+      for (uint32_t p = group_bound_[g]; p < group_bound_[g + 1]; ++p) {
+        int32_t v = y[order_[p]];
+        if (counts_[v]++ == 0) {
+          touched_[touched++] = v;
+        }
+      }
+      size_t repeated = 0;
+      for (size_t i = 0; i < touched; ++i) {
+        int32_t v = touched_[i];
+        if (counts_[v] >= 2) {
+          touched_[repeated++] = v;
+        } else {
+          counts_[v] = 0;
+        }
+      }
+      std::sort(touched_.begin(), touched_.begin() + static_cast<std::ptrdiff_t>(repeated));
+      for (size_t i = 0; i < repeated; ++i) {
+        uint32_t& count = counts_[touched_[i]];
+        sum += xlogx_[count];
+        count = 0;
+      }
     }
     return sum;
-  };
+  }
+
+ private:
+  static constexpr uint32_t kLoneRow = UINT32_MAX;
+
+  std::vector<uint32_t> order_;          // multi-row x groups, x ascending
+  std::vector<uint32_t> group_bound_;    // group g is order_[bound[g], bound[g + 1])
+  std::vector<size_t> stratum_groups_;   // stratum s owns groups [gs[s], gs[s + 1])
+  std::vector<uint32_t> counts_;         // all zero between uses
+  std::vector<int32_t> touched_;
+  std::vector<double> xlogx_;            // xlogx_[c] = c·ln c
+};
+
+}  // namespace
+
+double GPermutationFallbackPValue(const std::vector<PermutationStratum>& strata,
+                                  size_t iterations, uint64_t seed) {
+  JointCellSums sums(strata);
+  std::vector<std::vector<int32_t>> permuted_y;
+  permuted_y.reserve(strata.size());
   double observed = 0.0;
-  for (const PermutationStratum& s : strata) {
-    observed += joint_xlogx(s.x, s.y);
+  for (size_t s = 0; s < strata.size(); ++s) {
+    observed += sums.Sum(s, strata[s].y);
+    permuted_y.push_back(strata[s].y);
   }
   Rng rng(seed);
   size_t at_least = 0;
-  std::vector<PermutationStratum> permuted = strata;
   for (size_t iter = 0; iter < iterations; ++iter) {
     double stat = 0.0;
-    for (PermutationStratum& s : permuted) {
-      rng.Shuffle(s.y);
-      stat += joint_xlogx(s.x, s.y);
+    for (size_t s = 0; s < permuted_y.size(); ++s) {
+      rng.Shuffle(permuted_y[s]);
+      stat += sums.Sum(s, permuted_y[s]);
     }
     at_least += stat >= observed ? 1 : 0;
   }

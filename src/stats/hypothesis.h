@@ -157,9 +157,21 @@ struct PermutationStratum {
 /// shuffles each stratum's y codes `iterations` times (one Rng seeded with
 /// `seed`, strata consumed in order each round) and compares Σ c·log c
 /// over joint cells against the observed value, with the (r+1)/(iters+1)
-/// correction. Strata must be passed in stratum order with rows in row
-/// order; the in-memory dispatcher and the sharded second pass share this
-/// function so their fallback p-values are bit-identical.
+/// correction. A permuted statistic that ties the observed one counts as
+/// "at least as extreme", so the test is conservative on tie-heavy tables
+/// (e.g. all-singleton cells). Strata must be passed in stratum order with
+/// rows in row order, and codes must be non-negative; the in-memory
+/// dispatcher and the sharded second pass share this function so their
+/// fallback p-values are bit-identical.
+///
+/// Each stratum's rows are counting-sorted by x once; each evaluation
+/// counts y per x group into a dense array and adds a precomputed c·ln c
+/// over the repeated cells in ascending (x, y) order — the summation order
+/// of a std::map over the cells, so the sums are bit-identical to one.
+/// Nothing is allocated per iteration. Besides the shuffled copy of y
+/// (4 B per row), memory is the x order (4 B per row, plus one bound per
+/// x group), a count array sized by the largest code of either column,
+/// and a c·ln c table and touched list sized by the largest x group.
 double GPermutationFallbackPValue(const std::vector<PermutationStratum>& strata,
                                   size_t iterations, uint64_t seed);
 

@@ -66,6 +66,23 @@ TEST(StatusTest, AllFactoriesProduceMatchingCodes) {
   EXPECT_EQ(DataLossError("x").code(), StatusCode::kDataLoss);
 }
 
+TEST(StatusTest, CodeNamesRoundTrip) {
+  // Every error code survives the wire envelope's name encoding.
+  for (StatusCode code :
+       {StatusCode::kInvalidArgument, StatusCode::kNotFound, StatusCode::kOutOfRange,
+        StatusCode::kFailedPrecondition, StatusCode::kUnimplemented, StatusCode::kInternal,
+        StatusCode::kAlreadyExists, StatusCode::kDataLoss, StatusCode::kDeadlineExceeded,
+        StatusCode::kResourceExhausted, StatusCode::kUnavailable}) {
+    EXPECT_EQ(StatusCodeFromString(StatusCodeToString(code)), code)
+        << StatusCodeToString(code);
+  }
+  // An error envelope never decodes to success, whatever name it carries.
+  EXPECT_EQ(StatusCodeFromString("OK"), StatusCode::kInternal);
+  EXPECT_EQ(StatusCodeFromString("Unknown"), StatusCode::kInternal);
+  EXPECT_EQ(StatusCodeFromString(""), StatusCode::kInternal);
+  EXPECT_EQ(StatusCodeFromString("notfound"), StatusCode::kInternal);
+}
+
 TEST(ResultTest, HoldsValue) {
   Result<int> r(42);
   ASSERT_TRUE(r.ok());

@@ -1,8 +1,11 @@
 #include "core/drilldown.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include "core/partition.h"
 #include "core/scoded.h"
 #include "core/violation.h"
+#include "datasets/hosp.h"
 #include "table/table.h"
 
 namespace scoded {
@@ -221,6 +225,60 @@ TEST(DrillDownTest, ConditionalConstraintDrillsWithinStrata) {
     hits += dirty.count(row);
   }
   EXPECT_GE(hits, 20u);
+}
+
+// The G engine's greedy removal order on a sparse high-cardinality FD
+// (600 HOSP rows over up to 400 Zips), unconditional and per State
+// stratum, pinned to the rows and final statistics the engine produced
+// before its bracket terms were cached. Any drift in a single score bit
+// can reorder ties and shows up here.
+TEST(DrillDownTest, HighCardinalityGRemovalOrderIsPinned) {
+  HospOptions options;
+  options.rows = 600;
+  Table table = GenerateHospData(options).value().table;
+  struct Pinned {
+    const char* sc;
+    Strategy strategy;
+    size_t k;
+    const char* final_statistic;
+    std::vector<size_t> rows;
+  };
+  const Pinned pinned[] = {
+      {"Zip !_||_ City", Strategy::kDirect, 100, "4346.6522083260306",
+       {156, 502, 489, 1,   6,   182, 351, 532, 577, 597, 19,  69,  180, 203, 253, 279, 416,
+        469, 547, 3,   38,  80,  115, 154, 173, 306, 361, 464, 510, 585, 16,  17,  46,  89,
+        231, 249, 327, 465, 527, 567, 572, 594, 30,  56,  76,  83,  98,  108, 118, 121, 128,
+        130, 133, 149, 181, 196, 227, 244, 316, 320, 323, 363, 387, 535, 556, 8,   25,  51,
+        52,  95,  132, 139, 141, 142, 147, 162, 185, 213, 229, 268, 293, 298, 299, 321, 339,
+        340, 362, 391, 393, 396, 408, 423, 472, 598, 43,  63,  68,  75,  84,  86}},
+      {"Zip !_||_ City", Strategy::kComplement, 50, "391.20230054281814",
+       {598, 597, 596, 595, 594, 588, 587, 586, 585, 584, 582, 577, 576, 573, 572, 568, 567,
+        564, 563, 556, 555, 551, 550, 542, 541, 537, 536, 535, 530, 526, 519, 518, 513, 511,
+        509, 505, 502, 495, 494, 493, 491, 489, 488, 482, 472, 468, 466, 465, 463, 454}},
+      {"Zip !_||_ City | State", Strategy::kDirect, 100, "2045.7638130124365",
+       {597, 46,  156, 298, 50,  553, 133, 130, 598, 95,  451, 198, 249, 321, 258, 167, 105,
+        518, 447, 31,  129, 477, 354, 390, 558, 26,  502, 61,  338, 512, 136, 77,  470, 90,
+        211, 206, 404, 489, 28,  172, 366, 285, 381, 332, 549, 449, 203, 69,  118, 572, 38,
+        289, 323, 89,  279, 76,  247, 577, 182, 98,  306, 5,   43,  295, 423, 15,  154, 253,
+        52,  340, 17,  393, 437, 361, 180, 465, 8,   68,  160, 162, 503, 527, 6,   3,   464,
+        25,  75,  134, 185, 196, 363, 56,  132, 403, 65,  174, 355, 440, 587, 351}},
+      {"Zip !_||_ City | State", Strategy::kComplement, 50, "259.81889722352173",
+       {588, 587, 576, 572, 555, 495, 440, 404, 366, 295, 272, 206, 203, 136, 133, 549, 496,
+        494, 472, 449, 447, 385, 321, 299, 296, 286, 264, 198, 148, 130, 598, 550, 542, 536,
+        526, 470, 400, 337, 298, 245, 243, 188, 104, 77,  46,  597, 577, 567, 537, 518}},
+  };
+  for (const Pinned& want : pinned) {
+    std::string label = std::string(want.sc) +
+                        (want.strategy == Strategy::kDirect ? " K" : " Kc");
+    ApproximateSc asc{ParseConstraint(want.sc).value(), 0.05};
+    DrillDownOptions drill;
+    drill.strategy = want.strategy;
+    DrillDownResult got = DrillDown(table, asc, want.k, drill).value();
+    EXPECT_EQ(got.rows, want.rows) << label;
+    char final_statistic[32];
+    std::snprintf(final_statistic, sizeof(final_statistic), "%.17g", got.final_statistic);
+    EXPECT_EQ(std::string(final_statistic), want.final_statistic) << label;
+  }
 }
 
 TEST(DrillDownTest, KLargerThanDataReturnsEverything) {

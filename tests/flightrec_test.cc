@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -415,6 +416,39 @@ TEST(FlightRecorderTest, StallFileAccumulatesMultipleDumps) {
   ASSERT_EQ(reports->size(), 2u);
   EXPECT_EQ((*reports)[0].reason, "first");
   EXPECT_EQ((*reports)[1].reason, "second");
+  ASSERT_EQ(::unlink(stall_path.c_str()), 0);
+}
+
+// Spans and heartbeats journal an empty, null-data text view. The journal
+// must copy nothing for it (a zero-length memcpy from a null pointer is
+// undefined behaviour that UBSan aborts on) and still record the event.
+TEST(FlightRecorderTest, JournalsEmptyTextWhileArmed) {
+  std::string dir = MakeReportDir("flightrec_empty_text");
+  obs::FlightRecorderOptions options;
+  options.report_dir = dir;
+  options.events_per_thread = 16;
+  ASSERT_TRUE(obs::ArmFlightRecorder(options).ok());
+  std::string stall_path = obs::StallReportPath();
+  obs::flightrec_internal::JournalLog("info", std::string_view());
+  obs::Heartbeat("test.empty_beat", 3);
+  { obs::ScopedSpan span("test/empty_text"); }
+  obs::DumpStallReport("empty text");
+  obs::DisarmFlightRecorder();
+  Result<std::string> text = ReadTextFile(stall_path);
+  ASSERT_TRUE(text.ok()) << "no stall report at " << stall_path;
+  Result<std::vector<obs::FlightReport>> reports = obs::ParseFlightReports(*text);
+  ASSERT_TRUE(reports.ok()) << reports.status().message();
+  ASSERT_EQ(reports->size(), 1u);
+  bool found_beat = false;
+  bool found_span = false;
+  for (const obs::FlightReport::Thread& thread : (*reports)[0].threads) {
+    for (const std::string& event : thread.journal) {
+      found_beat = found_beat || event.find("test.empty_beat") != std::string::npos;
+      found_span = found_span || event.find("test/empty_text") != std::string::npos;
+    }
+  }
+  EXPECT_TRUE(found_beat) << "heartbeat with empty text missing from the journal";
+  EXPECT_TRUE(found_span) << "span events with empty text missing from the journal";
   ASSERT_EQ(::unlink(stall_path.c_str()), 0);
 }
 

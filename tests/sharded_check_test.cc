@@ -1,6 +1,8 @@
 #include "core/sharded_check.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -11,6 +13,9 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/scoded.h"
+#include "datasets/hosp.h"
+#include "distributed/coordinator.h"
+#include "distributed/substrate.h"
 #include "table/csv.h"
 
 namespace scoded {
@@ -159,6 +164,145 @@ TEST_F(ShardedCheckTest, MissingFileSurfacesReaderError) {
   Result<ShardedCheckResult> result =
       ShardedCheckAll(path_ + ".nope", constraints_, ShardedCheckOptions{});
   EXPECT_FALSE(result.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Permutation-fallback coverage: a sparse high-cardinality table on which
+// every component takes the Monte-Carlo G fallback, so the sharded second
+// pass, the pooled fallbacks in FinishShardedCheck and the coordinator's
+// finish are all compared against the in-memory CheckAll.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameTest(const TestResult& want, const TestResult& got, const std::string& label) {
+  EXPECT_EQ(want.method, got.method) << label;
+  EXPECT_EQ(Bits(want.statistic), Bits(got.statistic)) << label;
+  EXPECT_EQ(Bits(want.p_value), Bits(got.p_value)) << label;
+  EXPECT_EQ(Bits(want.dof), Bits(got.dof)) << label;
+  EXPECT_EQ(want.n, got.n) << label;
+  EXPECT_EQ(Bits(want.effect), Bits(got.effect)) << label;
+  EXPECT_EQ(want.used_exact, got.used_exact) << label;
+  EXPECT_EQ(want.strata_used, got.strata_used) << label;
+  EXPECT_EQ(want.strata_skipped, got.strata_skipped) << label;
+  EXPECT_EQ(want.approximation_suspect, got.approximation_suspect) << label;
+  EXPECT_EQ(Bits(want.min_expected), Bits(got.min_expected)) << label;
+}
+
+void ExpectSameReports(const std::vector<ViolationReport>& want,
+                       const std::vector<ViolationReport>& got, const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    std::string sc_label = label + " sc=" + std::to_string(i);
+    EXPECT_EQ(want[i].violated, got[i].violated) << sc_label;
+    EXPECT_EQ(Bits(want[i].p_value), Bits(got[i].p_value)) << sc_label;
+    EXPECT_EQ(Bits(want[i].alpha), Bits(got[i].alpha)) << sc_label;
+    ExpectSameTest(want[i].test, got[i].test, sc_label);
+    ASSERT_EQ(want[i].components.size(), got[i].components.size()) << sc_label;
+    for (size_t c = 0; c < want[i].components.size(); ++c) {
+      std::string part_label = sc_label + " component=" + std::to_string(c);
+      EXPECT_EQ(want[i].components[c].component.ToString(),
+                got[i].components[c].component.ToString())
+          << part_label;
+      ExpectSameTest(want[i].components[c].test, got[i].components[c].test, part_label);
+    }
+  }
+}
+
+class ShardedFallbackTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/sharded_fallback_test.csv";
+    HospOptions options;
+    options.rows = 1500;
+    options.num_zips = 150;
+    options.error_rate = 0.25;
+    Table hosp = GenerateHospData(options).value().table;
+    // Two extra columns drawn independently of everything, over ~200
+    // labels each: sparse enough for the fallback, with no dependence for
+    // it to find.
+    Rng rng(314);
+    std::ofstream out(path_);
+    ASSERT_TRUE(out.good());
+    out << "Zip,City,State,A,B\n";
+    for (size_t row = 0; row < hosp.NumRows(); ++row) {
+      out << hosp.column(0).CategoryAt(row) << ',' << hosp.column(1).CategoryAt(row) << ','
+          << hosp.column(2).CategoryAt(row) << ",a" << rng.UniformInt(0, 199) << ",b"
+          << rng.UniformInt(0, 199) << '\n';
+    }
+    out.close();
+    constraints_.push_back({ParseConstraint("Zip !_||_ City, State").value(), 0.05});
+    constraints_.push_back({ParseConstraint("Zip !_||_ City").value(), 0.05});
+    constraints_.push_back({ParseConstraint("A _||_ B").value(), 0.05});
+
+    Result<Table> table = csv::ReadFile(path_);
+    ASSERT_TRUE(table.ok()) << table.status().message();
+    Result<Scoded::BatchCheckResult> in_memory =
+        Scoded(std::move(table).value()).CheckAll(constraints_);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status().message();
+    expected_ = std::move(in_memory).value();
+  }
+
+  void TearDown() override {
+    parallel::SetThreads(0);
+    std::remove(path_.c_str());
+  }
+
+  std::string path_;
+  std::vector<ApproximateSc> constraints_;
+  Scoded::BatchCheckResult expected_;
+};
+
+TEST_F(ShardedFallbackTest, FixtureTakesTheFallbackEverywhere) {
+  ASSERT_EQ(expected_.reports.size(), 3u);
+  // The two-Y DSC decomposes into two stratified components in one plan.
+  const ViolationReport& fd = expected_.reports[0];
+  ASSERT_EQ(fd.components.size(), 2u);
+  for (const ComponentResult& part : fd.components) {
+    EXPECT_FALSE(part.component.z.empty()) << part.component.ToString();
+    EXPECT_TRUE(part.test.used_exact) << part.component.ToString();
+  }
+  EXPECT_TRUE(expected_.reports[1].test.used_exact);
+  // The independent pair's fallback p-value sits above the 1/201 floor,
+  // so every permutation decision behind it is compared too.
+  const TestResult& isc = expected_.reports[2].test;
+  EXPECT_TRUE(isc.used_exact);
+  EXPECT_GT(isc.p_value, 1.0 / 201.0);
+}
+
+TEST_F(ShardedFallbackTest, ShardedMatchesInMemory) {
+  for (int threads : {1, 4}) {
+    for (size_t shard_rows : {7, 64, 1000}) {
+      ShardedCheckOptions options;
+      options.reader.shard_rows = shard_rows;
+      options.threads = threads;
+      Result<ShardedCheckResult> result = ShardedCheckAll(path_, constraints_, options);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      std::string label =
+          "threads=" + std::to_string(threads) + " shard_rows=" + std::to_string(shard_rows);
+      EXPECT_EQ(result->violations, expected_.violations) << label;
+      ExpectSameReports(expected_.reports, result->reports, label);
+    }
+  }
+}
+
+TEST_F(ShardedFallbackTest, DistributedMatchesInMemory) {
+  for (int workers : {1, 2, 4}) {
+    dist::InProcessSubstrate substrate;
+    dist::DistributedCheckOptions options;
+    options.base.reader.shard_rows = 64;
+    options.workers = workers;
+    Result<ShardedCheckResult> result =
+        dist::DistributedCheckAll(path_, constraints_, substrate, options);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    std::string label = "workers=" + std::to_string(workers);
+    EXPECT_EQ(result->violations, expected_.violations) << label;
+    ExpectSameReports(expected_.reports, result->reports, label);
+  }
 }
 
 }  // namespace
