@@ -9,7 +9,10 @@
 #include "distributed/coordinator.h"
 
 #include <signal.h>
+#include <sys/wait.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -313,6 +316,27 @@ TEST_F(DistributedCheckTest, MissingFileFailsBeforeSpawningWorkers) {
 // Real child processes: the fork/exec substrate against the installed-style
 // binary, including a SIGKILL mid-run.
 // ---------------------------------------------------------------------------
+
+TEST(ProcessChannelTest, ChildIgnoringEofIsKilledAfterTheGracePeriod) {
+  // The child never reads its socket, so closing the channel does not end
+  // it: teardown must wait out the grace period, SIGKILL it, and reap it.
+  dist::ForkExecSubstrate substrate("/bin/sh", {"-c", "exec sleep 30"});
+  Result<std::unique_ptr<dist::WorkerChannel>> channel = substrate.Spawn(0);
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  pid_t pid = static_cast<pid_t>((*channel)->pid());
+  ASSERT_GT(pid, 0);
+  auto start = std::chrono::steady_clock::now();
+  channel->reset();
+  double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_GE(waited, 4.5) << "killed before the grace period ran out";
+  EXPECT_LT(waited, 20.0) << "teardown waited for the child's own exit";
+  // Reaped, so no zombie is left: the pid is no longer a child of ours.
+  errno = 0;
+  EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
 
 #ifdef SCODED_CLI_BIN
 
