@@ -150,12 +150,11 @@ int main() {
     bench::RecordValue("compactions_100k", static_cast<double>(index.compactions()));
   }
 
-  bench::PrintTitle("block query structures: wavelet matrix vs persistent counter (64k)");
+  bench::PrintTitle("block query structure: wavelet matrix (64k)");
   {
-    // The same prefix-count workload both structures answer inside a block:
-    // random (prefix, value) probes against a 64k-element sequence. The
-    // wavelet matrix keeps its levels bit-packed (~L2-resident); the
-    // persistent counter chases 12-byte nodes through a ~13 MB arena.
+    // The prefix-count workload a block answers: random (prefix, value)
+    // probes against a 64k-element sequence, with the levels bit-packed
+    // (~L2-resident).
     const size_t m = 65536;
     Rng rng(17);
     std::vector<uint32_t> codes(m);
@@ -163,12 +162,6 @@ int main() {
       c = static_cast<uint32_t>(rng.UniformInt(0, static_cast<int64_t>(m) - 1));
     }
     WaveletMatrix wm(codes, m);
-    VersionedPrefixCounter counter(m);
-    std::vector<int32_t> roots(m + 1);
-    roots[0] = 0;
-    for (size_t i = 0; i < m; ++i) {
-      roots[i + 1] = counter.Add(roots[i], codes[i]);
-    }
     const size_t probes = 200000;
     std::vector<std::pair<size_t, uint32_t>> queries(probes);
     for (auto& qp : queries) {
@@ -184,21 +177,13 @@ int main() {
       sink += lt + eq;
     }
     double wm_ns = Ms(start) * 1e6 / static_cast<double>(probes);
-    start = std::chrono::steady_clock::now();
-    for (const auto& qp : queries) {
-      sink += counter.CountLess(roots[qp.first], qp.second);
-    }
-    double counter_ns = Ms(start) * 1e6 / static_cast<double>(probes);
     if (sink == 0x7fffffff) {
       std::printf("impossible\n");  // keep `sink` observable
     }
     std::printf("%-28s %-12s %-14s\n", "structure", "query(ns)", "memory(KB)");
     std::printf("%-28s %-12.0f %-14.0f\n", "wavelet matrix", wm_ns,
                 static_cast<double>(wm.MemoryBytes()) / 1024.0);
-    std::printf("%-28s %-12.0f %-14.0f\n", "persistent counter", counter_ns,
-                static_cast<double>(counter.NumNodes() * 12) / 1024.0);
     bench::RecordValue("wavelet_query_ns_64k", wm_ns);
-    bench::RecordValue("persistent_query_ns_64k", counter_ns);
   }
 
   bench::PrintTitle("stream fan-out: 4 constraints x 20 batches of 500 rows");

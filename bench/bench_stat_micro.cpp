@@ -10,9 +10,9 @@
 //     speedup recorded per kernel family.
 //  2. The google-benchmark suite (skipped under --kernels-only): Kendall
 //     τ (naive vs O(n log n)), the Algorithm 2 segment-tree benefit
-//     initialisation, the G-test, raw segment-tree vs Fenwick-tree index
-//     operations, and the stratified conditional tests at 1 vs N pool
-//     threads (the per-stratum fan-out of the parallel execution layer).
+//     initialisation, the G-test, raw segment-tree index operations, and
+//     the stratified conditional tests at 1 vs N pool threads (the
+//     per-stratum fan-out of the parallel execution layer).
 
 #include <benchmark/benchmark.h>
 
@@ -118,18 +118,6 @@ void BM_SegmentTreeOps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SegmentTreeOps)->Range(1024, 1048576);
-
-void BM_FenwickTreeOps(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  FenwickTree tree(n);
-  Rng rng(7);
-  for (auto _ : state) {
-    size_t pos = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
-    tree.Add(pos, 1);
-    benchmark::DoNotOptimize(tree.Sum(0, pos));
-  }
-}
-BENCHMARK(BM_FenwickTreeOps)->Range(1024, 1048576);
 
 // ---------------------------------------------------------------------------
 // Stratified conditional tests, serial vs parallel. Arg 0 is the row

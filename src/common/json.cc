@@ -511,4 +511,18 @@ class JsonParser {
 
 Result<JsonValue> ParseJson(std::string_view text) { return JsonParser(text).Parse(); }
 
+Result<int64_t> JsonInteger(const JsonValue& value, int64_t lo, int64_t hi,
+                            std::string_view what) {
+  // Every double in [-2^63, 2^63) converts to int64_t; the || chain casts
+  // only once the value is known to lie there.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  double x = value.number;
+  if (!value.is_number() || !std::isfinite(x) || std::trunc(x) != x || x < -kTwo63 ||
+      x >= kTwo63 || static_cast<int64_t>(x) < lo || static_cast<int64_t>(x) > hi) {
+    return InvalidArgumentError(std::string(what) + " must be an integer in [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<int64_t>(x);
+}
+
 }  // namespace scoded

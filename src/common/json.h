@@ -90,6 +90,14 @@ struct JsonValue {
   const JsonValue* Find(std::string_view key) const;
 };
 
+/// `value` as an integer in [lo, hi], for numbers read from untrusted
+/// JSON. A JSON number is a double, so it must be finite and integral,
+/// and the range is checked before converting: casting an out-of-range
+/// double to an integer is undefined behaviour. Fails with
+/// kInvalidArgument naming `what`.
+Result<int64_t> JsonInteger(const JsonValue& value, int64_t lo, int64_t hi,
+                            std::string_view what);
+
 /// Strict RFC 8259 parser for the subset this codebase emits: all value
 /// kinds, string escapes including \uXXXX (BMP code points, encoded back
 /// to UTF-8), and a nesting-depth limit of 256. Trailing garbage after

@@ -78,19 +78,7 @@ Result<Scoded::BatchCheckResult> Scoded::CheckAll(
   progress_constraints->Set(0.0);
   progress_min_p->Set(1.0);
   BatchCheckResult out;
-  // Consistency over borrowed pointers: the constraints already live in
-  // `constraints`, no per-SC copy needed.
-  std::vector<const StatisticalConstraint*> scs;
-  scs.reserve(constraints.size());
-  for (const ApproximateSc& asc : constraints) {
-    scs.push_back(&asc.sc);
-  }
-  SCODED_ASSIGN_OR_RETURN(out.consistency, CheckConsistency(scs));
-  if (!out.consistency.consistent) {
-    return InvalidArgumentError(
-        "constraint set is inconsistent; resolve the conflicts before enforcement: " +
-        (out.consistency.conflicts.empty() ? std::string() : out.consistency.conflicts[0]));
-  }
+  SCODED_ASSIGN_OR_RETURN(out.consistency, CheckEnforceable(constraints));
   // One encoding cache for the whole batch: constraints referencing the
   // same columns (the common case — discovery emits overlapping SCs)
   // encode each (column, row set) once instead of once per constraint.

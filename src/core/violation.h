@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "constraints/graphoid.h"
 #include "constraints/sc.h"
 #include "core/approximate_sc.h"
 #include "obs/telemetry.h"
@@ -37,6 +38,19 @@ struct ViolationReport {
   /// exact-vs-asymptotic split, rows scanned, strata used/skipped.
   obs::RunTelemetry telemetry;
 };
+
+/// Algorithm 1's decision over tested components: fills `report` from
+/// `report.components` (one entry per decomposed singleton, in
+/// decomposition order). The decision p-value is the minimum component p —
+/// the first component wins ties — and the report takes that component's
+/// test. An ISC is violated iff p < α, a DSC iff p > α. Also adds each
+/// component to the report's telemetry and counts the components.
+void DecideViolation(const ApproximateSc& asc, ViolationReport& report);
+
+/// The batch gate every checker runs before enforcement: the constraint
+/// set must be consistent (Sec. 3), or the check fails with
+/// kInvalidArgument naming the first conflict.
+Result<ConsistencyReport> CheckEnforceable(const std::vector<ApproximateSc>& constraints);
 
 /// Algorithm 1: evaluates the approximate SC on `table` via hypothesis
 /// testing. Set-valued X/Y are decomposed into singleton SCs by the

@@ -1,22 +1,14 @@
 #include "distributed/coordinator.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
-#include "common/parallel.h"
 #include "common/string_util.h"
-#include "obs/flightrec.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/wire.h"
 #include "table/csv_stream.h"
@@ -25,36 +17,10 @@ namespace scoded::dist {
 
 namespace {
 
-struct TaskRange {
-  uint64_t begin = 0;  // shard indices [begin, end)
-  uint64_t end = 0;
-};
-
-// A fully validated task response: summaries restored through the codec
-// and checked against the plan, ready to fold.
-struct TaskResult {
-  std::vector<PairwiseShardSummary> summaries;
-  uint64_t rows = 0;
-  uint64_t bytes = 0;  // wire payload size, for the per-worker gauge
-};
-
-// Outcome of dispatching one task to one worker.
-struct Attempt {
-  enum class Kind { kOk, kRetry, kFatal };
-  Kind kind = Kind::kRetry;
-  TaskResult result;  // kOk only
-  Status status;      // kRetry / kFatal
-};
-
-Attempt RetryAttempt(Status status) {
-  Attempt attempt;
-  attempt.kind = Attempt::Kind::kRetry;
-  attempt.status = std::move(status);
-  return attempt;
-}
-
-std::string BuildSummarizeRequest(const std::string& path, const csv::ShardReaderOptions& reader,
-                                  const std::string& specs_json, const TaskRange& range) {
+// The request prefix every task of one run shares: the file, the reader
+// options and the component specs; Summarize appends the range.
+std::string SummarizeRequestHead(const std::string& path, const csv::ShardReaderOptions& reader,
+                                 const std::vector<PairwiseShardSummary::Spec>& specs) {
   JsonWriter json;
   json.BeginObject();
   json.Key("op").String("summarize");
@@ -66,100 +32,133 @@ std::string BuildSummarizeRequest(const std::string& path, const csv::ShardReade
   json.Key("has_header").Bool(reader.csv.has_header);
   json.Key("infer_types").Bool(reader.csv.infer_types);
   json.EndObject();
-  json.Key("specs").Raw(specs_json);
-  json.Key("begin").Uint(range.begin);
-  json.Key("end").Uint(range.end);
-  json.EndObject();
+  json.Key("specs").BeginArray();
+  for (const PairwiseShardSummary::Spec& spec : specs) {
+    json.BeginObject();
+    json.Key("x").Int(spec.x_col);
+    json.Key("y").Int(spec.y_col);
+    json.Key("z").BeginArray();
+    for (int z : spec.z_cols) {
+      json.Int(z);
+    }
+    json.EndArray();
+    json.EndObject();
+  }
+  json.EndArray();
   return json.str();
 }
 
-// Sends one task and fully validates the response. Anything that smells
-// like a broken worker or transport — dead channel, deadline, torn or
-// malformed frame, summaries that fail restoration — is kRetry; a
-// well-formed error envelope is the worker correctly reporting a problem
-// retrying elsewhere cannot cure, so it is kFatal.
-Attempt RunTask(WorkerChannel& channel, const std::string& request, int deadline_millis,
-                const Table& schema, const std::vector<ShardedComponent>& components) {
-  Status sent = channel.Send(request);
-  if (!sent.ok()) {
-    return RetryAttempt(sent);
-  }
-  Result<std::string> payload = channel.Receive(deadline_millis);
-  if (!payload.ok()) {
-    if (payload.status().code() == StatusCode::kDeadlineExceeded) {
-      channel.Kill();  // a stalled worker keeps the socket open; cut it
-    }
-    return RetryAttempt(payload.status());
-  }
-  Result<JsonValue> response = ParseJson(*payload);
-  if (!response.ok()) {
-    return RetryAttempt(response.status());
-  }
-  const JsonValue* ok = response->Find("ok");
-  if (ok == nullptr || !ok->is_bool()) {
-    return RetryAttempt(InternalError("worker response has no ok field"));
-  }
-  if (!ok->bool_value) {
-    const JsonValue* code = response->Find("code");
-    const JsonValue* message = response->Find("message");
-    Attempt attempt;
-    attempt.kind = Attempt::Kind::kFatal;
-    attempt.status = Status(code != nullptr && code->is_string()
-                                ? StatusCodeFromString(code->string_value)
-                                : StatusCode::kInternal,
-                            "worker: " + (message != nullptr && message->is_string()
-                                              ? message->string_value
-                                              : std::string("unspecified error")));
-    return attempt;
-  }
-  const JsonValue* rows = response->Find("rows");
-  const JsonValue* summaries = response->Find("summaries");
-  if (rows == nullptr || !rows->is_string() || summaries == nullptr || !summaries->is_array()) {
-    return RetryAttempt(InternalError("worker response is missing rows or summaries"));
-  }
-  Result<int64_t> range_rows = ParseCheckedInt(rows->string_value, 0, INT64_MAX, "worker rows");
-  if (!range_rows.ok()) {
-    return RetryAttempt(range_rows.status());
-  }
-  if (summaries->array.size() != components.size()) {
-    return RetryAttempt(InternalError("worker returned " +
-                                      std::to_string(summaries->array.size()) +
-                                      " summaries, expected " +
-                                      std::to_string(components.size())));
-  }
-  Attempt attempt;
-  attempt.result.rows = static_cast<uint64_t>(*range_rows);
-  attempt.result.bytes = payload->size();
-  attempt.result.summaries.reserve(components.size());
-  for (size_t c = 0; c < components.size(); ++c) {
-    Result<PairwiseShardSummary::Snapshot> snapshot =
-        serve::ParseShardSummaryJson(summaries->array[c]);
-    if (!snapshot.ok()) {
-      return RetryAttempt(snapshot.status());
-    }
-    const PairwiseShardSummary::Spec& want = components[c].spec;
-    if (snapshot->spec.x_col != want.x_col || snapshot->spec.y_col != want.y_col ||
-        snapshot->spec.z_cols != want.z_cols) {
-      return RetryAttempt(InternalError("worker summary answers the wrong component"));
-    }
-    if (snapshot->rows != *range_rows) {
-      return RetryAttempt(InternalError("worker summaries disagree on the row count"));
-    }
-    Result<PairwiseShardSummary> restored =
-        PairwiseShardSummary::FromSnapshot(schema, *snapshot);
-    if (!restored.ok()) {
-      return RetryAttempt(restored.status());
-    }
-    attempt.result.summaries.push_back(std::move(*restored));
-  }
-  attempt.kind = Attempt::Kind::kOk;
-  return attempt;
-}
+// A lane backed by one worker channel. Anything that smells like a broken
+// worker or transport — dead channel, deadline, torn or malformed frame,
+// summaries that fail restoration — is kLost; a well-formed error
+// envelope is the worker correctly reporting a problem retrying elsewhere
+// cannot cure, so it is kFatal.
+class ChannelLane : public ShardLane {
+ public:
+  ChannelLane(std::unique_ptr<WorkerChannel> channel, std::string request_head,
+              int deadline_millis, const Table& schema,
+              const std::vector<PairwiseShardSummary::Spec>& specs)
+      : channel_(std::move(channel)),
+        request_head_(std::move(request_head)),
+        deadline_millis_(deadline_millis),
+        schema_(schema),
+        specs_(specs) {}
 
-obs::Gauge* WorkerGauge(size_t worker, const char* what) {
-  return obs::Metrics::Global().FindOrCreateGauge("dist.worker" + std::to_string(worker) + "." +
-                                                  what);
-}
+  // Dismisses the worker before its channel closes: fork/exec workers
+  // inherit the coordinator's end of their own socket and of every
+  // earlier worker's, so closing ours alone does not reach the worker as
+  // EOF. On a killed channel the send fails at once; failures are not
+  // errors, since teardown still reaps the worker.
+  ~ChannelLane() override {
+    if (channel_->Send("{\"op\":\"shutdown\"}").ok()) {
+      (void)channel_->Receive(/*deadline_millis=*/2000);
+    }
+  }
+
+  LaneResult Summarize(uint64_t begin, uint64_t end) override {
+    std::string request = request_head_ + ",\"begin\":" + std::to_string(begin) +
+                          ",\"end\":" + std::to_string(end) + "}";
+    Status sent = channel_->Send(request);
+    if (!sent.ok()) {
+      return Lost(sent);
+    }
+    Result<std::string> payload = channel_->Receive(deadline_millis_);
+    if (!payload.ok()) {
+      if (payload.status().code() == StatusCode::kDeadlineExceeded) {
+        channel_->Kill();  // a stalled worker keeps the socket open; cut it
+      }
+      return Lost(payload.status());
+    }
+    Result<JsonValue> response = ParseJson(*payload);
+    if (!response.ok()) {
+      return Lost(response.status());
+    }
+    const JsonValue* ok = response->Find("ok");
+    if (ok == nullptr || !ok->is_bool()) {
+      return Lost(InternalError("worker response has no ok field"));
+    }
+    if (!ok->bool_value) {
+      const JsonValue* code = response->Find("code");
+      const JsonValue* message = response->Find("message");
+      return {LaneResult::Kind::kFatal,
+              Status(code != nullptr && code->is_string() ? StatusCodeFromString(code->string_value)
+                                                          : StatusCode::kInternal,
+                     "worker: " + (message != nullptr && message->is_string()
+                                       ? message->string_value
+                                       : std::string("unspecified error")))};
+    }
+    const JsonValue* rows = response->Find("rows");
+    const JsonValue* summaries = response->Find("summaries");
+    if (rows == nullptr || !rows->is_string() || summaries == nullptr || !summaries->is_array()) {
+      return Lost(InternalError("worker response is missing rows or summaries"));
+    }
+    Result<int64_t> range_rows = ParseCheckedInt(rows->string_value, 0, INT64_MAX, "worker rows");
+    if (!range_rows.ok()) {
+      return Lost(range_rows.status());
+    }
+    if (summaries->array.size() != specs_.size()) {
+      return Lost(InternalError("worker returned " + std::to_string(summaries->array.size()) +
+                                " summaries, expected " + std::to_string(specs_.size())));
+    }
+    LaneResult result{LaneResult::Kind::kOk};
+    result.range.rows = static_cast<uint64_t>(*range_rows);
+    result.bytes = payload->size();
+    result.range.summaries.reserve(specs_.size());
+    for (size_t c = 0; c < specs_.size(); ++c) {
+      Result<PairwiseShardSummary::Snapshot> snapshot =
+          serve::ParseShardSummaryJson(summaries->array[c]);
+      if (!snapshot.ok()) {
+        return Lost(snapshot.status());
+      }
+      const PairwiseShardSummary::Spec& want = specs_[c];
+      if (snapshot->spec.x_col != want.x_col || snapshot->spec.y_col != want.y_col ||
+          snapshot->spec.z_cols != want.z_cols) {
+        return Lost(InternalError("worker summary answers the wrong component"));
+      }
+      if (snapshot->rows != *range_rows) {
+        return Lost(InternalError("worker summaries disagree on the row count"));
+      }
+      Result<PairwiseShardSummary> restored =
+          PairwiseShardSummary::FromSnapshot(schema_, *snapshot);
+      if (!restored.ok()) {
+        return Lost(restored.status());
+      }
+      result.range.summaries.push_back(std::move(*restored));
+    }
+    return result;
+  }
+
+  void Kill() override { channel_->Kill(); }
+
+ private:
+  static LaneResult Lost(Status status) { return {LaneResult::Kind::kLost, std::move(status)}; }
+
+  std::unique_ptr<WorkerChannel> channel_;
+  std::string request_head_;
+  int deadline_millis_;
+  const Table& schema_;
+  const std::vector<PairwiseShardSummary::Spec>& specs_;
+};
 
 }  // namespace
 
@@ -175,275 +174,19 @@ Result<ShardedCheckResult> DistributedCheckAll(const std::string& path,
   if (options.workers < 1) {
     return InvalidArgumentError("distributed check needs at least one worker");
   }
-  if (options.base.threads > 0) {
-    parallel::SetThreads(options.base.threads);
-  }
-  static obs::Gauge* const progress_shards_total =
-      obs::Metrics::Global().FindOrCreateGauge("progress.shards_total");
-  static obs::Gauge* const progress_shards_done =
-      obs::Metrics::Global().FindOrCreateGauge("progress.shards_done");
-  static obs::Gauge* const progress_rows_total =
-      obs::Metrics::Global().FindOrCreateGauge("progress.rows_total");
-  static obs::Gauge* const progress_rows =
-      obs::Metrics::Global().FindOrCreateGauge("progress.rows_ingested");
-  static obs::Gauge* const progress_constraints_total =
-      obs::Metrics::Global().FindOrCreateGauge("progress.constraints_total");
-  static obs::Gauge* const progress_constraints =
-      obs::Metrics::Global().FindOrCreateGauge("progress.constraints_checked");
-  static obs::Gauge* const progress_min_p =
-      obs::Metrics::Global().FindOrCreateGauge("progress.current_min_p");
-  static obs::Gauge* const workers_live_gauge =
-      obs::Metrics::Global().FindOrCreateGauge("dist.workers_live");
-  static obs::Counter* const tasks_retried =
-      obs::Metrics::Global().FindOrCreateCounter("dist.tasks_retried");
-  static obs::Counter* const workers_lost =
-      obs::Metrics::Global().FindOrCreateCounter("dist.workers_lost");
-
-  // The coordinator runs its own first pass: it needs the schema to bind
-  // constraints and the row count to cut shard ranges, and its validation
-  // is the reference the workers' own passes must agree with.
-  SCODED_ASSIGN_OR_RETURN(csv::ShardReader reader,
-                          csv::ShardReader::Open(path, options.base.reader));
-  SCODED_ASSIGN_OR_RETURN(Table schema, reader.EmptyTable());
-  const size_t shard_rows = std::max<size_t>(1, options.base.reader.shard_rows);
-  const uint64_t num_shards = (reader.num_data_rows() + shard_rows - 1) / shard_rows;
-  progress_shards_total->Set(static_cast<double>(num_shards));
-  progress_rows_total->Set(static_cast<double>(reader.num_data_rows()));
-  progress_shards_done->Set(0.0);
-  progress_rows->Set(0.0);
-  progress_constraints_total->Set(static_cast<double>(constraints.size()));
-  progress_constraints->Set(0.0);
-  progress_min_p->Set(1.0);
-
-  SCODED_ASSIGN_OR_RETURN(ShardedCheckPlan plan,
-                          PrepareShardedCheck(schema, constraints, options.base.test));
-
-  if (plan.components.empty() || num_shards == 0) {
-    // Nothing to summarise; no fleet needed.
-    return FinishShardedCheck(path, constraints, options.base, std::move(plan),
-                              static_cast<size_t>(num_shards), reader.num_data_rows());
-  }
-
-  // Cut the shard range into contiguous tasks, several per worker, so a
-  // lost worker forfeits a task, not its whole share.
-  const uint64_t num_tasks =
-      std::min<uint64_t>(num_shards, static_cast<uint64_t>(options.workers) *
-                                         std::max(1, options.tasks_per_worker));
-  std::vector<TaskRange> tasks(num_tasks);
-  for (uint64_t t = 0; t < num_tasks; ++t) {
-    tasks[t] = {t * num_shards / num_tasks, (t + 1) * num_shards / num_tasks};
-  }
-  std::string specs_json;
-  {
-    JsonWriter json;
-    json.BeginArray();
-    for (const ShardedComponent& component : plan.components) {
-      json.BeginObject();
-      json.Key("x").Int(component.spec.x_col);
-      json.Key("y").Int(component.spec.y_col);
-      json.Key("z").BeginArray();
-      for (int z : component.spec.z_cols) {
-        json.Int(z);
-      }
-      json.EndArray();
-      json.EndObject();
-    }
-    json.EndArray();
-    specs_json = json.str();
-  }
-
-  const size_t num_workers = static_cast<size_t>(options.workers);
-  std::vector<std::unique_ptr<WorkerChannel>> channels;
-  channels.reserve(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) {
-    SCODED_ASSIGN_OR_RETURN(std::unique_ptr<WorkerChannel> channel, substrate.Spawn(w));
-    channels.push_back(std::move(channel));
-  }
-  workers_live_gauge->Set(static_cast<double>(num_workers));
-
-  // Dispatch state. Completed results are folded by this thread strictly
-  // in task order — contiguous ascending ranges, so fold order equals
-  // file order and the result cannot depend on scheduling.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<uint64_t> queue;
-  for (uint64_t t = 0; t < num_tasks; ++t) {
-    queue.push_back(t);
-  }
-  std::vector<std::optional<TaskResult>> results(num_tasks);
-  uint64_t completed = 0;
-  size_t live_workers = num_workers;
-  bool aborted = false;
-  Status abort_status;
-
-  std::vector<std::thread> pumps;
-  pumps.reserve(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) {
-    pumps.emplace_back([&, w] {
-      WorkerChannel& channel = *channels[w];
-      obs::Gauge* const assigned_gauge = WorkerGauge(w, "shards_assigned");
-      obs::Gauge* const done_gauge = WorkerGauge(w, "shards_done");
-      obs::Gauge* const bytes_gauge = WorkerGauge(w, "bytes");
-      obs::Gauge* const rows_gauge = WorkerGauge(w, "rows");
-      uint64_t assigned = 0;
-      uint64_t done = 0;
-      uint64_t bytes = 0;
-      uint64_t rows = 0;
-      for (;;) {
-        uint64_t task;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return !queue.empty() || completed == num_tasks || aborted; });
-          if (completed == num_tasks || aborted) {
-            return;
-          }
-          // Prefer this worker's own contiguous block of tasks: a worker
-          // that only ever advances through adjacent ranges streams the
-          // file forward once, while interleaved pulls would make every
-          // worker skip-read the gaps between its tasks. Falling back to
-          // the queue head (stealing) keeps retries and stragglers moving.
-          auto it = std::find_if(queue.begin(), queue.end(), [&](uint64_t t) {
-            return t * num_workers / num_tasks == w;
-          });
-          if (it == queue.end()) {
-            it = queue.begin();
-          }
-          task = *it;
-          queue.erase(it);
+  return RunShardedCheck(
+      path, constraints, options.base,
+      [&](csv::ShardReader&, const Table& schema,
+          const std::vector<PairwiseShardSummary::Spec>& specs) -> Result<ShardLanes> {
+        std::string head = SummarizeRequestHead(path, options.base.reader, specs);
+        ShardLanes lanes;
+        for (size_t w = 0; w < static_cast<size_t>(options.workers); ++w) {
+          SCODED_ASSIGN_OR_RETURN(std::unique_ptr<WorkerChannel> channel, substrate.Spawn(w));
+          lanes.push_back(std::make_unique<ChannelLane>(std::move(channel), head,
+                                                        options.deadline_millis, schema, specs));
         }
-        const TaskRange& range = tasks[task];
-        assigned += range.end - range.begin;
-        assigned_gauge->Set(static_cast<double>(assigned));
-        std::string request =
-            BuildSummarizeRequest(path, options.base.reader, specs_json, range);
-        Attempt attempt;
-        {
-          obs::ScopedSpan dispatch_span("dist/dispatch");
-          if (dispatch_span.active()) {
-            dispatch_span.Arg("worker", static_cast<int64_t>(w))
-                .Arg("task", static_cast<int64_t>(task))
-                .Arg("begin", static_cast<int64_t>(range.begin))
-                .Arg("end", static_cast<int64_t>(range.end));
-          }
-          attempt = RunTask(channel, request, options.deadline_millis, schema, plan.components);
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (attempt.kind == Attempt::Kind::kOk) {
-          done += range.end - range.begin;
-          bytes += attempt.result.bytes;
-          rows += attempt.result.rows;
-          done_gauge->Set(static_cast<double>(done));
-          bytes_gauge->Set(static_cast<double>(bytes));
-          rows_gauge->Set(static_cast<double>(rows));
-          results[task] = std::move(attempt.result);
-          ++completed;
-          obs::Heartbeat("dist.task_done", static_cast<int64_t>(completed));
-          cv.notify_all();
-          continue;
-        }
-        // Retry earliest-first so the in-order fold unblocks soonest.
-        queue.push_front(task);
-        if (attempt.kind == Attempt::Kind::kFatal) {
-          if (!aborted) {
-            aborted = true;
-            abort_status = attempt.status;
-          }
-        } else {
-          tasks_retried->Add();
-          workers_lost->Add();
-          --live_workers;
-          workers_live_gauge->Set(static_cast<double>(live_workers));
-          channel.Kill();
-          if (live_workers == 0 && !aborted) {
-            aborted = true;
-            abort_status = UnavailableError(
-                "all workers lost with work outstanding; last failure: " +
-                attempt.status.ToString());
-          }
-        }
-        cv.notify_all();
-        return;
-      }
-    });
-  }
-
-  // Fold in task order as results land.
-  uint64_t folded_rows = 0;
-  size_t folded_shards = 0;
-  Status fold_error;
-  for (uint64_t t = 0; t < num_tasks && fold_error.ok(); ++t) {
-    std::optional<TaskResult> result;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return results[t].has_value() || aborted; });
-      if (aborted && !results[t].has_value()) {
-        break;
-      }
-      result = std::move(results[t]);
-      results[t].reset();  // folded summaries free as we go
-    }
-    obs::ScopedSpan fold_span("dist/fold");
-    if (fold_span.active()) {
-      fold_span.Arg("task", static_cast<int64_t>(t))
-          .Arg("rows", static_cast<int64_t>(result->rows));
-    }
-    for (size_t c = 0; c < plan.components.size(); ++c) {
-      plan.components[c].summary.Merge(result->summaries[c]);
-    }
-    folded_rows += result->rows;
-    folded_shards += static_cast<size_t>(tasks[t].end - tasks[t].begin);
-    progress_shards_done->MaxWith(static_cast<double>(folded_shards));
-    progress_rows->MaxWith(static_cast<double>(folded_rows));
-  }
-
-  {
-    // Wake every pump that is still waiting for work or results.
-    std::lock_guard<std::mutex> lock(mu);
-    if (completed != num_tasks && !aborted) {
-      aborted = true;
-      abort_status = fold_error;
-    }
-    cv.notify_all();
-  }
-  if (aborted) {
-    for (std::unique_ptr<WorkerChannel>& channel : channels) {
-      channel->Kill();  // unblocks pumps waiting on a response
-    }
-  }
-  for (std::thread& pump : pumps) {
-    pump.join();
-  }
-  bool failed;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    failed = aborted || completed != num_tasks;
-  }
-  if (!failed) {
-    // Dismiss the fleet politely; workers also exit on channel close, so
-    // failures here are not errors.
-    for (std::unique_ptr<WorkerChannel>& channel : channels) {
-      JsonWriter json;
-      json.BeginObject();
-      json.Key("op").String("shutdown");
-      json.EndObject();
-      if (channel->Send(json.str()).ok()) {
-        (void)channel->Receive(/*deadline_millis=*/2000);
-      }
-    }
-  }
-  channels.clear();
-  workers_live_gauge->Set(0.0);
-  if (failed) {
-    return abort_status.ok() ? UnavailableError("distributed check aborted") : abort_status;
-  }
-  if (folded_rows != reader.num_data_rows()) {
-    return InternalError("folded " + std::to_string(folded_rows) + " rows but the file has " +
-                         std::to_string(reader.num_data_rows()) +
-                         " — changed during the run?");
-  }
-
-  return FinishShardedCheck(path, constraints, options.base, std::move(plan), folded_shards,
-                            folded_rows);
+        return lanes;
+      });
 }
 
 }  // namespace scoded::dist

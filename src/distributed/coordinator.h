@@ -21,28 +21,20 @@ struct DistributedCheckOptions {
   /// Deadline for one worker response. A worker that exceeds it is killed
   /// and its task re-dispatched to a surviving worker. 0 waits forever.
   int deadline_millis = 600000;
-  /// Dispatch granularity: the shard range is cut into about
-  /// workers * tasks_per_worker contiguous tasks, so losing a worker
-  /// forfeits at most ~1/tasks_per_worker of its share.
-  int tasks_per_worker = 4;
 };
 
-/// Coordinator side of the distributed sharded check: assigns contiguous
-/// shard ranges to `options.workers` channels spawned from `substrate`,
-/// folds the returned summaries strictly in shard order (so the fold —
-/// and every report bit — is identical to ShardedCheckAll at any worker
-/// count), and finishes exactly as the single-process path.
+/// The sharded-check driver (RunShardedCheck in core/sharded_check.h) over
+/// one lane per worker spawned from `substrate`, after the driver's first
+/// pass and plan succeed: each task travels as a summarize request, and
+/// the summaries come back in the exact integer wire form, so every report
+/// bit is identical to ShardedCheckAll at any worker count.
 ///
-/// Fault handling: a worker that dies (kUnavailable / kDataLoss), stalls
-/// past the deadline (killed), or returns an unparseable response has its
-/// task re-queued for the surviving workers; the check fails with
-/// kUnavailable only once no workers remain with work outstanding. A
-/// summary is folded only after full validation (codec round-trip, spec
-/// match, row accounting), so a retried task can never be half-applied.
-///
-/// Errors a retry cannot cure — a worker replying with a well-formed
-/// error envelope (bad file, Spearman refusal, file changed between
-/// passes) — abort the run with that worker's status.
+/// A worker that dies (kUnavailable / kDataLoss), stalls past the deadline
+/// (it is killed), or returns a response that fails validation (codec
+/// round-trip, spec match, row accounting) is lost and its task retried;
+/// nothing is folded before it validates. A well-formed error envelope
+/// (bad file, Spearman refusal, file changed between passes) aborts the
+/// run with that worker's status.
 Result<ShardedCheckResult> DistributedCheckAll(const std::string& path,
                                                const std::vector<ApproximateSc>& constraints,
                                                Substrate& substrate,

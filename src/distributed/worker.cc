@@ -1,15 +1,12 @@
 #include "distributed/worker.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
-#include "obs/flightrec.h"
-#include "obs/metrics.h"
+#include "core/sharded_check.h"
 #include "obs/trace.h"
 #include "serve/framing.h"
 #include "serve/wire.h"
@@ -30,11 +27,12 @@ struct SummarizeRequest {
 
 Result<uint64_t> MemberUint(const JsonValue& parent, const std::string& name) {
   const JsonValue* value = parent.Find(name);
-  if (value == nullptr || !value->is_number() || value->number < 0 ||
-      static_cast<double>(static_cast<uint64_t>(value->number)) != value->number) {
+  if (value == nullptr) {
     return InvalidArgumentError("summarize request needs a non-negative integer '" + name + "'");
   }
-  return static_cast<uint64_t>(value->number);
+  SCODED_ASSIGN_OR_RETURN(int64_t parsed,
+                          JsonInteger(*value, 0, INT64_MAX, "summarize request '" + name + "'"));
+  return static_cast<uint64_t>(parsed);
 }
 
 Result<SummarizeRequest> ParseSummarizeRequest(const JsonValue& request) {
@@ -79,14 +77,14 @@ Result<SummarizeRequest> ParseSummarizeRequest(const JsonValue& request) {
       return InvalidArgumentError("component specs need numeric x, y and a z array");
     }
     PairwiseShardSummary::Spec parsed;
-    parsed.x_col = static_cast<int>(x->number);
-    parsed.y_col = static_cast<int>(y->number);
+    SCODED_ASSIGN_OR_RETURN(int64_t x_col, JsonInteger(*x, 0, INT32_MAX, "component spec x"));
+    SCODED_ASSIGN_OR_RETURN(int64_t y_col, JsonInteger(*y, 0, INT32_MAX, "component spec y"));
+    parsed.x_col = static_cast<int>(x_col);
+    parsed.y_col = static_cast<int>(y_col);
     parsed.z_cols.reserve(z->array.size());
     for (const JsonValue& col : z->array) {
-      if (!col.is_number()) {
-        return InvalidArgumentError("component spec z entries must be numeric");
-      }
-      parsed.z_cols.push_back(static_cast<int>(col.number));
+      SCODED_ASSIGN_OR_RETURN(int64_t z_col, JsonInteger(col, 0, INT32_MAX, "component spec z"));
+      parsed.z_cols.push_back(static_cast<int>(z_col));
     }
     out.specs.push_back(std::move(parsed));
   }
@@ -98,47 +96,10 @@ Result<SummarizeRequest> ParseSummarizeRequest(const JsonValue& request) {
   return out;
 }
 
-// Column-bound checks the PairwiseShardSummary constructor would enforce
-// with a process-fatal SCODED_CHECK; a worker fed a bad spec must reply
-// with an error instead.
-Status ValidateSpec(const PairwiseShardSummary::Spec& spec, const Table& schema) {
-  auto ok = [&](int col) { return col >= 0 && static_cast<size_t>(col) < schema.NumColumns(); };
-  if (!ok(spec.x_col) || !ok(spec.y_col) || spec.x_col == spec.y_col) {
-    return InvalidArgumentError("component spec has invalid x/y columns");
-  }
-  for (int z : spec.z_cols) {
-    if (!ok(z) || z == spec.x_col || z == spec.y_col) {
-      return InvalidArgumentError("component spec has invalid conditioning columns");
-    }
-  }
-  return OkStatus();
-}
-
-// One streaming pass reused across summarize requests. The coordinator
-// hands a worker ascending shard ranges in the common case, so advancing
-// an already open reader turns per-task cost into the range's own bytes —
-// re-opening would re-run the whole first pass and re-skip from row 0 for
-// every task. Any mismatch (different file or options, a backward range
-// after a retry) falls back to a fresh open; any reader error invalidates
-// the cache so the next request starts clean.
-struct ReaderCache {
-  std::string path;
-  csv::ShardReaderOptions options;
-  std::optional<csv::ShardReader> reader;
-  uint64_t next_shard = 0;  // first shard index Next() would yield
-  uint64_t row_offset = 0;  // global data rows consumed so far
-
-  bool CanServe(const SummarizeRequest& req) const {
-    return reader.has_value() && next_shard <= req.begin && path == req.path &&
-           options.shard_rows == req.reader.shard_rows &&
-           options.buffer_bytes == req.reader.buffer_bytes &&
-           options.csv.delimiter == req.reader.csv.delimiter &&
-           options.csv.has_header == req.reader.csv.has_header &&
-           options.csv.infer_types == req.reader.csv.infer_types;
-  }
-};
-
-Result<std::string> HandleSummarize(const JsonValue& request, ReaderCache& cache) {
+// `cursor` lives across requests: the coordinator hands a worker ascending
+// shard ranges in the common case, and advancing the open reader is what
+// keeps each task's cost to its own bytes.
+Result<std::string> HandleSummarize(const JsonValue& request, ShardCursor& cursor) {
   SCODED_ASSIGN_OR_RETURN(SummarizeRequest req, ParseSummarizeRequest(request));
   obs::ScopedSpan span("dist/worker_summarize");
   if (span.active()) {
@@ -146,78 +107,20 @@ Result<std::string> HandleSummarize(const JsonValue& request, ReaderCache& cache
         .Arg("end", static_cast<int64_t>(req.end))
         .Arg("specs", static_cast<int64_t>(req.specs.size()));
   }
-  if (!cache.CanServe(req)) {
-    cache.reader.reset();
-    SCODED_ASSIGN_OR_RETURN(csv::ShardReader opened, csv::ShardReader::Open(req.path, req.reader));
-    cache.path = req.path;
-    cache.options = req.reader;
-    cache.reader.emplace(std::move(opened));
-    cache.next_shard = 0;
-    cache.row_offset = 0;
+  if (cursor.path != req.path || cursor.options != req.reader) {
+    cursor.path = req.path;  // another file or options: start over
+    cursor.options = req.reader;
+    cursor.reader.reset();
   }
-  csv::ShardReader& reader = *cache.reader;
-  SCODED_ASSIGN_OR_RETURN(Table schema, reader.EmptyTable());
-  size_t shard_rows = std::max<size_t>(1, req.reader.shard_rows);
-  uint64_t num_shards = (reader.num_data_rows() + shard_rows - 1) / shard_rows;
-  if (req.end > num_shards) {
-    return InvalidArgumentError("summarize range ends at shard " + std::to_string(req.end) +
-                                " but the file has " + std::to_string(num_shards) +
-                                " shards — changed since the coordinator read it?");
-  }
-  std::vector<PairwiseShardSummary> summaries;
-  summaries.reserve(req.specs.size());
-  for (const PairwiseShardSummary::Spec& spec : req.specs) {
-    SCODED_RETURN_IF_ERROR(ValidateSpec(spec, schema));
-    summaries.emplace_back(schema, spec);
-  }
-  // Skip to the range start, tracking the true global row offset (every
-  // shard before the last is full, but counting is cheaper to trust than
-  // to assume).
-  while (cache.next_shard < req.begin) {
-    SCODED_ASSIGN_OR_RETURN(std::optional<Table> shard, reader.Next());
-    if (!shard.has_value()) {
-      return DataLossError("file ran out before shard " + std::to_string(req.begin));
-    }
-    cache.row_offset += shard->NumRows();
-    ++cache.next_shard;
-  }
-  static obs::Counter* const worker_rows =
-      obs::Metrics::Global().FindOrCreateCounter("dist.worker_rows");
-  static obs::Counter* const worker_shards =
-      obs::Metrics::Global().FindOrCreateCounter("dist.worker_shards");
-  uint64_t range_rows = 0;
-  for (uint64_t index = req.begin; index < req.end; ++index) {
-    SCODED_ASSIGN_OR_RETURN(std::optional<Table> shard, reader.Next());
-    if (!shard.has_value()) {
-      return DataLossError("file ran out at shard " + std::to_string(index));
-    }
-    for (PairwiseShardSummary& summary : summaries) {
-      summary.Accumulate(*shard, cache.row_offset);
-    }
-    cache.row_offset += shard->NumRows();
-    ++cache.next_shard;
-    range_rows += shard->NumRows();
-    worker_rows->Add(static_cast<int64_t>(shard->NumRows()));
-    worker_shards->Add();
-    obs::Heartbeat("dist.worker_shard", static_cast<int64_t>(index));
-  }
-  if (cache.next_shard == num_shards) {
-    // Range reached the end of the file: drain the reader so its
-    // second-pass byte/row accounting runs — a file rewritten mid-run
-    // surfaces as kDataLoss here instead of a silently wrong summary.
-    SCODED_ASSIGN_OR_RETURN(std::optional<Table> extra, reader.Next());
-    if (extra.has_value()) {
-      return DataLossError("file has more shards than the first pass saw");
-    }
-    cache.reader.reset();
-  }
+  SCODED_ASSIGN_OR_RETURN(ShardRangeSummary range,
+                          SummarizeShardRange(cursor, req.specs, req.begin, req.end));
   JsonWriter json;
   json.BeginObject();
   json.Key("ok").Bool(true);
   json.Key("shards").Uint(req.end - req.begin);
-  json.Key("rows").String(std::to_string(range_rows));
+  json.Key("rows").String(std::to_string(range.rows));
   json.Key("summaries").BeginArray();
-  for (const PairwiseShardSummary& summary : summaries) {
+  for (const PairwiseShardSummary& summary : range.summaries) {
     serve::WriteShardSummaryJson(summary.ToSnapshot(), json);
   }
   json.EndArray();
@@ -238,7 +141,7 @@ std::string ErrorEnvelope(const Status& status) {
 }  // namespace
 
 Status ServeWorker(net::TcpConn& conn) {
-  ReaderCache cache;
+  ShardCursor cursor;
   for (;;) {
     Result<std::string> frame = serve::ReadFrame(conn);
     if (!frame.ok()) {
@@ -265,13 +168,8 @@ Status ServeWorker(net::TcpConn& conn) {
       reply = json.str();
       shutdown = op == "shutdown";
     } else if (op == "summarize") {
-      Result<std::string> response = HandleSummarize(*request, cache);
-      if (!response.ok()) {
-        cache.reader.reset();  // a failed request leaves the pass position unknown
-        reply = ErrorEnvelope(response.status());
-      } else {
-        reply = *response;
-      }
+      Result<std::string> response = HandleSummarize(*request, cursor);
+      reply = response.ok() ? *response : ErrorEnvelope(response.status());
     } else {
       reply = ErrorEnvelope(InvalidArgumentError("unknown op '" + op + "'"));
     }

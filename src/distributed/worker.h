@@ -14,16 +14,16 @@ namespace scoded::dist {
 ///  * {"op":"shutdown"} → {"ok":true}, then the loop returns — the clean
 ///    way a coordinator dismisses its fleet;
 ///  * {"op":"summarize", "path", "reader":{...}, "specs":[...],
-///     "begin":B, "end":E} → opens the CSV itself (its own first-pass
-///    validation and type inference), streams shards [B, E), accumulates
-///    one PairwiseShardSummary per spec, and replies
+///     "begin":B, "end":E} → summarises shards [B, E) with
+///    SummarizeShardRange (core/sharded_check.h) on a reader of its own,
+///    kept open across requests for the same file, and replies
 ///    {"ok":true, "shards":N, "rows":"R", "summaries":[...]} with each
 ///    summary in the exact integer wire form of WriteShardSummaryJson.
 ///
 /// Per-request failures reply {"ok":false, "code", "message"} and keep
 /// serving; only transport errors and shutdown end the loop. The worker
-/// holds one shard (plus its summaries) at a time, so its peak RSS is
-/// bounded by shard size, not file size.
+/// holds one wave of shards (plus its summaries) at a time, so its peak
+/// RSS is bounded by shard size, not file size.
 ///
 /// Returns OkStatus on clean shutdown or peer departure; a transport
 /// error otherwise.

@@ -349,15 +349,14 @@ std::string Server::HandleOpenSession(const JsonValue& request) {
     }
     constraints.push_back({std::move(sc).value(), *alpha});
   }
-  Result<double> window = GetNumberOr(request, "window", 0.0);
-  if (!window.ok()) {
-    return ErrorJson(window.status());
-  }
-  if (*window < 0.0) {
-    return ErrorJson(InvalidArgumentError("window must be non-negative (0 = unbounded)"));
-  }
   StreamMonitorOptions options;
-  options.monitor.window = static_cast<size_t>(*window);
+  if (const JsonValue* window = request.Find("window"); window != nullptr) {
+    Result<int64_t> rows = JsonInteger(*window, 0, INT64_MAX, "window (0 = unbounded)");
+    if (!rows.ok()) {
+      return ErrorJson(rows.status());
+    }
+    options.monitor.window = static_cast<size_t>(*rows);
+  }
   Result<std::string> id = sessions_.Open(*schema, constraints, options);
   if (!id.ok()) {
     return ErrorJson(id.status());

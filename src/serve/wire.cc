@@ -74,14 +74,9 @@ Result<Column> ParseCategoricalColumn(const JsonValue& column) {
   std::vector<int32_t> out;
   out.reserve(codes->array.size());
   for (const JsonValue& cell : codes->array) {
-    if (!cell.is_number()) {
-      return InvalidArgumentError("categorical codes must be integers");
-    }
-    int64_t code = static_cast<int64_t>(cell.number);
-    if (static_cast<double>(code) != cell.number || code < -1 ||
-        code >= static_cast<int64_t>(dictionary.size())) {
-      return InvalidArgumentError("categorical code out of range for its dictionary");
-    }
+    SCODED_ASSIGN_OR_RETURN(int64_t code,
+                            JsonInteger(cell, -1, static_cast<int64_t>(dictionary.size()) - 1,
+                                        "categorical code"));
     out.push_back(static_cast<int32_t>(code));
   }
   return Column::CategoricalFromCodes(std::move(out), std::move(dictionary));
@@ -112,10 +107,8 @@ Result<std::vector<int64_t>> ParseWireInt64Array(const JsonValue& parent, const 
 }
 
 Result<int> ParseColumnIndex(const JsonValue& cell, std::string_view what) {
-  if (!cell.is_number() || static_cast<double>(static_cast<int>(cell.number)) != cell.number) {
-    return InvalidArgumentError(std::string(what) + " must be an integer column index");
-  }
-  return static_cast<int>(cell.number);
+  SCODED_ASSIGN_OR_RETURN(int64_t index, JsonInteger(cell, 0, INT32_MAX, what));
+  return static_cast<int>(index);
 }
 
 }  // namespace
@@ -361,9 +354,11 @@ Result<Table> ParseBatchJson(const JsonValue& value) {
   }
   SCODED_ASSIGN_OR_RETURN(Table batch, std::move(builder).Build());
   const JsonValue* rows = value.Find("rows");
-  if (rows != nullptr && rows->is_number() &&
-      static_cast<size_t>(rows->number) != batch.NumRows()) {
-    return InvalidArgumentError("batch rows field disagrees with its column lengths");
+  if (rows != nullptr && rows->is_number()) {
+    SCODED_ASSIGN_OR_RETURN(int64_t count, JsonInteger(*rows, 0, INT64_MAX, "batch rows"));
+    if (static_cast<uint64_t>(count) != batch.NumRows()) {
+      return InvalidArgumentError("batch rows field disagrees with its column lengths");
+    }
   }
   return batch;
 }

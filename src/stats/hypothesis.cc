@@ -591,9 +591,7 @@ Result<TestResult> IndependenceTestImpl(const Table& table, int x_col, int y_col
 
 }  // namespace
 
-Result<TestResult> IndependenceTest(const Table& table, int x_col, int y_col,
-                                    const std::vector<int>& z_cols,
-                                    const std::vector<size_t>& rows, const TestOptions& options) {
+void RecordTestMetrics(const TestResult& result) {
   static obs::Counter* const tests_executed =
       obs::Metrics::Global().FindOrCreateCounter("stats.tests_executed");
   static obs::Counter* const tests_g =
@@ -614,29 +612,34 @@ Result<TestResult> IndependenceTest(const Table& table, int x_col, int y_col,
       obs::Metrics::Global().FindOrCreateCounter("stats.strata_skipped");
   static obs::Histogram* const test_rows =
       obs::Metrics::Global().FindOrCreateHistogram("stats.test_n_rows");
+  tests_executed->Add();
+  rows_scanned->Add(result.n);
+  test_rows->Observe(result.n);
+  strata_used->Add(static_cast<int64_t>(result.strata_used));
+  strata_skipped->Add(static_cast<int64_t>(result.strata_skipped));
+  (result.used_exact ? tests_exact : tests_asymptotic)->Add();
+  switch (result.method) {
+    case TestMethod::kGTest:
+      tests_g->Add();
+      break;
+    case TestMethod::kTauTest:
+      tests_tau->Add();
+      break;
+    case TestMethod::kSpearmanTest:
+      tests_spearman->Add();
+      break;
+    case TestMethod::kPermutation:
+      break;  // counted by PermutationIndependenceTest
+  }
+}
 
+Result<TestResult> IndependenceTest(const Table& table, int x_col, int y_col,
+                                    const std::vector<int>& z_cols,
+                                    const std::vector<size_t>& rows, const TestOptions& options) {
   obs::ScopedSpan span("stats/independence_test");
   Result<TestResult> result = IndependenceTestImpl(table, x_col, y_col, z_cols, rows, options);
   if (result.ok()) {
-    tests_executed->Add();
-    rows_scanned->Add(result->n);
-    test_rows->Observe(result->n);
-    strata_used->Add(static_cast<int64_t>(result->strata_used));
-    strata_skipped->Add(static_cast<int64_t>(result->strata_skipped));
-    (result->used_exact ? tests_exact : tests_asymptotic)->Add();
-    switch (result->method) {
-      case TestMethod::kGTest:
-        tests_g->Add();
-        break;
-      case TestMethod::kTauTest:
-        tests_tau->Add();
-        break;
-      case TestMethod::kSpearmanTest:
-        tests_spearman->Add();
-        break;
-      case TestMethod::kPermutation:
-        break;  // counted by PermutationIndependenceTest
-    }
+    RecordTestMetrics(*result);
     if (span.active()) {
       span.Arg("n", result->n)
           .Arg("method", TestMethodToString(result->method))

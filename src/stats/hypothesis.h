@@ -192,6 +192,13 @@ Result<TestResult> IndependenceTest(const Table& table, int x_col, int y_col,
                                     const std::vector<int>& z_cols = {},
                                     const TestOptions& options = {});
 
+/// Adds one finished test to the global `stats.*` counters and the
+/// `stats.test_n_rows` histogram. IndependenceTest records every test it
+/// runs; a checker that finishes tests another way (the sharded
+/// summaries) records each through this too, so the metrics do not depend
+/// on the path that ran the test.
+void RecordTestMetrics(const TestResult& result);
+
 /// Monte-Carlo permutation test: shuffles Y within each Z-stratum
 /// `iterations` times and reports the fraction of permuted statistics at
 /// least as extreme as the observed one ((r+1)/(iters+1) correction).

@@ -55,137 +55,6 @@ int64_t SegmentTree::Sum(size_t lo, size_t hi) const {
 
 void SegmentTree::Clear() { tree_.assign(tree_.size(), 0); }
 
-void FenwickTree::Add(size_t pos, int64_t delta) {
-  SCODED_CHECK(pos < size_);
-  for (size_t i = pos + 1; i <= size_; i += i & (~i + 1)) {
-    tree_[i] += delta;
-  }
-}
-
-int64_t FenwickTree::PrefixSum(size_t pos) const {
-  if (size_ == 0) {
-    return 0;
-  }
-  if (pos >= size_) {
-    pos = size_ - 1;
-  }
-  int64_t total = 0;
-  for (size_t i = pos + 1; i > 0; i -= i & (~i + 1)) {
-    total += tree_[i];
-  }
-  return total;
-}
-
-int64_t FenwickTree::Sum(size_t lo, size_t hi) const {
-  if (size_ == 0 || lo > hi || lo >= size_) {
-    return 0;
-  }
-  int64_t upper = PrefixSum(hi);
-  int64_t lower = lo == 0 ? 0 : PrefixSum(lo - 1);
-  return upper - lower;
-}
-
-VersionedPrefixCounter::VersionedPrefixCounter(size_t domain) : domain_(domain) {
-  nodes_.push_back(Node{});  // node/version 0: the shared empty sentinel
-}
-
-int32_t VersionedPrefixCounter::AddNode(int32_t node, size_t lo, size_t hi, size_t pos) {
-  int32_t idx = static_cast<int32_t>(nodes_.size());
-  nodes_.push_back(nodes_[static_cast<size_t>(node)]);  // path copy
-  nodes_[static_cast<size_t>(idx)].count += 1;
-  if (hi - lo > 1) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (pos < mid) {
-      int32_t child = AddNode(nodes_[static_cast<size_t>(idx)].left, lo, mid, pos);
-      nodes_[static_cast<size_t>(idx)].left = child;
-    } else {
-      int32_t child = AddNode(nodes_[static_cast<size_t>(idx)].right, mid, hi, pos);
-      nodes_[static_cast<size_t>(idx)].right = child;
-    }
-  }
-  return idx;
-}
-
-int32_t VersionedPrefixCounter::Add(int32_t version, size_t pos) {
-  SCODED_CHECK(pos < domain_);
-  return AddNode(version, 0, domain_, pos);
-}
-
-int64_t VersionedPrefixCounter::WalkCount(int32_t node, size_t lo, size_t hi,
-                                          size_t pos) const {
-  int64_t total = 0;
-  while (node != 0) {
-    if (pos >= hi) {
-      total += nodes_[static_cast<size_t>(node)].count;
-      break;
-    }
-    size_t mid = lo + (hi - lo) / 2;
-    const Node& n = nodes_[static_cast<size_t>(node)];
-    if (pos <= mid) {
-      node = n.left;
-      hi = mid;
-    } else {
-      total += nodes_[static_cast<size_t>(n.left)].count;
-      node = n.right;
-      lo = mid;
-    }
-  }
-  return total;
-}
-
-int64_t VersionedPrefixCounter::CountLess(int32_t version, size_t pos) const {
-  if (pos == 0 || version == 0 || domain_ == 0) {
-    return 0;
-  }
-  if (pos > domain_) {
-    pos = domain_;
-  }
-  return WalkCount(version, 0, domain_, pos);
-}
-
-void VersionedPrefixCounter::CountLessPair(int32_t version, size_t p1, size_t p2, int64_t* c1,
-                                           int64_t* c2) const {
-  SCODED_CHECK(p1 <= p2);
-  *c1 = 0;
-  *c2 = 0;
-  if (version == 0 || domain_ == 0 || p2 == 0) {
-    return;
-  }
-  p1 = std::min(p1, domain_);
-  p2 = std::min(p2, domain_);
-  size_t lo = 0;
-  size_t hi = domain_;
-  int32_t node = version;
-  while (node != 0) {
-    const Node& n = nodes_[static_cast<size_t>(node)];
-    if (p1 >= hi) {  // both prefixes cover this whole subtree
-      *c1 += n.count;
-      *c2 += n.count;
-      return;
-    }
-    if (p2 >= hi) {  // only p2 covers it; finish p1 with a single walk
-      *c2 += n.count;
-      *c1 += WalkCount(node, lo, hi, p1);
-      return;
-    }
-    size_t mid = lo + (hi - lo) / 2;
-    if (p2 <= mid) {  // both descend left
-      node = n.left;
-      hi = mid;
-    } else if (p1 > mid) {  // both take the left count and descend right
-      int64_t left_count = nodes_[static_cast<size_t>(n.left)].count;
-      *c1 += left_count;
-      *c2 += left_count;
-      node = n.right;
-      lo = mid;
-    } else {  // paths diverge: p1 <= mid < p2
-      *c1 += WalkCount(n.left, lo, mid, p1);
-      *c2 += nodes_[static_cast<size_t>(n.left)].count + WalkCount(n.right, mid, hi, p2);
-      return;
-    }
-  }
-}
-
 WaveletMatrix::WaveletMatrix(const std::vector<uint32_t>& codes, size_t domain)
     : size_(codes.size()), domain_(domain), popcount_(simd::Active().popcount_word) {
   level_count_ = 0;

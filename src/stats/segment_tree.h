@@ -50,84 +50,6 @@ class SegmentTree {
   std::vector<int64_t> tree_;      // 1-based implicit binary tree
 };
 
-/// Fenwick (binary indexed) tree with the same contract as SegmentTree.
-/// Provided for the micro-benchmarks comparing the two index structures in
-/// the Algorithm 2 initialisation.
-class FenwickTree {
- public:
-  explicit FenwickTree(size_t size) : size_(size), tree_(size + 1, 0) {}
-
-  size_t size() const { return size_; }
-
-  void Add(size_t pos, int64_t delta);
-
-  /// Sum over [0, pos].
-  int64_t PrefixSum(size_t pos) const;
-
-  /// Sum over the closed range [lo, hi].
-  int64_t Sum(size_t lo, size_t hi) const;
-
-  int64_t Total() const { return size_ == 0 ? 0 : PrefixSum(size_ - 1); }
-
- private:
-  size_t size_;
-  std::vector<int64_t> tree_;
-};
-
-/// Versioned point-update/prefix-count tree over a fixed position domain
-/// [0, domain): the persistent sibling of SegmentTree above. Every Add
-/// produces a new immutable version by path-copying O(log domain) nodes,
-/// so "how many of the first k inserted positions are < p" is answerable
-/// for any prefix k in O(log domain): version k is the multiset of the
-/// first k insertions. Kept alongside WaveletMatrix below as the
-/// pointer-based alternative (12 bytes per node per level, cache-hostile
-/// at block sizes beyond the L2); the micro-benchmarks compare the two.
-class VersionedPrefixCounter {
- public:
-  /// An empty counter over positions [0, domain). Version 0 is the empty
-  /// multiset.
-  VersionedPrefixCounter() : VersionedPrefixCounter(0) {}
-  explicit VersionedPrefixCounter(size_t domain);
-
-  size_t domain() const { return domain_; }
-
-  /// Inserts `pos` on top of `version` and returns the new version id.
-  /// Requires pos < domain().
-  int32_t Add(int32_t version, size_t pos);
-
-  /// Number of inserted positions strictly below `pos` in `version`
-  /// (clamped: pos >= domain() counts everything).
-  int64_t CountLess(int32_t version, size_t pos) const;
-
-  /// CountLess for two positions `p1 <= p2` of the same version in one
-  /// descent: the walks share node fetches until their paths diverge,
-  /// roughly halving the pointer-chasing of two independent CountLess
-  /// calls (the hot path of ConcordanceIndex::Score).
-  void CountLessPair(int32_t version, size_t p1, size_t p2, int64_t* c1, int64_t* c2) const;
-
-  /// Total inserted positions in `version`.
-  int64_t Total(int32_t version) const { return nodes_[static_cast<size_t>(version)].count; }
-
-  /// Allocated node count (memory telemetry: 12 bytes per node).
-  size_t NumNodes() const { return nodes_.size(); }
-
-  /// Pre-allocates node storage for a known insertion count.
-  void Reserve(size_t nodes) { nodes_.reserve(nodes); }
-
- private:
-  struct Node {
-    int32_t left = 0;   // node 0 is the shared empty sentinel
-    int32_t right = 0;
-    int32_t count = 0;
-  };
-
-  int32_t AddNode(int32_t node, size_t lo, size_t hi, size_t pos);
-  int64_t WalkCount(int32_t node, size_t lo, size_t hi, size_t pos) const;
-
-  size_t domain_ = 0;
-  std::vector<Node> nodes_;
-};
-
 /// Static wavelet matrix over a sequence of integer codes in [0, domain):
 /// the succinct answer to "among the first k sequence positions, how many
 /// codes are < v, and how many equal v" in O(log domain) rank operations.

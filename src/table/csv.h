@@ -18,6 +18,8 @@ struct ReadOptions {
   /// A column is inferred numeric when every non-empty cell parses as a
   /// double; otherwise categorical. Empty cells are nulls.
   bool infer_types = true;
+
+  friend bool operator==(const ReadOptions&, const ReadOptions&) = default;
 };
 
 /// Parses a CSV document held in memory. Rows with a different field count

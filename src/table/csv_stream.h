@@ -20,6 +20,8 @@ struct ShardReaderOptions {
   size_t shard_rows = 65536;
   /// Bytes read from disk per chunk while scanning.
   size_t buffer_bytes = 1 << 18;
+
+  friend bool operator==(const ShardReaderOptions&, const ShardReaderOptions&) = default;
 };
 
 /// Streams a CSV file as a sequence of bounded-size shard Tables without

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/sharded_check.h"
 #include "distributed/substrate.h"
@@ -312,6 +313,67 @@ TEST_F(DistributedCheckTest, MissingFileFailsBeforeSpawningWorkers) {
   EXPECT_FALSE(result.ok());
 }
 
+TEST_F(DistributedCheckTest, FileGrowingDuringTheRunIsDataLoss) {
+  // Rows appended once the driver's first pass is done: the workers read
+  // the longer file, so the folded row total disagrees with the driver's.
+  class AppendOnFirstSpawn : public dist::Substrate {
+   public:
+    explicit AppendOnFirstSpawn(std::string path) : path_(std::move(path)) {}
+    Result<std::unique_ptr<dist::WorkerChannel>> Spawn(size_t worker_index) override {
+      if (!appended_) {
+        appended_ = true;
+        std::ofstream out(path_, std::ios::app);
+        for (int i = 0; i < 100; ++i) {
+          out << "golf,red,1600,5000\n";
+        }
+      }
+      return inner_.Spawn(worker_index);
+    }
+
+   private:
+    std::string path_;
+    bool appended_ = false;
+    dist::InProcessSubstrate inner_;
+  };
+  AppendOnFirstSpawn substrate(path_);
+  dist::DistributedCheckOptions options;
+  options.base = BaseOptions();
+  options.workers = 2;
+  Result<ShardedCheckResult> result =
+      dist::DistributedCheckAll(path_, constraints_, substrate, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << result.status().ToString();
+}
+
+TEST(DistributedWorkerTest, NonIntegralOrHugeRequestNumbersAreInvalidArgument) {
+  // JSON numbers are doubles; a worker must reject 1.5 as a column and
+  // 1e300 as a shard index instead of casting them.
+  const std::string head =
+      R"({"op":"summarize","path":"/nonexistent.csv","reader":{"shard_rows":64,)"
+      R"("buffer_bytes":4096,"delimiter":",","has_header":true,"infer_types":true},)";
+  const std::vector<std::string> requests = {
+      head + R"("specs":[{"x":1.5,"y":0,"z":[]}],"begin":0,"end":1})",
+      head + R"("specs":[{"x":0,"y":1,"z":[2.5]}],"begin":0,"end":1})",
+      head + R"("specs":[{"x":0,"y":1,"z":[]}],"begin":1e300,"end":1e300})",
+      head + R"("specs":[{"x":0,"y":1,"z":[]}],"begin":0,"end":-1})",
+  };
+  dist::InProcessSubstrate substrate;
+  Result<std::unique_ptr<dist::WorkerChannel>> channel = substrate.Spawn(0);
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  for (const std::string& request : requests) {
+    ASSERT_TRUE((*channel)->Send(request).ok());
+    Result<std::string> reply = (*channel)->Receive(10000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    Result<JsonValue> parsed = ParseJson(*reply);
+    ASSERT_TRUE(parsed.ok()) << *reply;
+    const JsonValue* ok = parsed->Find("ok");
+    const JsonValue* code = parsed->Find("code");
+    ASSERT_TRUE(ok != nullptr && ok->is_bool() && code != nullptr && code->is_string()) << *reply;
+    EXPECT_FALSE(ok->bool_value) << request;
+    EXPECT_EQ(code->string_value, "InvalidArgument") << request << " -> " << *reply;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Real child processes: the fork/exec substrate against the installed-style
 // binary, including a SIGKILL mid-run.
@@ -372,6 +434,23 @@ TEST_F(DistributedCheckTest, ForkWorkersMatchSingleProcess) {
       dist::DistributedCheckAll(path_, constraints_, substrate, options);
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ(Lines(*result), expected);
+}
+
+TEST_F(DistributedCheckTest, ForkWorkersAreDismissedWithoutWaitingOutTheGrace) {
+  // Each worker must be told to exit: a fork/exec worker inherits the
+  // coordinator's end of its own socket, so closing the coordinator's
+  // copy alone does not end it, and teardown would wait out the 5 s grace.
+  dist::ForkExecSubstrate substrate(SCODED_CLI_BIN, {"worker"});
+  dist::DistributedCheckOptions options;
+  options.base = BaseOptions();
+  options.workers = 3;
+  auto start = std::chrono::steady_clock::now();
+  Result<ShardedCheckResult> result =
+      dist::DistributedCheckAll(path_, constraints_, substrate, options);
+  double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_LT(waited, 4.0);
 }
 
 TEST_F(DistributedCheckTest, TcpWorkersMatchSingleProcess) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "datasets/hosp.h"
-#include "stats/bootstrap.h"
 #include "table/table.h"
 
 namespace scoded {
@@ -85,58 +84,6 @@ TEST(FdDiscoveryTest, DegenerateInputs) {
   builder.AddCategorical("only", {"a", "b"});
   Table one_col = std::move(builder).Build().value();
   EXPECT_TRUE(DiscoverApproximateFds(one_col).value().empty());
-}
-
-TEST(BootstrapTauTest, CiCoversStrongDependence) {
-  Rng rng(1);
-  std::vector<double> x;
-  std::vector<double> y;
-  for (int i = 0; i < 120; ++i) {
-    double v = rng.Normal();
-    x.push_back(v);
-    y.push_back(v + rng.Normal(0.0, 0.4));
-  }
-  BootstrapCi ci = BootstrapTauCi(x, y, 300, rng).value();
-  EXPECT_GT(ci.estimate, 0.5);
-  EXPECT_LT(ci.lower, ci.estimate);
-  EXPECT_GT(ci.upper, ci.estimate);
-  EXPECT_GT(ci.lower, 0.3);  // clearly positive dependence
-  EXPECT_LT(ci.upper, 1.0);
-}
-
-TEST(BootstrapTauTest, CiStraddlesZeroForIndependence) {
-  Rng rng(2);
-  std::vector<double> x;
-  std::vector<double> y;
-  for (int i = 0; i < 120; ++i) {
-    x.push_back(rng.Normal());
-    y.push_back(rng.Normal());
-  }
-  BootstrapCi ci = BootstrapTauCi(x, y, 300, rng).value();
-  EXPECT_LT(ci.lower, 0.0);
-  EXPECT_GT(ci.upper, 0.0);
-}
-
-TEST(BootstrapCramersVTest, CiForAssociatedCodes) {
-  Rng rng(3);
-  std::vector<int32_t> x;
-  std::vector<int32_t> y;
-  for (int i = 0; i < 300; ++i) {
-    int32_t xv = static_cast<int32_t>(rng.UniformInt(0, 2));
-    x.push_back(xv);
-    y.push_back(rng.Bernoulli(0.8) ? xv : static_cast<int32_t>(rng.UniformInt(0, 2)));
-  }
-  BootstrapCi ci = BootstrapCramersVCi(x, y, 3, 3, 300, rng).value();
-  EXPECT_GT(ci.lower, 0.4);
-  EXPECT_LE(ci.upper, 1.0);
-}
-
-TEST(BootstrapTest, ValidatesArguments) {
-  Rng rng(4);
-  EXPECT_FALSE(BootstrapTauCi({1, 2}, {1, 2}, 100, rng).ok());
-  EXPECT_FALSE(BootstrapTauCi({1, 2, 3}, {1, 2}, 100, rng).ok());
-  EXPECT_FALSE(BootstrapTauCi({1, 2, 3}, {1, 2, 3}, 0, rng).ok());
-  EXPECT_FALSE(BootstrapTauCi({1, 2, 3}, {1, 2, 3}, 100, rng, 1.5).ok());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -205,8 +206,12 @@ TEST(FlightRecorderDeathTest, SigsegvDuringShardedCheckLeavesCrashReport) {
       while (rows->Value() == 0) {
         std::this_thread::yield();
       }
-      volatile int* null_page = nullptr;
-      *null_page = 1;
+      // A non-null address in the unmapped first page: UBSan reports a
+      // store through nullptr before any signal arrives, so no report
+      // would be written under the sanitizer build. The address is read at
+      // run time so the compiler cannot flag the constant.
+      volatile uintptr_t unmapped = 64;
+      *reinterpret_cast<volatile int*>(unmapped) = 1;
     }).detach();
     ShardedCheckOptions options_check;
     options_check.reader.shard_rows = 500;

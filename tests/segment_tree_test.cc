@@ -62,32 +62,19 @@ TEST(SegmentTreeTest, NegativeDeltasAndClear) {
   EXPECT_EQ(tree.Total(), 0);
 }
 
-TEST(FenwickTreeTest, MatchesBasicSums) {
-  FenwickTree tree(8);
-  for (size_t i = 0; i < 8; ++i) {
-    tree.Add(i, static_cast<int64_t>(i + 1));
-  }
-  EXPECT_EQ(tree.Sum(0, 7), 36);
-  EXPECT_EQ(tree.Sum(2, 4), 12);
-  EXPECT_EQ(tree.PrefixSum(0), 1);
-  EXPECT_EQ(tree.Total(), 36);
-}
-
-// Property test: segment tree, Fenwick tree, and a brute-force array agree
-// under random updates and queries, across a sweep of universe sizes.
+// Property test: the segment tree and a brute-force array agree under
+// random updates and queries, across a sweep of universe sizes.
 class TreeEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(TreeEquivalenceTest, RandomOperationsAgreeWithBruteForce) {
   size_t n = GetParam();
   SegmentTree seg(n);
-  FenwickTree fen(n);
   std::vector<int64_t> brute(n, 0);
   Rng rng(static_cast<uint64_t>(n) * 7919 + 1);
   for (int op = 0; op < 500; ++op) {
     size_t pos = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
     int64_t delta = rng.UniformInt(-3, 5);
     seg.Add(pos, delta);
-    fen.Add(pos, delta);
     brute[pos] += delta;
 
     size_t lo = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
@@ -100,60 +87,11 @@ TEST_P(TreeEquivalenceTest, RandomOperationsAgreeWithBruteForce) {
       expected += brute[i];
     }
     EXPECT_EQ(seg.Sum(lo, hi), expected) << "n=" << n << " [" << lo << "," << hi << "]";
-    EXPECT_EQ(fen.Sum(lo, hi), expected);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TreeEquivalenceTest,
                          ::testing::Values(1, 2, 3, 7, 8, 16, 33, 100, 255));
-
-TEST(VersionedPrefixCounterTest, EmptyDomain) {
-  VersionedPrefixCounter counter(0);
-  EXPECT_EQ(counter.CountLess(0, 0), 0);
-  EXPECT_EQ(counter.Total(0), 0);
-}
-
-TEST(VersionedPrefixCounterTest, OldVersionsStayReadable) {
-  VersionedPrefixCounter counter(4);
-  int32_t v1 = counter.Add(0, 2);
-  int32_t v2 = counter.Add(v1, 0);
-  int32_t v3 = counter.Add(v2, 2);
-  // Version 0 is still the empty multiset.
-  EXPECT_EQ(counter.CountLess(0, 4), 0);
-  EXPECT_EQ(counter.CountLess(v1, 3), 1);
-  EXPECT_EQ(counter.CountLess(v2, 1), 1);
-  EXPECT_EQ(counter.CountLess(v2, 3), 2);
-  EXPECT_EQ(counter.CountLess(v3, 3), 3);
-  EXPECT_EQ(counter.Total(v3), 3);
-  // pos >= domain counts everything.
-  EXPECT_EQ(counter.CountLess(v3, 100), 3);
-}
-
-TEST(VersionedPrefixCounterTest, RandomVersionsMatchBruteForce) {
-  const size_t domain = 37;
-  VersionedPrefixCounter counter(domain);
-  std::vector<std::vector<int>> snapshots;  // snapshots[v] = counts at version v
-  std::vector<int32_t> versions = {0};
-  snapshots.push_back(std::vector<int>(domain, 0));
-  Rng rng(99);
-  for (int i = 0; i < 200; ++i) {
-    size_t pos = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(domain) - 1));
-    int32_t v = counter.Add(versions.back(), pos);
-    versions.push_back(v);
-    std::vector<int> snap = snapshots.back();
-    snap[pos] += 1;
-    snapshots.push_back(std::move(snap));
-  }
-  for (size_t v = 0; v < versions.size(); ++v) {
-    for (size_t p : {size_t{0}, size_t{1}, size_t{10}, domain / 2, domain - 1, domain}) {
-      int64_t expected = 0;
-      for (size_t i = 0; i < std::min(p, domain); ++i) {
-        expected += snapshots[v][i];
-      }
-      EXPECT_EQ(counter.CountLess(versions[v], p), expected) << "v=" << v << " p=" << p;
-    }
-  }
-}
 
 TEST(WaveletMatrixTest, EmptySequence) {
   WaveletMatrix wm(std::vector<uint32_t>{}, 0);

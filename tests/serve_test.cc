@@ -31,6 +31,7 @@
 #include "serve/server.h"
 #include "serve/session.h"
 #include "serve/wire.h"
+#include "stats/shard_stats.h"
 #include "table/csv.h"
 
 namespace scoded {
@@ -234,6 +235,36 @@ TEST(WireTest, BatchRoundTripIsBitExact) {
   }
 }
 
+TEST(WireTest, NonIntegralOrOutOfRangeNumbersAreInvalidArgument) {
+  // Wire numbers are doubles: each must be an exact integer in range
+  // before it is cast.
+  auto batch = [](const std::string& rows, const std::string& code) {
+    return MustParse(R"({"rows":)" + rows +
+                     R"(,"columns":[{"name":"c","type":"categorical","codes":[0,)" + code +
+                     R"(],"dict":["a","b"]}]})");
+  };
+  EXPECT_TRUE(serve::ParseBatchJson(batch("2", "1")).ok());
+  EXPECT_EQ(serve::ParseBatchJson(batch("2", "1e300")).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(serve::ParseBatchJson(batch("2", "0.5")).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(serve::ParseBatchJson(batch("-1", "1")).status().code(),
+            StatusCode::kInvalidArgument);
+
+  Table table = CarsTable();
+  PairwiseShardSummary summary(table, PairwiseShardSummary::Spec{0, 1, {}});
+  summary.Accumulate(table, 0);
+  JsonWriter json;
+  serve::WriteShardSummaryJson(summary.ToSnapshot(), json);
+  std::string text = json.str();
+  EXPECT_TRUE(serve::ParseShardSummaryJson(MustParse(text)).ok());
+  size_t x = text.find(R"("x":0)");
+  ASSERT_NE(x, std::string::npos) << text;
+  std::string fractional = text.replace(x, 5, R"("x":2.5)");
+  EXPECT_EQ(serve::ParseShardSummaryJson(MustParse(fractional)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Request router (no sockets).
 
@@ -286,6 +317,18 @@ TEST(ServeRouterTest, OpenSessionValidatesWindowAndConstraints) {
   JsonValue response = MustParse(server.HandleRequest(negative_window));
   EXPECT_FALSE(ResponseOk(response));
   EXPECT_EQ(ResponseCode(response), "InvalidArgument");
+
+  // A window must be an exact integer: 2.5 is not silently truncated, and
+  // 1e300 / 1e999 (infinity) do not wrap to 0, which means unbounded.
+  for (const char* window : {"2.5", "1e300", "1e999"}) {
+    std::string bad_window = R"({"op":"open_session","schema":)" + schema +
+                             R"(,"constraints":[{"sc":"Model _||_ Color"}],"window":)" +
+                             window + "}";
+    response = MustParse(server.HandleRequest(bad_window));
+    EXPECT_FALSE(ResponseOk(response)) << window;
+    EXPECT_EQ(ResponseCode(response), "InvalidArgument") << window;
+    EXPECT_EQ(server.NumSessions(), 0u) << window;
+  }
 
   std::string empty_constraints =
       R"({"op":"open_session","schema":)" + schema + R"(,"constraints":[]})";

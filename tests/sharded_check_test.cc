@@ -16,7 +16,9 @@
 #include "datasets/hosp.h"
 #include "distributed/coordinator.h"
 #include "distributed/substrate.h"
+#include "obs/metrics.h"
 #include "table/csv.h"
+#include "table/csv_stream.h"
 
 namespace scoded {
 namespace {
@@ -107,7 +109,7 @@ class ShardedCheckTest : public ::testing::Test {
   std::vector<std::string> ShardedLines(size_t shard_rows, int threads) {
     ShardedCheckOptions options;
     options.reader.shard_rows = shard_rows;
-    options.threads = threads;
+    parallel::SetThreads(threads);
     Result<ShardedCheckResult> result = ShardedCheckAll(path_, constraints_, options);
     EXPECT_TRUE(result.ok()) << result.status().message();
     EXPECT_EQ(result->rows, uint64_t{1300});
@@ -164,6 +166,123 @@ TEST_F(ShardedCheckTest, MissingFileSurfacesReaderError) {
   Result<ShardedCheckResult> result =
       ShardedCheckAll(path_ + ".nope", constraints_, ShardedCheckOptions{});
   EXPECT_FALSE(result.ok());
+}
+
+TEST_F(ShardedCheckTest, EveryPathRecordsOneSampleSizePerComponentTest) {
+  // stats.test_n_rows is documented as one observation per test; the
+  // sharded paths finish their tests from summaries, not IndependenceTest.
+  obs::Histogram* test_rows = obs::Metrics::Global().FindOrCreateHistogram("stats.test_n_rows");
+  obs::Counter* tests = obs::Metrics::Global().FindOrCreateCounter("stats.tests_executed");
+  int64_t components = 0;
+  for (const ApproximateSc& asc : constraints_) {
+    components += static_cast<int64_t>(DecomposeToSingletons(asc.sc).size());
+  }
+  ShardedCheckOptions options;
+  options.reader.shard_rows = 64;
+  int64_t rows_before = test_rows->Count();
+  int64_t tests_before = tests->Value();
+  ASSERT_TRUE(ShardedCheckAll(path_, constraints_, options).ok());
+  EXPECT_EQ(test_rows->Count() - rows_before, components);
+  EXPECT_EQ(tests->Value() - tests_before, components);
+
+  dist::InProcessSubstrate substrate;
+  dist::DistributedCheckOptions distributed;
+  distributed.base = options;
+  distributed.workers = 2;
+  rows_before = test_rows->Count();
+  tests_before = tests->Value();
+  ASSERT_TRUE(dist::DistributedCheckAll(path_, constraints_, substrate, distributed).ok());
+  EXPECT_EQ(test_rows->Count() - rows_before, components);
+  EXPECT_EQ(tests->Value() - tests_before, components);
+}
+
+// ---------------------------------------------------------------------------
+// The shared shard-range summariser: where a range is split, and whether
+// its start is reached on an open reader or by skipping on a fresh one,
+// must not change a single summary field.
+// ---------------------------------------------------------------------------
+
+void ExpectSameSnapshot(const PairwiseShardSummary::Snapshot& want,
+                        const PairwiseShardSummary::Snapshot& got, const std::string& label) {
+  EXPECT_EQ(want.spec.x_col, got.spec.x_col) << label;
+  EXPECT_EQ(want.spec.y_col, got.spec.y_col) << label;
+  EXPECT_EQ(want.spec.z_cols, got.spec.z_cols) << label;
+  EXPECT_EQ(want.role_types, got.role_types) << label;
+  EXPECT_EQ(want.dicts, got.dicts) << label;
+  EXPECT_EQ(want.keys, got.keys) << label;
+  EXPECT_EQ(want.counts, got.counts) << label;
+  EXPECT_EQ(want.first_rows, got.first_rows) << label;
+  EXPECT_EQ(want.rows, got.rows) << label;
+}
+
+std::vector<PairwiseShardSummary::Spec> PlanSpecs(const std::string& path,
+                                                  const std::vector<ApproximateSc>& constraints) {
+  Table schema = csv::ShardReader::Open(path).value().EmptyTable().value();
+  ShardedCheckPlan plan = PrepareShardedCheck(schema, constraints, TestOptions{}).value();
+  std::vector<PairwiseShardSummary::Spec> specs;
+  for (const ShardedComponent& component : plan.components) {
+    specs.push_back(component.spec);
+  }
+  return specs;
+}
+
+TEST_F(ShardedCheckTest, SummarizeShardRangeSplitsAndSkipsExactly) {
+  const std::vector<PairwiseShardSummary::Spec> specs = PlanSpecs(path_, constraints_);
+  ASSERT_EQ(specs.size(), 5u);
+  for (size_t shard_rows : {1, 7, 64, 1300}) {
+    csv::ShardReaderOptions options;
+    options.shard_rows = shard_rows;
+    const uint64_t num_shards = (1300 + shard_rows - 1) / shard_rows;
+    ShardCursor whole_cursor{path_, options};
+    Result<ShardRangeSummary> whole = SummarizeShardRange(whole_cursor, specs, 0, num_shards);
+    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+    EXPECT_EQ(whole->rows, uint64_t{1300});
+    EXPECT_FALSE(whole_cursor.reader.has_value()) << "the end-of-file drain closes the reader";
+    for (uint64_t k : {uint64_t{0}, uint64_t{1}, num_shards / 2, num_shards - 1, num_shards}) {
+      std::string label = "shard_rows=" + std::to_string(shard_rows) + " k=" + std::to_string(k);
+      ShardCursor cursor{path_, options};
+      Result<ShardRangeSummary> head = SummarizeShardRange(cursor, specs, 0, k);
+      ASSERT_TRUE(head.ok()) << label << ": " << head.status().ToString();
+      if (k < num_shards) {
+        // The tail below continues on this reader rather than reopening.
+        ASSERT_TRUE(cursor.reader.has_value()) << label;
+        EXPECT_EQ(cursor.next_shard, k) << label;
+      }
+      Result<ShardRangeSummary> tail = SummarizeShardRange(cursor, specs, k, num_shards);
+      ASSERT_TRUE(tail.ok()) << label << ": " << tail.status().ToString();
+      ShardCursor fresh{path_, options};
+      Result<ShardRangeSummary> skipped = SummarizeShardRange(fresh, specs, k, num_shards);
+      ASSERT_TRUE(skipped.ok()) << label << ": " << skipped.status().ToString();
+      EXPECT_EQ(head->rows + tail->rows, uint64_t{1300}) << label;
+      EXPECT_EQ(skipped->rows, tail->rows) << label;
+      for (size_t c = 0; c < specs.size(); ++c) {
+        std::string part = label + " component=" + std::to_string(c);
+        PairwiseShardSummary joined = head->summaries[c];
+        joined.Merge(tail->summaries[c]);
+        ExpectSameSnapshot(whole->summaries[c].ToSnapshot(), joined.ToSnapshot(), part);
+        ExpectSameSnapshot(tail->summaries[c].ToSnapshot(), skipped->summaries[c].ToSnapshot(),
+                           part);
+      }
+    }
+  }
+}
+
+TEST_F(ShardedCheckTest, SummarizeShardRangeDrainCatchesAnAppend) {
+  const std::vector<PairwiseShardSummary::Spec> specs = PlanSpecs(path_, constraints_);
+  csv::ShardReaderOptions options;
+  options.shard_rows = 64;
+  options.buffer_bytes = 1024;  // the tail of the file is still unread below
+  const uint64_t num_shards = (1300 + 63) / 64;
+  ShardCursor cursor{path_, options};
+  ASSERT_TRUE(SummarizeShardRange(cursor, specs, 0, 10).ok());
+  {
+    std::ofstream out(path_, std::ios::app);
+    out << "golf,red,1600,5000\n";
+  }
+  Result<ShardRangeSummary> rest = SummarizeShardRange(cursor, specs, 10, num_shards);
+  ASSERT_FALSE(rest.ok());
+  EXPECT_EQ(rest.status().code(), StatusCode::kDataLoss) << rest.status().ToString();
+  EXPECT_FALSE(cursor.reader.has_value()) << "a failed range resets the cursor";
 }
 
 // ---------------------------------------------------------------------------
@@ -279,7 +398,7 @@ TEST_F(ShardedFallbackTest, ShardedMatchesInMemory) {
     for (size_t shard_rows : {7, 64, 1000}) {
       ShardedCheckOptions options;
       options.reader.shard_rows = shard_rows;
-      options.threads = threads;
+      parallel::SetThreads(threads);
       Result<ShardedCheckResult> result = ShardedCheckAll(path_, constraints_, options);
       ASSERT_TRUE(result.ok()) << result.status().message();
       std::string label =

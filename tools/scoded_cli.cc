@@ -328,6 +328,32 @@ Result<size_t> ResolveShardRows(const Args& args, const std::string& csv_path) {
   return size_t{0};
 }
 
+// `check --workers N`: the sharded check over N `scoded worker` processes
+// spawned from this binary.
+Result<ShardedCheckResult> CheckOnWorkers(const Args& args, const std::string& csv_path,
+                                          const ApproximateSc& asc,
+                                          const ShardedCheckOptions& base, int workers) {
+  std::string transport = "fork";
+  if (auto it = args.flags.find("worker-transport"); it != args.flags.end()) {
+    transport = it->second;
+    if (transport != "fork" && transport != "tcp") {
+      return InvalidArgumentError("--worker-transport expects fork or tcp, got '" + transport +
+                                  "'");
+    }
+  }
+  SCODED_ASSIGN_OR_RETURN(std::string exe, dist::SelfExePath());
+  std::unique_ptr<dist::Substrate> substrate;
+  if (transport == "fork") {
+    substrate = std::make_unique<dist::ForkExecSubstrate>(exe, std::vector<std::string>{"worker"});
+  } else {
+    substrate = std::make_unique<dist::TcpSubstrate>(exe, std::vector<std::string>{"worker"});
+  }
+  dist::DistributedCheckOptions options;
+  options.base = base;
+  options.workers = workers;
+  return dist::DistributedCheckAll(csv_path, {asc}, *substrate, options);
+}
+
 int RunCheck(const Args& args) {
   auto csv_path = args.flags.find("csv");
   size_t shard_rows = 0;
@@ -342,9 +368,9 @@ int RunCheck(const Args& args) {
   if (!workers.ok()) {
     return Fail(workers.status());
   }
-  if (*workers > 0) {
-    // Coordinator/worker mode: same statistics, same bytes on stdout, the
-    // summarisation fanned out over a local worker fleet.
+  if (*workers > 0 || shard_rows > 0) {
+    // Out of core, in this process or fanned out over a local worker
+    // fleet: same statistics, same bytes on stdout.
     if (csv_path == args.flags.end()) {
       return Fail(InvalidArgumentError("--workers requires --csv FILE"));
     }
@@ -352,51 +378,15 @@ int RunCheck(const Args& args) {
     if (!asc.ok()) {
       return Fail(asc.status());
     }
-    std::string transport = "fork";
-    if (auto it = args.flags.find("worker-transport"); it != args.flags.end()) {
-      transport = it->second;
-      if (transport != "fork" && transport != "tcp") {
-        return Fail(InvalidArgumentError("--worker-transport expects fork or tcp, got '" +
-                                         transport + "'"));
-      }
-    }
-    dist::DistributedCheckOptions options;
+    ShardedCheckOptions options;
     // Workers imply sharding; without an explicit shard size use the
     // reader's default rather than the in-memory path.
-    options.base.reader.shard_rows =
+    options.reader.shard_rows =
         shard_rows > 0 ? shard_rows : csv::ShardReaderOptions{}.shard_rows;
-    options.workers = static_cast<int>(*workers);
-    Result<std::string> exe = dist::SelfExePath();
-    if (!exe.ok()) {
-      return Fail(exe.status());
-    }
-    std::unique_ptr<dist::Substrate> substrate;
-    if (transport == "fork") {
-      substrate = std::make_unique<dist::ForkExecSubstrate>(
-          *exe, std::vector<std::string>{"worker"});
-    } else {
-      substrate = std::make_unique<dist::TcpSubstrate>(
-          *exe, std::vector<std::string>{"worker"});
-    }
     Result<ShardedCheckResult> result =
-        dist::DistributedCheckAll(csv_path->second, {*asc}, *substrate, options);
-    if (!result.ok()) {
-      return Fail(result.status());
-    }
-    g_telemetry.Merge(result->telemetry);
-    const ViolationReport& report = result->reports[0];
-    std::fputs(serve::CheckResultLine(*asc, report).c_str(), stdout);
-    return report.violated ? 2 : 0;
-  }
-  if (shard_rows > 0) {
-    Result<ApproximateSc> asc = SingleConstraint(args);
-    if (!asc.ok()) {
-      return Fail(asc.status());
-    }
-    ShardedCheckOptions options;
-    options.reader.shard_rows = shard_rows;
-    Result<ShardedCheckResult> result =
-        ShardedCheckAll(csv_path->second, {*asc}, options);
+        *workers > 0 ? CheckOnWorkers(args, csv_path->second, *asc, options,
+                                      static_cast<int>(*workers))
+                     : ShardedCheckAll(csv_path->second, {*asc}, options);
     if (!result.ok()) {
       return Fail(result.status());
     }
