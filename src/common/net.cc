@@ -199,7 +199,7 @@ TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
 }
 
 Result<TcpListener> TcpListener::Bind(uint16_t port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return InternalError(Errno("socket"));
   }
@@ -237,14 +237,14 @@ Result<TcpConn> TcpListener::Accept() {
     return FailedPreconditionError("accept on closed listener");
   }
   for (;;) {
-    int client = ::accept(fd_, nullptr, nullptr);
+    int client = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (client >= 0) {
       return TcpConn(client);
     }
     if (errno == EINTR) {
       continue;
     }
-    return InternalError(Errno("accept"));
+    return InternalError(Errno("accept4"));
   }
 }
 
@@ -281,7 +281,7 @@ void TcpListener::Close() {
 }
 
 Result<TcpConn> DialLoopback(uint16_t port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return InternalError(Errno("socket"));
   }
@@ -304,7 +304,7 @@ Result<TcpConn> DialLoopback(uint16_t port) {
 
 Result<std::pair<TcpConn, TcpConn>> SocketPair() {
   int fds[2] = {-1, -1};
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
     return InternalError(Errno("socketpair"));
   }
   return std::make_pair(TcpConn(fds[0]), TcpConn(fds[1]));

@@ -16,7 +16,9 @@ namespace scoded::net {
 /// free: RAII file descriptors, loopback-only listening, and plain
 /// blocking reads/writes. The obs metrics endpoint (obs/export.h) is the
 /// first consumer; the future RPC layer is meant to reuse these rather
-/// than grow its own socket code.
+/// than grow its own socket code. Every socket they create is
+/// close-on-exec, so an exec'd child inherits none that its spawner did
+/// not hand over on purpose.
 
 /// A connected TCP stream socket. Move-only; closes on destruction.
 class TcpConn {

@@ -9,7 +9,7 @@
 #include "common/math.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "stats/encoding_cache.h"
 #include "stats/kendall.h"
 #include "stats/ranks.h"
@@ -541,11 +541,11 @@ Result<DrillDownResult> DrillDown(const Table& table, const ApproximateSc& asc, 
                                   const DrillDownOptions& options) {
   static obs::Counter* const removals_counter =
       obs::Metrics::Global().FindOrCreateCounter("core.drilldown_removals");
-  DrillDownResult result;
-  obs::PhaseTimer timer(&result.telemetry, "core/drilldown");
-  if (timer.span().active()) {
-    timer.span().Arg("k", static_cast<int64_t>(k)).Arg("rows", static_cast<int64_t>(rows.size()));
+  obs::ScopedSpan span("core/drilldown");
+  if (span.active()) {
+    span.Arg("k", static_cast<int64_t>(k)).Arg("rows", static_cast<int64_t>(rows.size()));
   }
+  DrillDownResult result;
 
   // Component choice and engine construction encode the same columns over
   // the same rows; a call-scoped cache (unless the caller installed one)
@@ -558,16 +558,16 @@ Result<DrillDownResult> DrillDown(const Table& table, const ApproximateSc& asc, 
   BoundConstraint bound;
   std::unique_ptr<DrilldownEngine> engine;
   {
-    obs::PhaseTimer choose(&result.telemetry, "core/drilldown/choose_component");
+    obs::ScopedSpan choose("core/drilldown/choose_component");
     SCODED_ASSIGN_OR_RETURN(bound, ChooseComponent(table, asc, rows, test_options));
   }
   {
-    obs::PhaseTimer build(&result.telemetry, "core/drilldown/build_engine");
+    obs::ScopedSpan build("core/drilldown/build_engine");
     SCODED_ASSIGN_OR_RETURN(
         engine, internal::MakeEngine(table, bound.x[0], bound.y[0], bound.z, rows, test_options,
                                      options.g_objective));
   }
-  obs::PhaseTimer greedy(&result.telemetry, "core/drilldown/greedy");
+  obs::ScopedSpan greedy("core/drilldown/greedy");
 
   result.initial_statistic = engine->CurrentStatistic();
   result.initial_p = engine->CurrentPValue();
@@ -588,10 +588,7 @@ Result<DrillDownResult> DrillDown(const Table& table, const ApproximateSc& asc, 
     }
     result.final_statistic = engine->CurrentStatistic();
     result.final_p = engine->CurrentPValue();
-    result.telemetry.removals += static_cast<int64_t>(result.rows.size());
     removals_counter->Add(static_cast<int64_t>(result.rows.size()));
-    greedy.Stop();
-    timer.Stop();
     return result;
   }
 
@@ -621,10 +618,7 @@ Result<DrillDownResult> DrillDown(const Table& table, const ApproximateSc& asc, 
   }
   result.rows.assign(removal_order.rbegin(),
                      removal_order.rbegin() + static_cast<ptrdiff_t>(k));
-  result.telemetry.removals += static_cast<int64_t>(removal_order.size());
   removals_counter->Add(static_cast<int64_t>(removal_order.size()));
-  greedy.Stop();
-  timer.Stop();
   return result;
 }
 

@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "core/approximate_sc.h"
-#include "obs/telemetry.h"
 #include "stats/hypothesis.h"
 #include "table/table.h"
 
@@ -57,9 +56,6 @@ struct DrillDownResult {
   double initial_p = 1.0;
   double final_p = 1.0;
   Strategy strategy_used = Strategy::kDirect;
-  /// Cost summary: wall-clock per phase (choose component, build engine,
-  /// greedy loop) and the number of greedy removals performed.
-  obs::RunTelemetry telemetry;
 };
 
 /// Top-k drill-down for an approximate SC on the full table. Set-valued

@@ -7,7 +7,7 @@
 
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 
 namespace scoded {
 
@@ -41,11 +41,11 @@ Result<PartitionResult> PartitionDataset(const Table& table, const ApproximateSc
   }
   SCODED_ASSIGN_OR_RETURN(BoundConstraint bound, BindConstraint(components[0], table));
 
+  obs::ScopedSpan span("core/partition");
   PartitionResult result;
-  obs::PhaseTimer timer(&result.telemetry, "core/partition");
   std::unique_ptr<DrilldownEngine> engine;
   {
-    obs::PhaseTimer build(&result.telemetry, "core/partition/build_engine");
+    obs::ScopedSpan build("core/partition/build_engine");
     SCODED_ASSIGN_OR_RETURN(
         engine, internal::MakeEngine(table, bound.x[0], bound.y[0], bound.z, rows, options.test));
   }
@@ -58,10 +58,9 @@ Result<PartitionResult> PartitionDataset(const Table& table, const ApproximateSc
   if (ConstraintRestored(asc, p)) {
     result.final_p = p;
     result.satisfied = true;
-    timer.Stop();
     return result;  // nothing to remove
   }
-  obs::PhaseTimer greedy(&result.telemetry, "core/partition/greedy");
+  obs::ScopedSpan greedy("core/partition/greedy");
   while (result.removed_rows.size() < budget && engine->AliveCount() > 0) {
     size_t removed = 0;
     if (!engine->SelectAndRemove(goal, &removed)) {
@@ -75,12 +74,9 @@ Result<PartitionResult> PartitionDataset(const Table& table, const ApproximateSc
     }
   }
   result.final_p = p;
-  result.telemetry.removals += static_cast<int64_t>(result.removed_rows.size());
   static obs::Counter* const removals_counter =
       obs::Metrics::Global().FindOrCreateCounter("core.partition_removals");
   removals_counter->Add(static_cast<int64_t>(result.removed_rows.size()));
-  greedy.Stop();
-  timer.Stop();
   return result;
 }
 

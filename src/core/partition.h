@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "core/approximate_sc.h"
 #include "core/drilldown.h"
-#include "obs/telemetry.h"
 #include "table/table.h"
 
 namespace scoded {
@@ -32,8 +31,6 @@ struct PartitionResult {
   bool satisfied = false;
   /// p-value before any removal.
   double initial_p = 1.0;
-  /// Cost summary: wall-clock per phase and removals performed.
-  obs::RunTelemetry telemetry;
 };
 
 /// Solves the dataset-partition problem via its reduction to top-k

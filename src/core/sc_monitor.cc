@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "stats/kendall.h"
 #include "stats/simd.h"
 
@@ -122,18 +123,18 @@ Status ScMonitor::Append(const Table& batch) {
   // must leave the monitor exactly as it was.
   SCODED_ASSIGN_OR_RETURN(BoundColumns bound, ResolveBatch(batch));
   batches_counter->Add();
-  obs::PhaseTimer timer(&telemetry_, "core/monitor/append");
-  if (timer.span().active()) {
-    timer.span().Arg("rows", static_cast<int64_t>(batch.NumRows()));
+  obs::ScopedSpan span("core/monitor/append");
+  if (span.active()) {
+    span.Arg("rows", static_cast<int64_t>(batch.NumRows()));
   }
-  telemetry_.AddCount("batches", 1);
   const Column& xc = batch.column(static_cast<size_t>(bound.x));
   const Column& yc = batch.column(static_cast<size_t>(bound.y));
+  const size_t live_before = live_rows_;
+  size_t null_rows = 0;
   for (size_t i = 0; i < batch.NumRows(); ++i) {
     ++records_;
-    ++telemetry_.rows_scanned;
     if (xc.IsNull(i) || yc.IsNull(i)) {
-      telemetry_.AddCount("null_rows_skipped", 1);
+      ++null_rows;
       continue;
     }
     // Stratum key: the conditioning categories joined with an unlikely
@@ -153,6 +154,7 @@ Status ScMonitor::Append(const Table& batch) {
       AddCategoricalCodes(stratum, xit->second, yit->second);
     }
   }
+  CountAppend(live_before, batch.NumRows() - null_rows, null_rows);
   return OkStatus();
 }
 
@@ -164,8 +166,9 @@ Status ScMonitor::AppendNumeric(double x, double y) {
     return FailedPreconditionError("AppendNumeric on a conditional monitor; use Append");
   }
   ++records_;
-  ++telemetry_.rows_scanned;
+  const size_t live_before = live_rows_;
   AddNumericPair(StratumFor(""), x, y);
+  CountAppend(live_before, 1, 0);
   return OkStatus();
 }
 
@@ -177,10 +180,11 @@ Status ScMonitor::AppendCategorical(const std::string& x, const std::string& y) 
     return FailedPreconditionError("AppendCategorical on a conditional monitor; use Append");
   }
   ++records_;
-  ++telemetry_.rows_scanned;
+  const size_t live_before = live_rows_;
   auto [xit, xi] = x_dict_.emplace(x, static_cast<int32_t>(x_dict_.size()));
   auto [yit, yi] = y_dict_.emplace(y, static_cast<int32_t>(y_dict_.size()));
   AddCategoricalCodes(StratumFor(""), xit->second, yit->second);
+  CountAppend(live_before, 1, 0);
   return OkStatus();
 }
 
@@ -272,7 +276,22 @@ void ScMonitor::EvictOldest() {
     --stratum.n;
   }
   --live_rows_;
-  telemetry_.AddCount("rows_evicted", 1);
+}
+
+void ScMonitor::CountAppend(size_t live_before, size_t added, size_t null_rows) const {
+  static obs::Counter* const null_rows_counter =
+      obs::Metrics::Global().FindOrCreateCounter("core.monitor_null_rows_skipped");
+  static obs::Counter* const evicted_counter =
+      obs::Metrics::Global().FindOrCreateCounter("core.monitor_rows_evicted");
+  // Each live add raises live_rows_ by one and each eviction lowers it by
+  // one, so the evictions are the adds the occupancy change leaves over.
+  size_t evicted = live_before + added - live_rows_;
+  if (null_rows > 0) {
+    null_rows_counter->Add(static_cast<int64_t>(null_rows));
+  }
+  if (evicted > 0) {
+    evicted_counter->Add(static_cast<int64_t>(evicted));
+  }
 }
 
 double ScMonitor::CurrentStatistic() const {

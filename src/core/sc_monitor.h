@@ -11,7 +11,6 @@
 
 #include "common/result.h"
 #include "core/approximate_sc.h"
-#include "obs/telemetry.h"
 #include "stats/hypothesis.h"
 #include "stats/segment_tree.h"
 #include "table/table.h"
@@ -67,8 +66,9 @@ class ScMonitor {
 
   /// Appends all rows of `batch` (same schema as the prototype). Rows
   /// with nulls in X or Y are counted but excluded from the statistic,
-  /// mirroring the batch tests. Validation runs against the whole batch
-  /// up front: a failed Append leaves the monitor untouched.
+  /// mirroring the batch tests (registry counter
+  /// `core.monitor_null_rows_skipped`). Validation runs against the whole
+  /// batch up front: a failed Append leaves the monitor untouched.
   Status Append(const Table& batch);
 
   /// Appends one (x, y) observation directly (numeric pairs;
@@ -93,11 +93,6 @@ class ScMonitor {
 
   const ApproximateSc& constraint() const { return asc_; }
   const MonitorOptions& monitor_options() const { return monitor_options_; }
-
-  /// Ingest-cost summary: wall-clock of batch appends, batches ingested,
-  /// rows appended / skipped for nulls. Accumulates over the monitor's
-  /// lifetime (phases and counters merge by name).
-  const obs::RunTelemetry& telemetry() const { return telemetry_; }
 
  private:
   ScMonitor() = default;
@@ -175,11 +170,13 @@ class ScMonitor {
   void AddNumericPair(Stratum& stratum, double x, double y);
   void EvictIfFull();
   void EvictOldest();
+  // Adds one append call's null-skipped rows and window evictions to the
+  // registry, once per call.
+  void CountAppend(size_t live_before, size_t added, size_t null_rows) const;
 
   ApproximateSc asc_;
   TestOptions options_;
   MonitorOptions monitor_options_;
-  obs::RunTelemetry telemetry_;
   bool is_tau_ = false;
   size_t records_ = 0;
   size_t live_rows_ = 0;

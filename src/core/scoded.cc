@@ -106,7 +106,6 @@ Result<Scoded::BatchCheckResult> Scoded::CheckAll(
     }
     ViolationReport& report = slot->value();
     out.violations += report.violated ? 1 : 0;
-    out.telemetry.Merge(report.telemetry);
     progress_min_p->MinWith(report.p_value);
     out.reports.push_back(std::move(report));
   }

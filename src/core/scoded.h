@@ -11,7 +11,6 @@
 #include "core/drilldown.h"
 #include "core/partition.h"
 #include "core/violation.h"
-#include "obs/telemetry.h"
 #include "table/table.h"
 
 namespace scoded {
@@ -95,9 +94,6 @@ class Scoded {
     std::vector<ViolationReport> reports;
     /// Number of constraints flagged as violated.
     size_t violations = 0;
-    /// Batch-wide cost totals: per-constraint telemetry merged in input
-    /// order (tests executed, rows scanned, exact/asymptotic split, ...).
-    obs::RunTelemetry telemetry;
   };
   Result<BatchCheckResult> CheckAll(const std::vector<ApproximateSc>& constraints) const;
 

@@ -294,7 +294,7 @@ Result<ShardedCheckResult> FinishShardedCheck(const std::string& path,
     const ApproximateSc& asc = constraints[i];
     ViolationReport report;
     report.alpha = asc.alpha;
-    obs::PhaseTimer timer(&report.telemetry, "core/detect_violation");
+    obs::ScopedSpan span("core/detect_violation");
     auto [begin, end] = plan.component_range[i];
     for (size_t c = begin; c < end; ++c) {
       ShardedComponent& state = components[c];
@@ -302,9 +302,7 @@ Result<ShardedCheckResult> FinishShardedCheck(const std::string& path,
       report.components.push_back(ComponentResult{std::move(state.component), state.result});
     }
     DecideViolation(asc, report);
-    timer.Stop();
     out.violations += report.violated ? 1 : 0;
-    out.telemetry.Merge(report.telemetry);
     progress_constraints->MaxWith(static_cast<double>(i + 1));
     progress_min_p->MinWith(report.p_value);
     obs::Heartbeat("core.constraint_checked", static_cast<int64_t>(i + 1));

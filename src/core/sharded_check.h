@@ -13,7 +13,6 @@
 #include "constraints/graphoid.h"
 #include "core/approximate_sc.h"
 #include "core/violation.h"
-#include "obs/telemetry.h"
 #include "stats/hypothesis.h"
 #include "stats/shard_stats.h"
 #include "table/csv_stream.h"
@@ -36,7 +35,6 @@ struct ShardedCheckResult {
   /// Number of shards streamed and total data rows in the file.
   size_t shards = 0;
   uint64_t rows = 0;
-  obs::RunTelemetry telemetry;
 };
 
 /// Out-of-core equivalent of loading `path` with csv::ReadFile and running

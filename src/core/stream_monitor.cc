@@ -6,6 +6,7 @@
 #include "common/parallel.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace scoded {
 
@@ -42,14 +43,13 @@ Status StreamMonitor::Append(const Table& batch) {
   for (const ScMonitor& monitor : monitors_) {
     SCODED_RETURN_IF_ERROR(monitor.ValidateBatch(batch));
   }
-  obs::PhaseTimer timer(&telemetry_, "core/stream/append");
-  if (timer.span().active()) {
-    timer.span().Arg("rows", static_cast<int64_t>(batch.NumRows()));
-    timer.span().Arg("monitors", static_cast<int64_t>(monitors_.size()));
+  obs::ScopedSpan span("core/stream/append");
+  if (span.active()) {
+    span.Arg("rows", static_cast<int64_t>(batch.NumRows()));
+    span.Arg("monitors", static_cast<int64_t>(monitors_.size()));
   }
   batches_counter->Add();
   rows_counter->Add(static_cast<int64_t>(batch.NumRows()));
-  telemetry_.AddCount("stream_batches", 1);
   records_ += batch.NumRows();
   // Deterministic fan-out: monitors are independent, each processes the
   // whole batch serially, so any thread count gives bit-identical state.
@@ -88,14 +88,6 @@ bool StreamMonitor::AnyViolated() const {
     }
   }
   return false;
-}
-
-obs::RunTelemetry StreamMonitor::AggregateTelemetry() const {
-  obs::RunTelemetry merged = telemetry_;
-  for (const ScMonitor& monitor : monitors_) {
-    merged.Merge(monitor.telemetry());
-  }
-  return merged;
 }
 
 }  // namespace scoded

@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "core/approximate_sc.h"
 #include "core/sc_monitor.h"
-#include "obs/telemetry.h"
 #include "stats/hypothesis.h"
 #include "table/table.h"
 
@@ -61,15 +60,10 @@ class StreamMonitor {
   /// True when any owned monitor currently reports a violation.
   bool AnyViolated() const;
 
-  /// Stream-level telemetry (append fan-out phases, batches, rows) merged
-  /// with every owned monitor's ingest telemetry.
-  obs::RunTelemetry AggregateTelemetry() const;
-
  private:
   StreamMonitor() = default;
 
   std::vector<ScMonitor> monitors_;
-  obs::RunTelemetry telemetry_;
   size_t records_ = 0;
 };
 

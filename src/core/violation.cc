@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/trace.h"
+
 namespace scoded {
 
 Result<ViolationReport> DetectViolation(const Table& table, const ApproximateSc& asc,
@@ -21,7 +23,7 @@ Result<ViolationReport> DetectViolation(const Table& table, const ApproximateSc&
   }
   ViolationReport report;
   report.alpha = asc.alpha;
-  obs::PhaseTimer timer(&report.telemetry, "core/detect_violation");
+  obs::ScopedSpan span("core/detect_violation");
   for (StatisticalConstraint& component : DecomposeToSingletons(asc.sc)) {
     SCODED_ASSIGN_OR_RETURN(BoundConstraint bound, BindConstraint(component, table));
     SCODED_ASSIGN_OR_RETURN(
@@ -30,7 +32,6 @@ Result<ViolationReport> DetectViolation(const Table& table, const ApproximateSc&
     report.components.push_back(ComponentResult{std::move(component), test});
   }
   DecideViolation(asc, report);
-  timer.Stop();
   return report;
 }
 
@@ -50,13 +51,7 @@ void DecideViolation(const ApproximateSc& asc, ViolationReport& report) {
       report.test = test;
       have_component = true;
     }
-    ++report.telemetry.tests_executed;
-    report.telemetry.rows_scanned += test.n;
-    (test.used_exact ? report.telemetry.exact_tests : report.telemetry.asymptotic_tests) += 1;
-    report.telemetry.strata_used += static_cast<int64_t>(test.strata_used);
-    report.telemetry.strata_skipped += static_cast<int64_t>(test.strata_skipped);
   }
-  report.telemetry.AddCount("components", static_cast<int64_t>(report.components.size()));
   report.p_value = decision_p;
   report.violated =
       asc.sc.is_independence() ? (decision_p < asc.alpha) : (decision_p > asc.alpha);

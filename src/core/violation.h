@@ -7,7 +7,6 @@
 #include "constraints/graphoid.h"
 #include "constraints/sc.h"
 #include "core/approximate_sc.h"
-#include "obs/telemetry.h"
 #include "stats/hypothesis.h"
 #include "table/table.h"
 
@@ -34,17 +33,13 @@ struct ViolationReport {
   /// One entry per decomposed singleton component (size 1 when X and Y
   /// were already singletons).
   std::vector<ComponentResult> components;
-  /// Cost summary: wall-clock of the detect phase, tests executed,
-  /// exact-vs-asymptotic split, rows scanned, strata used/skipped.
-  obs::RunTelemetry telemetry;
 };
 
 /// Algorithm 1's decision over tested components: fills `report` from
 /// `report.components` (one entry per decomposed singleton, in
 /// decomposition order). The decision p-value is the minimum component p —
 /// the first component wins ties — and the report takes that component's
-/// test. An ISC is violated iff p < α, a DSC iff p > α. Also adds each
-/// component to the report's telemetry and counts the components.
+/// test. An ISC is violated iff p < α, a DSC iff p > α.
 void DecideViolation(const ApproximateSc& asc, ViolationReport& report);
 
 /// The batch gate every checker runs before enforcement: the constraint

@@ -5,7 +5,8 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "obs/telemetry.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "stats/encoding_cache.h"
 
 namespace scoded {
@@ -104,18 +105,12 @@ Result<PcResult> LearnPcStructure(const Table& table, const PcOptions& options) 
     result.adjacent[static_cast<size_t>(i)][static_cast<size_t>(i)] = false;
   }
 
-  // Skeleton phase: prune with conditioning sets of growing size. This is
-  // the PC-stable variant (Colombo & Maathuis): every pair at a level is
-  // decided against the adjacency structure as it stood when the level
-  // began, so the pair decisions are order-free — they run in parallel —
-  // and deletions are applied serially in pair order afterwards. The
-  // skeleton is therefore independent of both the pair visiting order and
-  // the thread count.
-  obs::PhaseTimer full_timer(&result.telemetry, "discovery/pc");
-  if (full_timer.span().active()) {
-    full_timer.span().Arg("columns", static_cast<int64_t>(n));
+  static obs::Counter* const edges_pruned =
+      obs::Metrics::Global().FindOrCreateCounter("discovery.pc_edges_pruned");
+  obs::ScopedSpan span("discovery/pc");
+  if (span.active()) {
+    span.Arg("columns", static_cast<int64_t>(n));
   }
-  obs::PhaseTimer skeleton_timer(&result.telemetry, "discovery/pc/skeleton");
   // Every CI test at every level shares one encoding cache: each level
   // re-tests the same columns under overlapping conditioning sets, which
   // is exactly the recurrence the cache memoises.
@@ -126,82 +121,74 @@ Result<PcResult> LearnPcStructure(const Table& table, const PcOptions& options) 
   struct PairOutcome {
     bool pruned = false;
     std::vector<int> sepset;
-    int64_t tests = 0;
-    int64_t rows = 0;
-    int64_t exact = 0;
-    int64_t asymptotic = 0;
-    int64_t strata_used = 0;
-    int64_t strata_skipped = 0;
     Status error;
   };
-  for (int level = 0; level <= options.max_conditioning; ++level) {
-    std::vector<std::pair<int, int>> pairs;
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (result.IsAdjacent(i, j)) {
-          pairs.emplace_back(i, j);
+  // Skeleton phase: prune with conditioning sets of growing size. This is
+  // the PC-stable variant (Colombo & Maathuis): every pair at a level is
+  // decided against the adjacency structure as it stood when the level
+  // began, so the pair decisions are order-free — they run in parallel —
+  // and deletions are applied serially in pair order afterwards. The
+  // skeleton is therefore independent of both the pair visiting order and
+  // the thread count.
+  {
+    obs::ScopedSpan skeleton_span("discovery/pc/skeleton");
+    for (int level = 0; level <= options.max_conditioning; ++level) {
+      std::vector<std::pair<int, int>> pairs;
+      for (int i = 0; i < n; ++i) {
+        for (int j = i + 1; j < n; ++j) {
+          if (result.IsAdjacent(i, j)) {
+            pairs.emplace_back(i, j);
+          }
         }
       }
-    }
-    // `result.adjacent` is read-only until the fold below, so workers can
-    // consult it directly as the level-start snapshot.
-    std::vector<PairOutcome> outcomes = parallel::ParallelMap<PairOutcome>(
-        pairs.size(), /*grain=*/1, [&](size_t p) {
-          const auto [i, j] = pairs[p];
-          PairOutcome out;
-          // Candidate conditioning variables: neighbours of either
-          // endpoint at level start, excluding the pair itself.
-          std::vector<int> candidates;
-          for (int v = 0; v < n; ++v) {
-            if (v != i && v != j &&
-                (result.IsAdjacent(i, v) || result.IsAdjacent(j, v))) {
-              candidates.push_back(v);
+      // `result.adjacent` is read-only until the fold below, so workers can
+      // consult it directly as the level-start snapshot.
+      std::vector<PairOutcome> outcomes = parallel::ParallelMap<PairOutcome>(
+          pairs.size(), /*grain=*/1, [&](size_t p) {
+            const auto [i, j] = pairs[p];
+            PairOutcome out;
+            // Candidate conditioning variables: neighbours of either
+            // endpoint at level start, excluding the pair itself.
+            std::vector<int> candidates;
+            for (int v = 0; v < n; ++v) {
+              if (v != i && v != j &&
+                  (result.IsAdjacent(i, v) || result.IsAdjacent(j, v))) {
+                candidates.push_back(v);
+              }
             }
-          }
-          ForEachSubset(candidates, level, [&](const std::vector<int>& subset) {
-            Result<TestResult> test = IndependenceTest(table, i, j, subset, tuned.test);
-            if (!test.ok()) {
-              out.error = test.status();
-              return true;  // abort subset search; error propagated below
-            }
-            ++out.tests;
-            out.rows += test->n;
-            (test->used_exact ? out.exact : out.asymptotic) += 1;
-            out.strata_used += static_cast<int64_t>(test->strata_used);
-            out.strata_skipped += static_cast<int64_t>(test->strata_skipped);
-            if (test->p_value > options.alpha) {
-              out.pruned = true;
-              out.sepset = subset;
-              return true;
-            }
-            return false;
+            ForEachSubset(candidates, level, [&](const std::vector<int>& subset) {
+              Result<TestResult> test = IndependenceTest(table, i, j, subset, tuned.test);
+              if (!test.ok()) {
+                out.error = test.status();
+                return true;  // abort subset search; error propagated below
+              }
+              if (test->p_value > options.alpha) {
+                out.pruned = true;
+                out.sepset = subset;
+                return true;
+              }
+              return false;
+            });
+            return out;
           });
-          return out;
-        });
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      PairOutcome& out = outcomes[p];
-      if (!out.error.ok()) {
-        return std::move(out.error);
+      int64_t pruned = 0;
+      for (size_t p = 0; p < pairs.size(); ++p) {
+        PairOutcome& out = outcomes[p];
+        if (!out.error.ok()) {
+          return std::move(out.error);
+        }
+        if (out.pruned) {
+          const auto [i, j] = pairs[p];
+          result.adjacent[static_cast<size_t>(i)][static_cast<size_t>(j)] = false;
+          result.adjacent[static_cast<size_t>(j)][static_cast<size_t>(i)] = false;
+          result.separating_sets[{i, j}] = std::move(out.sepset);
+          ++pruned;
+        }
       }
-      result.telemetry.tests_executed += out.tests;
-      result.telemetry.AddCount("ci_tests", out.tests);
-      result.telemetry.rows_scanned += out.rows;
-      result.telemetry.exact_tests += out.exact;
-      result.telemetry.asymptotic_tests += out.asymptotic;
-      result.telemetry.strata_used += out.strata_used;
-      result.telemetry.strata_skipped += out.strata_skipped;
-      if (out.pruned) {
-        const auto [i, j] = pairs[p];
-        result.adjacent[static_cast<size_t>(i)][static_cast<size_t>(j)] = false;
-        result.adjacent[static_cast<size_t>(j)][static_cast<size_t>(i)] = false;
-        result.separating_sets[{i, j}] = std::move(out.sepset);
-        result.telemetry.AddCount("edges_pruned", 1);
-      }
+      edges_pruned->Add(pruned);
     }
   }
-
-  skeleton_timer.Stop();
-  obs::PhaseTimer orient_timer(&result.telemetry, "discovery/pc/orient");
+  obs::ScopedSpan orient_span("discovery/pc/orient");
 
   // V-structure phase: for every i - k - j with i, j non-adjacent and k
   // outside sep(i, j), orient i -> k <- j.
@@ -279,8 +266,6 @@ Result<PcResult> LearnPcStructure(const Table& table, const PcOptions& options) 
     }
   }
   std::sort(result.directed.begin(), result.directed.end());
-  orient_timer.Stop();
-  full_timer.Stop();
   return result;
 }
 

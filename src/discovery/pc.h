@@ -9,7 +9,6 @@
 
 #include "common/result.h"
 #include "constraints/sc.h"
-#include "obs/telemetry.h"
 #include "stats/hypothesis.h"
 #include "table/table.h"
 
@@ -37,11 +36,6 @@ struct PcResult {
   /// Collider orientations discovered from v-structures: (from, to) pairs,
   /// each meaning from -> to.
   std::vector<std::pair<int, int>> directed;
-
-  /// Cost summary: wall-clock of the skeleton and orientation phases, CI
-  /// tests run ("ci_tests"), edges pruned ("edges_pruned"), and the
-  /// exact-vs-asymptotic split across tests.
-  obs::RunTelemetry telemetry;
 
   bool IsAdjacent(int i, int j) const {
     return adjacent[static_cast<size_t>(i)][static_cast<size_t>(j)];

@@ -1,5 +1,6 @@
 #include "distributed/substrate.h"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -113,12 +114,14 @@ class ProcessChannel : public ConnChannel {
   pid_t pid_;
 };
 
-// fork + exec of `program` with `args` plus `extra` appended. The child
-// keeps exactly the descriptors the caller left inheritable; exec failure
-// exits 127 (the shell convention), which the coordinator sees as the
-// channel closing before any response.
+// fork + exec of `program` with `args` plus `extra` appended. Every socket
+// is close-on-exec, so the child inherits only `inherit_fd` (-1: none),
+// whose flag is cleared between fork and exec — never another worker's
+// channel, whose coordinator end would otherwise stay open in it. Exec
+// failure exits 127 (the shell convention), which the coordinator sees as
+// the channel closing before any response.
 Result<pid_t> SpawnProcess(const std::string& program, const std::vector<std::string>& args,
-                           const std::vector<std::string>& extra) {
+                           const std::vector<std::string>& extra, int inherit_fd = -1) {
   std::vector<char*> argv;
   argv.reserve(args.size() + extra.size() + 2);
   argv.push_back(const_cast<char*>(program.c_str()));
@@ -134,6 +137,13 @@ Result<pid_t> SpawnProcess(const std::string& program, const std::vector<std::st
     return InternalError("fork: " + ErrnoMessage(errno));
   }
   if (pid == 0) {
+    // fcntl is async-signal-safe, so it may run in the forked child.
+    if (inherit_fd >= 0) {
+      int flags = ::fcntl(inherit_fd, F_GETFD);
+      if (flags < 0 || ::fcntl(inherit_fd, F_SETFD, flags & ~FD_CLOEXEC) < 0) {
+        _exit(127);
+      }
+    }
     ::execv(program.c_str(), argv.data());
     _exit(127);
   }
@@ -150,9 +160,9 @@ Result<std::unique_ptr<WorkerChannel>> InProcessSubstrate::Spawn(size_t) {
 
 Result<std::unique_ptr<WorkerChannel>> ForkExecSubstrate::Spawn(size_t) {
   SCODED_ASSIGN_OR_RETURN(auto pair, net::SocketPair());
-  SCODED_ASSIGN_OR_RETURN(
-      pid_t pid,
-      SpawnProcess(program_, args_, {"--fd", std::to_string(pair.second.fd())}));
+  SCODED_ASSIGN_OR_RETURN(pid_t pid,
+                          SpawnProcess(program_, args_, {"--fd", std::to_string(pair.second.fd())},
+                                       pair.second.fd()));
   pair.second.Close();  // the child holds its own reference now
   return std::unique_ptr<WorkerChannel>(new ProcessChannel(std::move(pair.first), pid));
 }

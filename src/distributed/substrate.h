@@ -62,8 +62,9 @@ class InProcessSubstrate : public Substrate {
 
 /// Workers as fork+exec'd child processes (normally this same binary with
 /// a `worker --fd N` command line), connected over an inherited
-/// socketpair. Each child owns its address space, so per-worker peak RSS
-/// is a real, separately accountable number.
+/// socketpair. A child inherits only its own end, so it reads EOF as soon
+/// as the coordinator exits or dies. Each child owns its address space, so
+/// per-worker peak RSS is a real, separately accountable number.
 class ForkExecSubstrate : public Substrate {
  public:
   /// `program` is exec'd with `args` plus "--fd <n>" appended.

@@ -329,7 +329,10 @@ Counter* g_crash_reports_counter = nullptr;
 
 bool g_handlers_installed = false;
 constexpr int kFatalSignals[] = {SIGSEGV, SIGBUS, SIGABRT, SIGFPE, SIGILL};
+// Requests to end the run: no report, but no leftover report files either.
+constexpr int kTerminationSignals[] = {SIGTERM, SIGINT};
 struct sigaction g_old_fatal[std::size(kFatalSignals)];
+struct sigaction g_old_termination[std::size(kTerminationSignals)];
 struct sigaction g_old_quit;
 std::terminate_handler g_old_terminate = nullptr;
 
@@ -546,7 +549,23 @@ const struct sigaction* OldActionFor(int signo) {
       return &g_old_fatal[i];
     }
   }
+  for (size_t i = 0; i < std::size(kTerminationSignals); ++i) {
+    if (kTerminationSignals[i] == signo) {
+      return &g_old_termination[i];
+    }
+  }
   return nullptr;
+}
+
+// The disarm rule: a report file nothing was written to is removed.
+// unlink(2) is async-signal-safe, so signal handlers apply it too.
+void UnlinkUnwrittenReports() {
+  if (!g_crash_written.load(std::memory_order_relaxed)) {
+    ::unlink(g_crash_path);
+  }
+  if (!g_stall_written.load(std::memory_order_relaxed)) {
+    ::unlink(g_stall_path);
+  }
 }
 
 void ChainFatal(int signo, siginfo_t* info, void* ctx) {
@@ -577,6 +596,13 @@ void FatalSignalHandler(int signo, siginfo_t* info, void* ctx) {
   if (!g_in_fatal.exchange(true, std::memory_order_acq_rel)) {
     WriteCrashReport(sigsafe::SignalName(signo), "fatal signal");
   }
+  ChainFatal(signo, info, ctx);
+}
+
+void TerminationSignalHandler(int signo, siginfo_t* info, void* ctx) {
+  int saved_errno = errno;  // a chained handler may return to the program
+  UnlinkUnwrittenReports();
+  errno = saved_errno;
   ChainFatal(signo, info, ctx);
 }
 
@@ -617,6 +643,20 @@ Status InstallHandlers() {
                            "): " + ErrnoMessage(errno));
     }
   }
+  // A run started with SIGTERM or SIGINT ignored (nohup, a background
+  // job) keeps ignoring it; otherwise the handler tidies up and chains.
+  struct sigaction term = {};
+  term.sa_flags = SA_SIGINFO;
+  sigemptyset(&term.sa_mask);
+  term.sa_sigaction = TerminationSignalHandler;
+  for (size_t i = 0; i < std::size(kTerminationSignals); ++i) {
+    int signo = kTerminationSignals[i];
+    if (sigaction(signo, nullptr, &g_old_termination[i]) != 0 ||
+        (g_old_termination[i].sa_handler != SIG_IGN && sigaction(signo, &term, nullptr) != 0)) {
+      return InternalError(std::string("sigaction(") + sigsafe::SignalName(signo) +
+                           "): " + ErrnoMessage(errno));
+    }
+  }
   struct sigaction quit = {};
   quit.sa_flags = SA_SIGINFO | SA_ONSTACK | SA_RESTART;
   sigemptyset(&quit.sa_mask);
@@ -635,6 +675,9 @@ void RestoreHandlers() {
   }
   for (size_t i = 0; i < std::size(kFatalSignals); ++i) {
     (void)sigaction(kFatalSignals[i], &g_old_fatal[i], nullptr);
+  }
+  for (size_t i = 0; i < std::size(kTerminationSignals); ++i) {
+    (void)sigaction(kTerminationSignals[i], &g_old_termination[i], nullptr);
   }
   (void)sigaction(SIGQUIT, &g_old_quit, nullptr);
   std::set_terminate(g_old_terminate);
@@ -746,12 +789,7 @@ void DisarmFlightRecorder() {
   if (stall_fd >= 0) {
     ::close(stall_fd);
   }
-  if (!g_crash_written.load(std::memory_order_relaxed)) {
-    ::unlink(g_crash_path);
-  }
-  if (!g_stall_written.load(std::memory_order_relaxed)) {
-    ::unlink(g_stall_path);
-  }
+  UnlinkUnwrittenReports();
 }
 
 bool FlightRecorderArmed() { return g_armed.load(std::memory_order_relaxed); }

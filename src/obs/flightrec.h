@@ -27,7 +27,12 @@ namespace scoded::obs {
 ///    per-thread span stacks, each ring's tail, a metrics snapshot, and
 ///    the build stamp, using only write(2) on fds pre-opened at arm time;
 ///  - SIGQUIT (or DumpStallReport, or the watchdog) writes the same report
-///    as a *stall* report without killing the process.
+///    as a *stall* report without killing the process;
+///  - SIGTERM and SIGINT (unless ignored at arm time) unlink the report
+///    files nothing was written to, as DisarmFlightRecorder does, then
+///    chain like the fatal signals, so the process still dies of the
+///    signal. A command that installs its own handler afterwards (`scoded
+///    serve`) replaces this one and disarms on its own shutdown path.
 ///
 /// Everything here is forensic-only: arming never changes results, and the
 /// whole subsystem compiles to no-op stubs under SCODED_DISABLE_OBS.
@@ -40,8 +45,8 @@ struct FlightRecorderOptions {
   /// empty means the current directory. Reports that are never written are
   /// unlinked on disarm.
   std::string report_dir;
-  /// Install the fatal-signal + SIGQUIT + std::terminate hooks. Tests that
-  /// only exercise the journal can turn this off.
+  /// Install the fatal-signal, SIGTERM/SIGINT, SIGQUIT and std::terminate
+  /// hooks. Tests that only exercise the journal can turn this off.
   bool install_signal_handlers = true;
 };
 

@@ -8,6 +8,7 @@
 #include "core/scoded.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/render.h"
 #include "serve/wire.h"
 #include "table/csv.h"
@@ -51,7 +52,7 @@ Result<double> GetNumberOr(const JsonValue& request, const char* key, double fal
   return member->number;
 }
 
-// Phase names must outlive the PhaseTimer, so the router maps each op to a
+// Span names must outlive the span, so the router maps each op to a
 // string literal (and rejects unknown ops before any timing starts).
 const char* SpanNameForOp(const std::string& op) {
   if (op == "ping") return "serve/ping";
@@ -240,15 +241,10 @@ std::string Server::HandleRequest(const std::string& payload) {
         "unknown op '" + *op +
         "' (ops: ping check open_session append_batch query close_session)"));
   }
-  obs::RunTelemetry request_telemetry;
   std::string response;
   {
-    obs::PhaseTimer timer(&request_telemetry, span_name);
+    obs::ScopedSpan span(span_name);
     response = DispatchOp(*op, *request);
-  }
-  {
-    std::lock_guard<std::mutex> lock(telemetry_mu_);
-    telemetry_.Merge(request_telemetry);
   }
   // A handled-but-failed request still counts as an error for the gauge
   // wall (the envelope starts {"ok":false,...}).
@@ -302,10 +298,6 @@ std::string Server::HandleCheck(const JsonValue& request) {
   Result<ViolationReport> report = system.CheckViolation(asc);
   if (!report.ok()) {
     return ErrorJson(report.status());
-  }
-  {
-    std::lock_guard<std::mutex> lock(telemetry_mu_);
-    telemetry_.Merge(report->telemetry);
   }
   JsonWriter json;
   json.BeginObject();
@@ -450,11 +442,6 @@ std::string Server::HandleCloseSession(const JsonValue& request) {
   json.Key("ok").Bool(true);
   json.EndObject();
   return json.str();
-}
-
-obs::RunTelemetry Server::TelemetrySnapshot() const {
-  std::lock_guard<std::mutex> lock(telemetry_mu_);
-  return telemetry_;
 }
 
 }  // namespace scoded::serve

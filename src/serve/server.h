@@ -13,7 +13,6 @@
 #include "common/json.h"
 #include "common/net.h"
 #include "common/result.h"
-#include "obs/telemetry.h"
 #include "serve/framing.h"
 #include "serve/session.h"
 
@@ -74,10 +73,6 @@ class Server {
   /// payload. Public for tests: the router is exercised without sockets.
   std::string HandleRequest(const std::string& payload);
 
-  /// Aggregated per-request telemetry (span wall-clock per op) for
-  /// --stats output after shutdown.
-  obs::RunTelemetry TelemetrySnapshot() const;
-
   size_t NumSessions() const { return sessions_.size(); }
 
  private:
@@ -105,9 +100,6 @@ class Server {
   std::vector<std::thread> handlers_;
   bool running_ = false;
   bool stop_ = false;
-
-  mutable std::mutex telemetry_mu_;
-  obs::RunTelemetry telemetry_;
 };
 
 }  // namespace scoded::serve

@@ -574,11 +574,10 @@ Path BestSupportedPath() {
   if (internal::Avx2KernelsOrNull() != nullptr && __builtin_cpu_supports("avx2")) {
     return Path::kAvx2;
   }
-  if (__builtin_cpu_supports("sse2")) {
-    return Path::kSse2;
-  }
 #endif
-  return Path::kScalar;
+  // The portable blocked kernels use no intrinsics, so every target runs
+  // them.
+  return Path::kSse2;
 }
 
 const Kernels& KernelsFor(Path path) {

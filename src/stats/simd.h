@@ -17,8 +17,9 @@ namespace scoded::simd {
 /// Instruction-set tier of the active kernel table. kScalar is the
 /// branchy per-row reference implementation every optimised kernel is
 /// checked against; kSse2 is the width-specialised blocked path written
-/// in portable C++ (compiles to baseline x86-64 vector code); kAvx2 adds
-/// hand-written 256-bit intrinsics for the contingency index math.
+/// in portable C++ (compiles to baseline x86-64 vector code, and is the
+/// optimised tier on every other target too); kAvx2 adds a hand-written
+/// 256-bit pair_sign_scan and is kSse2 otherwise.
 enum class Path : uint8_t {
   kScalar = 0,
   kSse2 = 1,
@@ -30,7 +31,8 @@ const char* PathName(Path path);
 /// Parses "off"/"scalar", "sse2", "avx2" (the SCODED_SIMD values).
 std::optional<Path> ParsePath(std::string_view name);
 
-/// Widest path this CPU supports (kScalar where CPUID is unavailable).
+/// Widest path this CPU supports: kAvx2 when CPUID reports AVX2, else
+/// kSse2, whose portable kernels need no CPU feature.
 Path BestSupportedPath();
 
 /// The function-pointer kernel table. One table per Path; all tables

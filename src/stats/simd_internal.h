@@ -14,8 +14,8 @@ namespace scoded::simd::internal {
 // while breaking the store-forwarding dependency on hot cells.
 inline constexpr size_t kInterleaveCells = 8192;
 
-// Portable width-specialised blocked kernels — the kSse2 table, and the
-// fallbacks the AVX2 table uses for shapes without an intrinsic path.
+// Portable width-specialised blocked kernels — the kSse2 table, and every
+// AVX2 table entry but pair_sign_scan.
 void ContingencyBlocked(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts);
 void ContingencyFirstBlocked(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts,
                              uint32_t* first_row);

@@ -1,179 +1,20 @@
 // AVX2 intrinsic kernels, isolated in their own TU so only these
 // functions carry the target("avx2") attribute; the dispatch in simd.cc
-// installs this table only after CPUID confirms AVX2. Shapes without an
-// intrinsic win fall through to the portable blocked kernels.
+// installs this table only after CPUID confirms AVX2. Only pair_sign_scan
+// earns an intrinsic path: GCC compiles the portable loop to one scalar
+// compare per element, and windowed monitor appends run about 4.5x slower
+// without it. Contingency intrinsics measured no faster than the portable
+// blocked kernels, so every other entry is the portable tier's.
 
-#include "common/check.h"
 #include "stats/simd_internal.h"
 
 #if defined(SCODED_SIMD_X86)
 
 #include <immintrin.h>
 
-#include <vector>
-
 namespace scoded::simd::internal {
 
 namespace {
-
-// u8 x u8 codes: cell index = x*ny + y fits u16 (<= 255*256 + 255 =
-// 65535). 64 indices are computed per validity word with 16-lane u16
-// vector math, then scattered into 4 interleaved histogram lanes so
-// consecutive increments never stall on store forwarding.
-__attribute__((target("avx2"))) void ContingencyAvx2U8(const CompressedCodes& xc,
-                                                       const CompressedCodes& yc,
-                                                       int64_t* counts) {
-  const uint8_t* x = xc.data_u8();
-  const uint8_t* y = yc.data_u8();
-  const uint64_t* xv = xc.valid_words();
-  const uint64_t* yv = yc.valid_words();
-  const size_t n = xc.size();
-  const size_t ny = yc.cardinality();
-  const size_t cells = xc.cardinality() * ny;
-
-  const bool interleave = cells > 0 && cells <= kInterleaveCells && n >= 256;
-  std::vector<int64_t> lanes;
-  int64_t* c1 = counts;
-  int64_t* c2 = counts;
-  int64_t* c3 = counts;
-  if (interleave) {
-    lanes.assign(3 * cells, 0);
-    c1 = lanes.data();
-    c2 = c1 + cells;
-    c3 = c2 + cells;
-  }
-
-  const __m256i vny = _mm256_set1_epi16(static_cast<short>(ny));
-  alignas(32) uint16_t idx[64];
-  const size_t words = n / 64;
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t valid = (xv != nullptr ? xv[w] : ~0ull) & (yv != nullptr ? yv[w] : ~0ull);
-    const uint8_t* xb = x + w * 64;
-    const uint8_t* yb = y + w * 64;
-    if (valid == ~0ull) {
-      for (int half = 0; half < 2; ++half) {
-        __m256i xvec = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xb + half * 32));
-        __m256i yvec = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yb + half * 32));
-        __m256i xlo = _mm256_cvtepu8_epi16(_mm256_castsi256_si128(xvec));
-        __m256i xhi = _mm256_cvtepu8_epi16(_mm256_extracti128_si256(xvec, 1));
-        __m256i ylo = _mm256_cvtepu8_epi16(_mm256_castsi256_si128(yvec));
-        __m256i yhi = _mm256_cvtepu8_epi16(_mm256_extracti128_si256(yvec, 1));
-        __m256i ilo = _mm256_add_epi16(_mm256_mullo_epi16(xlo, vny), ylo);
-        __m256i ihi = _mm256_add_epi16(_mm256_mullo_epi16(xhi, vny), yhi);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(idx + half * 32), ilo);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(idx + half * 32 + 16), ihi);
-      }
-      for (int i = 0; i < 64; i += 4) {
-        counts[idx[i]] += 1;
-        c1[idx[i + 1]] += 1;
-        c2[idx[i + 2]] += 1;
-        c3[idx[i + 3]] += 1;
-      }
-    } else {
-      while (valid != 0) {
-        int bit = __builtin_ctzll(valid);
-        valid &= valid - 1;
-        counts[static_cast<size_t>(xb[bit]) * ny + yb[bit]] += 1;
-      }
-    }
-  }
-  for (size_t i = words * 64; i < n; ++i) {
-    bool ok = (xv == nullptr || ((xv[i >> 6] >> (i & 63)) & 1u) != 0) &&
-              (yv == nullptr || ((yv[i >> 6] >> (i & 63)) & 1u) != 0);
-    if (ok) {
-      counts[static_cast<size_t>(x[i]) * ny + y[i]] += 1;
-    }
-  }
-  if (interleave) {
-    for (size_t c = 0; c < cells; ++c) {
-      counts[c] += c1[c] + c2[c] + c3[c];
-    }
-  }
-}
-
-// u16 x u16 codes: indices widen to u32 (<= 2^32 - 1 cells), 8 lanes of
-// u32 math per vector.
-__attribute__((target("avx2"))) void ContingencyAvx2U16(const CompressedCodes& xc,
-                                                        const CompressedCodes& yc,
-                                                        int64_t* counts) {
-  const uint16_t* x = xc.data_u16();
-  const uint16_t* y = yc.data_u16();
-  const uint64_t* xv = xc.valid_words();
-  const uint64_t* yv = yc.valid_words();
-  const size_t n = xc.size();
-  const size_t ny = yc.cardinality();
-  const size_t cells = xc.cardinality() * ny;
-
-  const bool interleave = cells > 0 && cells <= kInterleaveCells && n >= 256;
-  std::vector<int64_t> lanes;
-  int64_t* c1 = counts;
-  int64_t* c2 = counts;
-  int64_t* c3 = counts;
-  if (interleave) {
-    lanes.assign(3 * cells, 0);
-    c1 = lanes.data();
-    c2 = c1 + cells;
-    c3 = c2 + cells;
-  }
-
-  const __m256i vny = _mm256_set1_epi32(static_cast<int>(ny));
-  alignas(32) uint32_t idx[64];
-  const size_t words = n / 64;
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t valid = (xv != nullptr ? xv[w] : ~0ull) & (yv != nullptr ? yv[w] : ~0ull);
-    const uint16_t* xb = x + w * 64;
-    const uint16_t* yb = y + w * 64;
-    if (valid == ~0ull) {
-      for (int q = 0; q < 4; ++q) {
-        __m256i xvec = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xb + q * 16));
-        __m256i yvec = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yb + q * 16));
-        __m256i xlo = _mm256_cvtepu16_epi32(_mm256_castsi256_si128(xvec));
-        __m256i xhi = _mm256_cvtepu16_epi32(_mm256_extracti128_si256(xvec, 1));
-        __m256i ylo = _mm256_cvtepu16_epi32(_mm256_castsi256_si128(yvec));
-        __m256i yhi = _mm256_cvtepu16_epi32(_mm256_extracti128_si256(yvec, 1));
-        __m256i ilo = _mm256_add_epi32(_mm256_mullo_epi32(xlo, vny), ylo);
-        __m256i ihi = _mm256_add_epi32(_mm256_mullo_epi32(xhi, vny), yhi);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(idx + q * 16), ilo);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(idx + q * 16 + 8), ihi);
-      }
-      for (int i = 0; i < 64; i += 4) {
-        counts[idx[i]] += 1;
-        c1[idx[i + 1]] += 1;
-        c2[idx[i + 2]] += 1;
-        c3[idx[i + 3]] += 1;
-      }
-    } else {
-      while (valid != 0) {
-        int bit = __builtin_ctzll(valid);
-        valid &= valid - 1;
-        counts[static_cast<size_t>(xb[bit]) * ny + yb[bit]] += 1;
-      }
-    }
-  }
-  for (size_t i = words * 64; i < n; ++i) {
-    bool ok = (xv == nullptr || ((xv[i >> 6] >> (i & 63)) & 1u) != 0) &&
-              (yv == nullptr || ((yv[i >> 6] >> (i & 63)) & 1u) != 0);
-    if (ok) {
-      counts[static_cast<size_t>(x[i]) * ny + y[i]] += 1;
-    }
-  }
-  if (interleave) {
-    for (size_t c = 0; c < cells; ++c) {
-      counts[c] += c1[c] + c2[c] + c3[c];
-    }
-  }
-}
-
-void ContingencyAvx2(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts) {
-  SCODED_CHECK(x.size() == y.size());
-  if (x.width() == CodeWidth::kU8 && y.width() == CodeWidth::kU8) {
-    ContingencyAvx2U8(x, y, counts);
-  } else if (x.width() == CodeWidth::kU16 && y.width() == CodeWidth::kU16) {
-    ContingencyAvx2U16(x, y, counts);
-  } else {
-    ContingencyBlocked(x, y, counts);
-  }
-}
 
 // Kendall pair scan, 4 double pairs per iteration. dx = (x>a)-(x<a) is
 // built from the two comparison masks; the product over {-1,0,1} is
@@ -221,8 +62,8 @@ __attribute__((target("avx2"))) void PairSignScanAvx2(const double* xs, const do
 }
 
 const Kernels kAvx2Kernels = {
-    ContingencyAvx2,      ContingencyFirstBlocked, DenseRanksRadix,
-    CountInversionsBottomUp, PopcountBuiltin,      PairSignScanAvx2,
+    ContingencyBlocked,      ContingencyFirstBlocked, DenseRanksRadix,
+    CountInversionsBottomUp, PopcountBuiltin,         PairSignScanAvx2,
 };
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "discovery/pc.h"
 #include "distributed/coordinator.h"
 #include "distributed/substrate.h"
+#include "obs/metrics.h"
 #include "stats/simd.h"
 #include "table/table.h"
 
@@ -39,6 +40,31 @@ struct ThreadsGuard {
 };
 
 std::vector<int> ThreadCounts() { return {1, 4, parallel::HardwareThreads()}; }
+
+// The work one run adds to the registry's stats.tests_executed and
+// stats.rows_scanned counters, from construction to Taken().
+class WorkDelta {
+ public:
+  struct Totals {
+    int64_t tests_executed = 0;
+    int64_t rows_scanned = 0;
+  };
+
+  WorkDelta() : start_(Now()) {}
+
+  Totals Taken() const {
+    Totals now = Now();
+    return {now.tests_executed - start_.tests_executed, now.rows_scanned - start_.rows_scanned};
+  }
+
+ private:
+  static Totals Now() {
+    return {obs::Metrics::Global().FindOrCreateCounter("stats.tests_executed")->Value(),
+            obs::Metrics::Global().FindOrCreateCounter("stats.rows_scanned")->Value()};
+  }
+
+  Totals start_;
+};
 
 // Mixed-type table with injected structure: `model` drives `price`,
 // `price` drives `mileage`, `color` is independent noise.
@@ -76,15 +102,20 @@ TEST(DeterminismTest, CheckAllIsThreadCountInvariant) {
   };
 
   Scoded::BatchCheckResult baseline;
+  WorkDelta::Totals baseline_work;
   {
     ThreadsGuard guard(1);
     Scoded system(MakeTable());
+    WorkDelta work;
     baseline = system.CheckAll(constraints).value();
+    baseline_work = work.Taken();
   }
   for (int threads : ThreadCounts()) {
     ThreadsGuard guard(threads);
     Scoded system(MakeTable());
+    WorkDelta work;
     Scoded::BatchCheckResult result = system.CheckAll(constraints).value();
+    WorkDelta::Totals taken = work.Taken();
     ASSERT_EQ(result.reports.size(), baseline.reports.size()) << "threads=" << threads;
     EXPECT_EQ(result.violations, baseline.violations) << "threads=" << threads;
     for (size_t i = 0; i < result.reports.size(); ++i) {
@@ -98,10 +129,8 @@ TEST(DeterminismTest, CheckAllIsThreadCountInvariant) {
           << "threads=" << threads << " sc=" << i;
     }
     // Work totals (tests executed, rows scanned) are deterministic too.
-    EXPECT_EQ(result.telemetry.tests_executed, baseline.telemetry.tests_executed)
-        << "threads=" << threads;
-    EXPECT_EQ(result.telemetry.rows_scanned, baseline.telemetry.rows_scanned)
-        << "threads=" << threads;
+    EXPECT_EQ(taken.tests_executed, baseline_work.tests_executed) << "threads=" << threads;
+    EXPECT_EQ(taken.rows_scanned, baseline_work.rows_scanned) << "threads=" << threads;
   }
 }
 
@@ -151,9 +180,12 @@ TEST(DeterminismTest, RankingIsThreadCountInvariant) {
 TEST(DeterminismTest, PcSkeletonIsThreadCountInvariant) {
   Table table = MakeTable();
   PcResult baseline;
+  WorkDelta::Totals baseline_work;
   {
     ThreadsGuard guard(1);
+    WorkDelta work;
     baseline = LearnPcStructure(table).value();
+    baseline_work = work.Taken();
   }
   std::vector<std::string> baseline_text;
   for (const StatisticalConstraint& sc : baseline.DiscoveredConstraints()) {
@@ -161,7 +193,9 @@ TEST(DeterminismTest, PcSkeletonIsThreadCountInvariant) {
   }
   for (int threads : ThreadCounts()) {
     ThreadsGuard guard(threads);
+    WorkDelta work;
     PcResult result = LearnPcStructure(table).value();
+    WorkDelta::Totals taken = work.Taken();
     EXPECT_EQ(result.adjacent, baseline.adjacent) << "threads=" << threads;
     EXPECT_EQ(result.separating_sets, baseline.separating_sets) << "threads=" << threads;
     EXPECT_EQ(result.directed, baseline.directed) << "threads=" << threads;
@@ -170,8 +204,7 @@ TEST(DeterminismTest, PcSkeletonIsThreadCountInvariant) {
       text.push_back(sc.ToString());
     }
     EXPECT_EQ(text, baseline_text) << "threads=" << threads;
-    EXPECT_EQ(result.telemetry.tests_executed, baseline.telemetry.tests_executed)
-        << "threads=" << threads;
+    EXPECT_EQ(taken.tests_executed, baseline_work.tests_executed) << "threads=" << threads;
   }
 }
 

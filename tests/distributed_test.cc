@@ -8,8 +8,11 @@
 
 #include "distributed/coordinator.h"
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -17,7 +20,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -437,9 +442,8 @@ TEST_F(DistributedCheckTest, ForkWorkersMatchSingleProcess) {
 }
 
 TEST_F(DistributedCheckTest, ForkWorkersAreDismissedWithoutWaitingOutTheGrace) {
-  // Each worker must be told to exit: a fork/exec worker inherits the
-  // coordinator's end of its own socket, so closing the coordinator's
-  // copy alone does not end it, and teardown would wait out the 5 s grace.
+  // Each worker is dismissed as soon as its lane is done, so teardown never
+  // waits out the 5 s grace.
   dist::ForkExecSubstrate substrate(SCODED_CLI_BIN, {"worker"});
   dist::DistributedCheckOptions options;
   options.base = BaseOptions();
@@ -476,6 +480,156 @@ TEST_F(DistributedCheckTest, SigkilledForkWorkerIsRetriedOnSurvivor) {
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ(result->rows, uint64_t{900});
   EXPECT_EQ(Lines(*result), expected);
+}
+
+// Parsed /proc/<pid>/stat: the state letter and the parent pid, or
+// state '\0' when the process is gone.
+struct ProcStat {
+  char state = '\0';
+  pid_t ppid = 0;
+};
+
+ProcStat ReadProcStat(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  ProcStat stat;
+  size_t paren = text.rfind(')');  // the command name may hold spaces
+  if (paren != std::string::npos) {
+    std::istringstream fields(text.substr(paren + 1));
+    fields >> stat.state >> stat.ppid;
+  }
+  return stat;
+}
+
+// Live children of `parent`, from each process's parent pid (kernels built
+// without CONFIG_PROC_CHILDREN have no /proc/<pid>/task/*/children).
+std::vector<pid_t> ChildrenOf(pid_t parent) {
+  std::vector<pid_t> children;
+  DIR* proc = ::opendir("/proc");
+  if (proc == nullptr) {
+    return children;
+  }
+  while (const dirent* entry = ::readdir(proc)) {
+    pid_t pid = static_cast<pid_t>(std::atoi(entry->d_name));
+    if (pid > 0 && ReadProcStat(pid).ppid == parent) {
+      children.push_back(pid);
+    }
+  }
+  ::closedir(proc);
+  return children;
+}
+
+// Running, as opposed to exited (gone) or exited but not yet reaped.
+bool StillRunning(pid_t pid) {
+  char state = ReadProcStat(pid).state;
+  return state != '\0' && state != 'Z' && state != 'X';
+}
+
+std::vector<std::string> ReportFiles(const std::string& dir) {
+  std::vector<std::string> reports;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(d)) {
+      std::string name = entry->d_name;
+      if (name.rfind("scoded-", 0) == 0 && name.compare(name.size() - 7, 7, ".report") == 0) {
+        reports.push_back(name);
+      }
+    }
+    ::closedir(d);
+  }
+  return reports;
+}
+
+TEST(DistributedSignalTest, SigtermToCoordinatorLeavesNoWorkersAndNoReports) {
+  // A coordinator killed mid-run must take its fleet with it: every worker
+  // reads EOF on its channel and exits, and neither the coordinator nor a
+  // worker leaves a pre-opened flight-recorder report behind.
+  std::string dir = ::testing::TempDir() + "/scoded_sigterm_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string csv = dir + "/fleet.csv";
+  {
+    // Large enough that the run is still going once all four workers are up.
+    Rng rng(7);
+    std::ofstream out(csv);
+    out << "zip,city,state\n";
+    for (int i = 0; i < 400000; ++i) {
+      int64_t zip = rng.UniformInt(10000, 10099);
+      out << zip << ",city" << zip % 37 << ",st" << zip % 11 << '\n';
+    }
+    ASSERT_TRUE(out.good());
+  }
+  // Everything the child needs is built before the fork: it only makes
+  // async-signal-safe calls before exec.
+  std::vector<std::string> args = {SCODED_CLI_BIN, "check", "--csv", csv, "--sc", "zip !_||_ city",
+                                   "--shard-rows", "5000", "--workers", "4"};
+  std::vector<std::string> env = {"SCODED_CRASH_DIR=" + dir};
+  for (char** var = environ; *var != nullptr; ++var) {
+    if (std::string(*var).rfind("SCODED_CRASH_DIR=", 0) != 0) {
+      env.push_back(*var);
+    }
+  }
+  std::vector<char*> argv;
+  std::vector<char*> envp;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  for (std::string& var : env) {
+    envp.push_back(var.data());
+  }
+  argv.push_back(nullptr);
+  envp.push_back(nullptr);
+  pid_t coordinator = ::fork();
+  ASSERT_GE(coordinator, 0);
+  if (coordinator == 0) {
+    int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDOUT_FILENO);
+    ::dup2(devnull, STDERR_FILENO);
+    ::execve(argv[0], argv.data(), envp.data());
+    _exit(127);
+  }
+  std::vector<pid_t> workers;
+  int status = 0;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (workers.size() < 4 && std::chrono::steady_clock::now() < deadline) {
+    ASSERT_EQ(::waitpid(coordinator, &status, WNOHANG), 0)
+        << "the check finished before its workers were all up";
+    workers = ChildrenOf(coordinator);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (workers.size() != 4) {
+    ::kill(coordinator, SIGKILL);
+    ::waitpid(coordinator, &status, 0);
+    FAIL() << "saw " << workers.size() << " workers in 30 s";
+  }
+  ASSERT_EQ(::kill(coordinator, SIGTERM), 0);
+  ASSERT_EQ(::waitpid(coordinator, &status, 0), coordinator);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGTERM) << "wait status " << status;
+
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  auto any_running = [&] {
+    for (pid_t worker : workers) {
+      if (StillRunning(worker)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  while (any_running() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  for (pid_t worker : workers) {
+    EXPECT_FALSE(StillRunning(worker)) << "worker " << worker << " outlived its coordinator";
+    if (StillRunning(worker)) {
+      ::kill(worker, SIGKILL);
+    }
+  }
+  std::vector<std::string> reports = ReportFiles(dir);
+  EXPECT_TRUE(reports.empty()) << reports.size() << " report file(s) left, first "
+                               << (reports.empty() ? "" : reports[0]);
+  for (const std::string& name : reports) {
+    std::remove((dir + "/" + name).c_str());
+  }
+  std::remove(csv.c_str());
+  ::rmdir(dir.c_str());
 }
 
 #endif  // SCODED_CLI_BIN

@@ -254,6 +254,39 @@ TEST(FlightRecorderDeathTest, SigsegvDuringShardedCheckLeavesCrashReport) {
   EXPECT_TRUE(found_event) << "no journal events in any thread";
 }
 
+// SIGINT (like SIGTERM) ends an armed run without a report: the handler
+// unlinks the pre-opened file nothing was written to, keeps the one that
+// holds a report, and the process still dies of the signal.
+TEST(FlightRecorderDeathTest, SigintUnlinksUnwrittenReportAndStillKills) {
+#if defined(SCODED_TSAN)
+  GTEST_SKIP() << "TSan kills forked children (die_after_fork)";
+#endif
+  std::string dir = MakeReportDir("flightrec_sigint");
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    // Child: 3 = could not arm, 0 = survived the signal.
+    obs::FlightRecorderOptions options;
+    options.report_dir = dir;
+    if (!obs::ArmFlightRecorder(options).ok()) {
+      _exit(3);
+    }
+    obs::DumpStallReport("before SIGINT");
+    ::raise(SIGINT);
+    _exit(0);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(wstatus)) << "wait status " << wstatus;
+  EXPECT_EQ(WTERMSIG(wstatus), SIGINT);
+  std::string suffix = "-" + std::to_string(pid) + ".report";
+  EXPECT_FALSE(ReadTextFile(dir + "/scoded-crash" + suffix).ok());
+  Result<std::string> stall = ReadTextFile(dir + "/scoded-stall" + suffix);
+  ASSERT_TRUE(stall.ok()) << "the written stall report was removed";
+  EXPECT_NE(stall->find("before SIGINT"), std::string::npos);
+  std::remove((dir + "/scoded-stall" + suffix).c_str());
+}
+
 TEST(FlightRecorderTest, ArmRejectsZeroCapacity) {
   obs::FlightRecorderOptions options;
   options.events_per_thread = 0;

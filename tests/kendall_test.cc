@@ -1,11 +1,16 @@
 #include "stats/kendall.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "stats/hypothesis.h"
+#include "table/table.h"
 
 namespace scoded {
 namespace {
@@ -153,6 +158,73 @@ TEST(KendallExactTest, ApproachesGaussianForModerateN) {
   double z = static_cast<double>(s) / std::sqrt(var);
   double gaussian = std::erfc(std::fabs(z) / std::sqrt(2.0));
   EXPECT_NEAR(exact, gaussian, 0.01);
+}
+
+// Oracle: the exact null of S from every permutation of n tie-free ranks.
+// Each attainable s must get the fraction of permutations with |S| >= |s|.
+TEST(KendallExactTest, MatchesPermutationEnumeration) {
+  for (int n = 2; n <= 9; ++n) {
+    const int max_s = n * (n - 1) / 2;
+    std::vector<int64_t> count(static_cast<size_t>(2 * max_s + 1), 0);
+    std::vector<int> perm(static_cast<size_t>(n));
+    std::iota(perm.begin(), perm.end(), 0);
+    int64_t total = 0;
+    do {
+      int s = 0;
+      for (int i = 0; i < n; ++i) {
+        for (int j = i + 1; j < n; ++j) {
+          s += perm[static_cast<size_t>(j)] > perm[static_cast<size_t>(i)] ? 1 : -1;
+        }
+      }
+      ++count[static_cast<size_t>(s + max_s)];
+      ++total;
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    for (int s = -max_s; s <= max_s; ++s) {
+      if (count[static_cast<size_t>(s + max_s)] == 0) {
+        continue;  // not attainable at this n
+      }
+      int64_t tail = 0;
+      for (int t = -max_s; t <= max_s; ++t) {
+        tail += std::abs(t) >= std::abs(s) ? count[static_cast<size_t>(t + max_s)] : 0;
+      }
+      EXPECT_NEAR(KendallExactPValue(s, n),
+                  static_cast<double>(tail) / static_cast<double>(total), 1e-15)
+          << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+// Independent reference values: scipy.stats.kendalltau on the vectors of
+// SNIPPETS.md snippet 2, through the same entry point the checker uses.
+Result<TestResult> TauTest(std::vector<double> x, std::vector<double> y) {
+  TableBuilder builder;
+  builder.AddNumeric("x", std::move(x));
+  builder.AddNumeric("y", std::move(y));
+  Result<Table> table = std::move(builder).Build();
+  if (!table.ok()) {
+    return table.status();
+  }
+  return IndependenceTest(*table, 0, 1, {});
+}
+
+TEST(KendallReferenceTest, UntiedExactPValueMatchesScipy) {
+  Result<TestResult> test = TauTest({17, 86, 60, 77, 47, 3, 70, 87, 88, 92},
+                                    {70, 29, 85, 61, 80, 34, 60, 31, 73, 66});
+  ASSERT_TRUE(test.ok()) << test.status().ToString();
+  EXPECT_EQ(test->method, TestMethod::kTauTest);
+  EXPECT_TRUE(test->used_exact);
+  EXPECT_NEAR(test->effect, -0.06666666666666667, 1e-15);
+  EXPECT_NEAR(test->p_value, 0.8618005952380953, 1e-15);
+}
+
+TEST(KendallReferenceTest, TiedGaussianPValueMatchesScipy) {
+  Result<TestResult> test = TauTest({17, 86, 60, 77, 47, 3, 70, 47, 88, 92},
+                                    {70, 29, 85, 61, 80, 34, 60, 31, 73, 66});
+  ASSERT_TRUE(test.ok()) << test.status().ToString();
+  EXPECT_EQ(test->method, TestMethod::kTauTest);
+  EXPECT_FALSE(test->used_exact);
+  EXPECT_NEAR(test->effect, 0.04494665749754947, 1e-15);
+  EXPECT_NEAR(test->p_value, 0.8574624419592412, 1e-15);
 }
 
 TEST(PairWeightTest, AllCases) {

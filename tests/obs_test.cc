@@ -1,6 +1,6 @@
-// Tests for the observability layer: metrics registry, tracer, run
-// telemetry, the JSON parser they rely on, and an end-to-end check that
-// the CLI's --stats/--trace-out surface real numbers.
+// Tests for the observability layer: metrics registry, tracer, logging,
+// the JSON parser they rely on, and an end-to-end check that the CLI's
+// --stats/--trace-out surface real numbers.
 
 #include <cmath>
 #include <cstdio>
@@ -16,7 +16,6 @@
 #include "common/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace scoded {
@@ -265,81 +264,6 @@ TEST(TracerTest, SpanCapturesEnableStateAtConstruction) {
 
 #endif  // !SCODED_OBS_DISABLED
 
-// -------------------------------------------------------------- telemetry
-
-TEST(TelemetryTest, PhasesMergeByName) {
-  obs::RunTelemetry telemetry;
-  telemetry.AddPhase("load", 2.0);
-  telemetry.AddPhase("test", 1.0);
-  telemetry.AddPhase("load", 3.0);
-  ASSERT_EQ(telemetry.phases.size(), 2u);
-  EXPECT_EQ(telemetry.phases[0].name, "load");
-  EXPECT_EQ(telemetry.phases[0].ms, 5.0);
-  EXPECT_EQ(telemetry.phases[0].calls, 2);
-  EXPECT_EQ(telemetry.TotalMs(), 6.0);
-}
-
-TEST(TelemetryTest, CountersMergeByName) {
-  obs::RunTelemetry telemetry;
-  telemetry.AddCount("batches", 2);
-  telemetry.AddCount("batches", 3);
-  EXPECT_EQ(telemetry.Count("batches"), 5);
-  EXPECT_EQ(telemetry.Count("missing"), 0);
-}
-
-TEST(TelemetryTest, MergeAccumulatesFieldWise) {
-  obs::RunTelemetry a;
-  a.AddPhase("test", 1.0);
-  a.tests_executed = 3;
-  a.exact_tests = 1;
-  a.AddCount("ci_tests", 3);
-  obs::RunTelemetry b;
-  b.AddPhase("test", 2.0);
-  b.tests_executed = 4;
-  b.asymptotic_tests = 4;
-  b.AddCount("ci_tests", 2);
-  a.Merge(b);
-  EXPECT_EQ(a.phases.size(), 1u);
-  EXPECT_EQ(a.phases[0].ms, 3.0);
-  EXPECT_EQ(a.tests_executed, 7);
-  EXPECT_EQ(a.exact_tests, 1);
-  EXPECT_EQ(a.asymptotic_tests, 4);
-  EXPECT_EQ(a.Count("ci_tests"), 5);
-}
-
-TEST(TelemetryTest, ToJsonRoundTrips) {
-  obs::RunTelemetry telemetry;
-  telemetry.AddPhase("detect", 1.5);
-  telemetry.tests_executed = 9;
-  telemetry.rows_scanned = 1000;
-  telemetry.AddCount("components", 2);
-  Result<JsonValue> parsed = ParseJson(telemetry.ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->Find("tests_executed")->number, 9.0);
-  EXPECT_EQ(parsed->Find("rows_scanned")->number, 1000.0);
-  const JsonValue* phases = parsed->Find("phases");
-  ASSERT_NE(phases, nullptr);
-  ASSERT_EQ(phases->array.size(), 1u);
-  EXPECT_EQ(phases->array[0].Find("name")->string_value, "detect");
-  EXPECT_EQ(parsed->Find("counters")->Find("components")->number, 2.0);
-}
-
-TEST(TelemetryTest, PhaseTimerRecordsOnceWithExplicitStop) {
-  obs::RunTelemetry telemetry;
-  {
-    obs::PhaseTimer timer(&telemetry, "work");
-    timer.Stop();
-    // Destructor must not double-record after Stop().
-  }
-  ASSERT_EQ(telemetry.phases.size(), 1u);
-  EXPECT_EQ(telemetry.phases[0].calls, 1);
-}
-
-TEST(TelemetryTest, PhaseTimerToleratesNullTelemetry) {
-  obs::PhaseTimer timer(nullptr, "span_only");
-  timer.Stop();  // must not crash
-}
-
 // ------------------------------------------------------------ JSON parser
 
 TEST(JsonParserTest, ParsesAllValueKinds) {
@@ -552,16 +476,17 @@ TEST(CliObservabilityTest, CheckWithStatsReportsExecutedTests) {
   int rc = std::system(command.c_str());
   ASSERT_EQ(rc, 0) << "command failed: " << command;
 
-  // --stats: telemetry with nonzero tests_executed and per-phase timings,
-  // plus the process-wide metrics snapshot.
+  // --stats: per-span timings from the profiler it arms, plus the
+  // process-wide metrics snapshot with nonzero tests_executed.
   Result<JsonValue> stats = ParseJson(ReadAll(stats_path));
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  const JsonValue* telemetry = stats->Find("telemetry");
-  ASSERT_NE(telemetry, nullptr);
-  EXPECT_GT(telemetry->Find("tests_executed")->number, 0.0);
-  const JsonValue* phases = telemetry->Find("phases");
-  ASSERT_NE(phases, nullptr);
-  EXPECT_FALSE(phases->array.empty());
+#if !defined(SCODED_OBS_DISABLED)
+  const JsonValue* profile = stats->Find("profile");
+  ASSERT_NE(profile, nullptr);
+  const JsonValue* spans = profile->Find("spans");
+  ASSERT_NE(spans, nullptr);
+  EXPECT_FALSE(spans->array.empty());
+#endif
   const JsonValue* metrics = stats->Find("metrics");
   ASSERT_NE(metrics, nullptr);
   const JsonValue* counters = metrics->Find("counters");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "table/table.h"
 
 namespace scoded {
@@ -101,6 +102,32 @@ TEST(PcTest, IsolatedVariableDisconnected) {
   EXPECT_TRUE(result.IsAdjacent(0, 1));
   EXPECT_FALSE(result.IsAdjacent(0, 2));
   EXPECT_FALSE(result.IsAdjacent(1, 2));
+}
+
+TEST(PcTest, PrunedEdgesReachTheRegistry) {
+  // Every skeleton edge PC removes is counted once, in
+  // discovery.pc_edges_pruned: here a-noise and b-noise.
+  Rng rng(3);
+  std::vector<double> a;
+  std::vector<double> b;
+  std::vector<double> noise;
+  for (int i = 0; i < 400; ++i) {
+    double av = rng.Normal();
+    a.push_back(av);
+    b.push_back(av + rng.Normal(0.0, 0.5));
+    noise.push_back(rng.Normal());
+  }
+  TableBuilder builder;
+  builder.AddNumeric("a", a);
+  builder.AddNumeric("b", b);
+  builder.AddNumeric("noise", noise);
+  Table table = std::move(builder).Build().value();
+  const obs::Counter* pruned =
+      obs::Metrics::Global().FindOrCreateCounter("discovery.pc_edges_pruned");
+  const int64_t before = pruned->Value();
+  PcResult result = LearnPcStructure(table).value();
+  EXPECT_EQ(result.separating_sets.size(), 2u);
+  EXPECT_EQ(pruned->Value() - before, 2);
 }
 
 TEST(PcTest, DiscoveredConstraintsCoverAllPairs) {

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "core/violation.h"
+#include "obs/metrics.h"
 #include "stats/hypothesis.h"
 #include "stats/kendall.h"
 #include "table/table.h"
@@ -137,6 +138,35 @@ TEST(ScMonitorTest, NullsExcludedButCounted) {
   ASSERT_TRUE(monitor.Append(batch).ok());
   EXPECT_EQ(monitor.NumRecords(), 3u);
   EXPECT_DOUBLE_EQ(monitor.CurrentStatistic(), 1.0);  // one concordant pair
+}
+
+TEST(ScMonitorTest, NullAndEvictionCountsReachTheRegistry) {
+  // Skipped nulls and window evictions are added to the registry once per
+  // append call, whether the call carries a batch or one observation.
+  const obs::Counter* nulls =
+      obs::Metrics::Global().FindOrCreateCounter("core.monitor_null_rows_skipped");
+  const obs::Counter* evicted =
+      obs::Metrics::Global().FindOrCreateCounter("core.monitor_rows_evicted");
+  ApproximateSc asc{ParseConstraint("x !_||_ y").value(), 0.3};
+  MonitorOptions mopts;
+  mopts.window = 5;
+  ScMonitor monitor = ScMonitor::Create(NumericPrototype(), asc, {}, mopts).value();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(monitor.AppendNumeric(i, i).ok());
+  }
+  const int64_t nulls_before = nulls->Value();
+  const int64_t evicted_before = evicted->Value();
+  TableBuilder builder;
+  builder.AddNumericWithNulls("x", {1.0, 0.0, 2.0, 3.0, 0.0, 4.0, 5.0},
+                              {true, false, true, true, false, true, true});
+  builder.AddNumeric("y", {1.0, 5.0, 2.0, 3.0, 6.0, 4.0, 5.0});
+  ASSERT_TRUE(monitor.Append(std::move(builder).Build().value()).ok());
+  // Five non-null rows join four live ones in a window of five.
+  EXPECT_EQ(nulls->Value() - nulls_before, 2);
+  EXPECT_EQ(evicted->Value() - evicted_before, 4);
+  EXPECT_EQ(monitor.WindowOccupancy(), 5u);
+  ASSERT_TRUE(monitor.AppendNumeric(9.0, 9.0).ok());
+  EXPECT_EQ(evicted->Value() - evicted_before, 5);
 }
 
 TEST(ScMonitorTest, TypeMismatchAppendRejected) {

@@ -57,9 +57,9 @@
 // Observability (any subcommand):
 //   --trace-out FILE   write a Chrome trace-event JSON of the run
 //                      (load in chrome://tracing or ui.perfetto.dev)
-//   --stats [FILE]     emit a JSON run summary (phase wall-clock, tests
-//                      executed, counters, metrics snapshot, build info);
-//                      without a FILE it goes to stderr
+//   --stats [FILE]     emit a JSON run summary (build info, metrics
+//                      registry snapshot, per-span profile; arms the
+//                      profiler); without a FILE it goes to stderr
 //   --profile [FILE]   aggregate spans in-process: without a FILE, print
 //                      a self-time table to stderr; with a FILE, write the
 //                      full profile JSON (flat stats + caller/callee edges
@@ -135,7 +135,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/telemetry.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "repair/cell_repair.h"
@@ -151,11 +150,6 @@
 namespace {
 
 using namespace scoded;
-
-// Run-level telemetry for --stats: command handlers merge the telemetry of
-// the results they produce, and main() wraps the whole dispatch in one
-// "cli/main" phase.
-obs::RunTelemetry g_telemetry;
 
 struct Args {
   std::string command;
@@ -390,7 +384,6 @@ int RunCheck(const Args& args) {
     if (!result.ok()) {
       return Fail(result.status());
     }
-    g_telemetry.Merge(result->telemetry);
     const ViolationReport& report = result->reports[0];
     std::fputs(serve::CheckResultLine(*asc, report).c_str(), stdout);
     return report.violated ? 2 : 0;
@@ -405,7 +398,6 @@ int RunCheck(const Args& args) {
   if (!report.ok()) {
     return Fail(report.status());
   }
-  g_telemetry.Merge(report->telemetry);
   std::fputs(serve::CheckResultLine(*asc, *report).c_str(), stdout);
   return report->violated ? 2 : 0;
 }
@@ -426,7 +418,6 @@ int RunDrill(const Args& args) {
   if (!result.ok()) {
     return Fail(result.status());
   }
-  g_telemetry.Merge(result->telemetry);
   std::printf("top-%zu suspicious records for %s (statistic %.4g -> %.4g):\n",
               result->rows.size(), asc->sc.ToString().c_str(), result->initial_statistic,
               result->final_statistic);
@@ -451,7 +442,6 @@ int RunPartition(const Args& args) {
   if (!result.ok()) {
     return Fail(result.status());
   }
-  g_telemetry.Merge(result->telemetry);
   std::printf("removed %zu records; p: %.4g -> %.4g; constraint %s\n",
               result->removed_rows.size(), result->initial_p, result->final_p,
               result->satisfied ? "restored" : "NOT restored within budget");
@@ -597,7 +587,6 @@ int RunMonitor(const Args& args) {
       std::fputs(serve::MonitorStateLine(state).c_str(), stdout);
     }
   }
-  g_telemetry.Merge(stream->AggregateTelemetry());
   return stream->AnyViolated() ? 2 : 0;
 }
 
@@ -618,7 +607,6 @@ int RunDiscover(const Args& args) {
   if (!result.ok()) {
     return Fail(result.status());
   }
-  g_telemetry.Merge(result->telemetry);
   std::printf("discovered constraints (PC, alpha = %g, max conditioning = %d):\n",
               options.alpha, options.max_conditioning);
   for (const StatisticalConstraint& sc : result->DiscoveredConstraints()) {
@@ -950,7 +938,6 @@ int RunServe(const Args& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   server.Stop();
-  g_telemetry.Merge(server.TelemetrySnapshot());
   std::printf("scoded serve: shut down cleanly\n");
   return 0;
 }
@@ -1287,12 +1274,8 @@ int EmitObservability(const Args& args, int rc) {
     json.Key("command").String(args.command);
     json.Key("exit_code").Int(rc);
     json.Key("build").Raw(obs::BuildInfoJson());
-    json.Key("telemetry");
-    g_telemetry.WriteJson(json);
     json.Key("metrics").Raw(obs::Metrics::Global().SnapshotJson());
-    if (obs::Profiler::Global().NumSpanNames() > 0) {
-      json.Key("profile").Raw(obs::Profiler::Global().SnapshotJson());
-    }
+    json.Key("profile").Raw(obs::Profiler::Global().SnapshotJson());
     json.EndObject();
     if (stats->second == "-") {
       std::fprintf(stderr, "%s\n", json.str().c_str());
@@ -1332,7 +1315,8 @@ int main(int argc, char** argv) {
   if (args.flags.count("trace-out") > 0) {
     obs::Tracer::Global().Enable();
   }
-  if (args.flags.count("profile") > 0) {
+  // --stats reports per-span times from the profiler, so it arms it too.
+  if (args.flags.count("profile") > 0 || args.flags.count("stats") > 0) {
     obs::EnableProfiler();
   }
   // Live telemetry endpoint: --metrics-port wins over SCODED_METRICS_PORT.
@@ -1443,9 +1427,9 @@ int main(int argc, char** argv) {
   }
   int rc = 1;
   {
-    obs::PhaseTimer timer(&g_telemetry, "cli/main");
-    if (timer.span().active()) {
-      timer.span().Arg("command", args.command);
+    obs::ScopedSpan span("cli/main");
+    if (span.active()) {
+      span.Arg("command", args.command);
     }
     rc = Dispatch(args);
   }
