@@ -21,8 +21,8 @@ namespace {
 
 // Dispatch granularity: the shard range is cut into about this many
 // contiguous tasks per lane, so a lost lane forfeits at most ~1/4 of its
-// share, and one in-process lane folds a finished task while it reads the
-// next.
+// share, and a single lane folds each task's summaries before it reads
+// the next task's shards.
 constexpr uint64_t kTasksPerLane = 4;
 
 // Column-bound checks the PairwiseShardSummary constructor would enforce
@@ -104,6 +104,21 @@ Result<ShardRangeSummary> SummarizeShardRange(ShardCursor& cursor,
     SCODED_RETURN_IF_ERROR(ValidateSpec(spec, schema));
     out.summaries.emplace_back(schema, spec);
   }
+  // Per spec, summaries of consecutive shard groups, oldest first. Two
+  // neighbours covering equally many shards merge, as in a binary counter,
+  // so a cell is copied O(log shards) times rather than once per later
+  // shard. Merging is associative, so the result equals a left fold.
+  struct Pending {
+    PairwiseShardSummary summary;
+    uint64_t shards = 0;
+  };
+  std::vector<std::vector<Pending>> pending(specs.size());
+  auto merge_top = [](std::vector<Pending>& stack) {
+    Pending& left = stack[stack.size() - 2];
+    left.summary.Merge(stack.back().summary);
+    left.shards += stack.back().shards;
+    stack.pop_back();
+  };
   // Skip to the range start, tracking the true global row offset (every
   // shard before the last is full, but counting is cheaper to trust than
   // to assume).
@@ -115,11 +130,15 @@ Result<ShardRangeSummary> SummarizeShardRange(ShardCursor& cursor,
     cursor.row_offset += shard->NumRows();
     ++cursor.next_shard;
   }
-  // Read the range in waves: up to `wave` shards serially, every (shard,
-  // spec) pair summarised on the pool, the partials folded serially in
-  // (shard, spec) order — the fold order, and hence every result, is
-  // thread-count independent.
-  const size_t wave = std::max<size_t>(1, std::min<size_t>(parallel::Threads(), 4));
+  // Read the range in waves: `wave` shards serially, every (shard, spec)
+  // pair summarised on the pool, the partials folded serially in (shard,
+  // spec) order — the fold order, and hence every result, is thread-count
+  // independent. A wave's shards are held at once, so a wave is only as
+  // many shards (at most 4) as it takes to give every thread a pair: one
+  // shard whenever there are at least as many specs as threads.
+  const size_t threads = std::max(1, parallel::Threads());
+  const size_t num_specs = std::max<size_t>(1, specs.size());
+  const size_t wave = std::clamp<size_t>((threads + num_specs - 1) / num_specs, 1, 4);
   while (cursor.next_shard < end) {
     std::vector<Table> shards;
     std::vector<uint64_t> offsets;
@@ -166,13 +185,26 @@ Result<ShardRangeSummary> SummarizeShardRange(ShardCursor& cursor,
           return PairwiseShardSummary::FromShard(shards[s], specs[c], offsets[s]);
         });
     for (size_t t = 0; t < tasks; ++t) {
-      out.summaries[t % specs.size()].Merge(partials[t]);
+      std::vector<Pending>& stack = pending[t % specs.size()];
+      stack.push_back({std::move(partials[t]), 1});
+      while (stack.size() >= 2 && stack[stack.size() - 2].shards == stack.back().shards) {
+        merge_top(stack);
+      }
     }
     for (const Table& shard : shards) {
       shard_rows_counter->Add(static_cast<int64_t>(shard.NumRows()));
       out.rows += shard.NumRows();
     }
     shard_merges_counter->Add(static_cast<int64_t>(tasks));
+  }
+  for (size_t c = 0; c < specs.size(); ++c) {
+    std::vector<Pending>& stack = pending[c];
+    while (stack.size() >= 2) {
+      merge_top(stack);
+    }
+    if (!stack.empty()) {
+      out.summaries[c] = std::move(stack.front().summary);
+    }
   }
   if (cursor.next_shard == num_shards) {
     // The range reached the end of the file: drain the reader so its
@@ -244,19 +276,25 @@ Result<ShardedCheckResult> FinishShardedCheck(const std::string& path,
   out.rows = rows;
   std::vector<ShardedComponent>& components = plan.components;
 
-  // Finish every component; components whose G-test needs the permutation
-  // fallback get their row-order code vectors from a second pass.
-  bool any_row_pass = false;
-  for (ShardedComponent& state : components) {
-    SCODED_ASSIGN_OR_RETURN(PairwiseShardSummary::FinishOutcome outcome,
-                            state.summary.Finish(options.test));
-    state.result = outcome.result;
-    state.needs_row_pass = outcome.needs_row_pass;
-    if (state.needs_row_pass) {
-      state.permutation_strata.resize(state.summary.NumPermutationStrata());
-      any_row_pass = true;
-    }
-  }
+  // Finish every component, one per pool task as CheckAll runs one
+  // constraint per task: each writes only its own component, and the first
+  // error in component order wins. Components whose G-test needs the
+  // permutation fallback get their row-order code vectors from a second
+  // pass.
+  SCODED_RETURN_IF_ERROR(
+      parallel::ParallelForStatus(0, components.size(), /*grain=*/1, [&](size_t c) -> Status {
+        ShardedComponent& state = components[c];
+        SCODED_ASSIGN_OR_RETURN(PairwiseShardSummary::FinishOutcome outcome,
+                                state.summary.Finish(options.test));
+        state.result = outcome.result;
+        state.needs_row_pass = outcome.needs_row_pass;
+        if (state.needs_row_pass) {
+          state.permutation_strata.resize(state.summary.NumPermutationStrata());
+        }
+        return OkStatus();
+      }));
+  const bool any_row_pass = std::any_of(components.begin(), components.end(),
+                                         [](const ShardedComponent& c) { return c.needs_row_pass; });
   if (any_row_pass) {
     obs::ScopedSpan pass_span("core/shard_permutation_pass");
     SCODED_ASSIGN_OR_RETURN(csv::ShardReader second,
@@ -394,99 +432,127 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
   bool aborted = false;
   Status abort_status;
 
-  std::vector<std::thread> pumps;
-  pumps.reserve(num_lanes);
+  // Per-lane tallies behind the dist.worker<w>.* gauges.
+  struct LaneProgress {
+    obs::Gauge* assigned_gauge;
+    obs::Gauge* done_gauge;
+    obs::Gauge* bytes_gauge;
+    obs::Gauge* rows_gauge;
+    uint64_t assigned = 0;
+    uint64_t done = 0;
+    uint64_t bytes = 0;
+    uint64_t rows = 0;
+  };
+  std::vector<LaneProgress> progress;
+  progress.reserve(num_lanes);
   for (size_t w = 0; w < num_lanes; ++w) {
-    pumps.emplace_back([&, w] {
-      ShardLane& lane = *lanes[w];
-      obs::Gauge* const assigned_gauge = LaneGauge(w, "shards_assigned");
-      obs::Gauge* const done_gauge = LaneGauge(w, "shards_done");
-      obs::Gauge* const bytes_gauge = LaneGauge(w, "bytes");
-      obs::Gauge* const rows_gauge = LaneGauge(w, "rows");
-      uint64_t assigned = 0;
-      uint64_t done = 0;
-      uint64_t bytes = 0;
-      uint64_t rows = 0;
-      for (;;) {
-        uint64_t task;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return !queue.empty() || completed == num_tasks || aborted; });
-          if (completed == num_tasks || aborted) {
-            return;
-          }
-          // Prefer this lane's own contiguous block of tasks: a lane that
-          // only ever advances through adjacent ranges streams the file
-          // forward once, while interleaved pulls would make every lane
-          // skip-read the gaps between its tasks. Falling back to the
-          // queue head (stealing) keeps retries and stragglers moving.
-          auto it = std::find_if(queue.begin(), queue.end(), [&](uint64_t t) {
-            return t * num_lanes / num_tasks == w;
-          });
-          if (it == queue.end()) {
-            it = queue.begin();
-          }
-          task = *it;
-          queue.erase(it);
-        }
-        const auto [begin, end] = tasks[task];
-        assigned += end - begin;
-        assigned_gauge->Set(static_cast<double>(assigned));
-        LaneResult result;
-        {
-          obs::ScopedSpan dispatch_span("dist/dispatch");
-          if (dispatch_span.active()) {
-            dispatch_span.Arg("worker", static_cast<int64_t>(w))
-                .Arg("task", static_cast<int64_t>(task))
-                .Arg("begin", static_cast<int64_t>(begin))
-                .Arg("end", static_cast<int64_t>(end));
-          }
-          try {
-            result = lane.Summarize(begin, end);
-          } catch (const std::exception& e) {
-            // Nothing may escape a pump thread; the run fails instead.
-            result = {LaneResult::Kind::kFatal,
-                      InternalError(std::string("shard lane failed: ") + e.what())};
-          }
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (result.kind == LaneResult::Kind::kOk) {
-          done += end - begin;
-          bytes += result.bytes;
-          rows += result.range.rows;
-          done_gauge->Set(static_cast<double>(done));
-          bytes_gauge->Set(static_cast<double>(bytes));
-          rows_gauge->Set(static_cast<double>(rows));
-          results[task] = std::move(result);
-          ++completed;
-          obs::Heartbeat("dist.task_done", static_cast<int64_t>(completed));
-          cv.notify_all();
-          continue;
-        }
-        // Retry earliest-first so the in-order fold unblocks soonest.
-        queue.push_front(task);
-        if (result.kind == LaneResult::Kind::kLost) {
-          tasks_retried->Add();
-          lanes_lost->Add();
-          lanes_live_gauge->Set(static_cast<double>(--live_lanes));
-          lane.Kill();
-          result.status = UnavailableError(
-              "all workers lost with work outstanding; last failure: " +
-              result.status.ToString());
-        }
-        if (!aborted && (result.kind == LaneResult::Kind::kFatal || live_lanes == 0)) {
-          aborted = true;
-          abort_status = result.status;
-        }
-        cv.notify_all();
-        return;
+    progress.push_back({LaneGauge(w, "shards_assigned"), LaneGauge(w, "shards_done"),
+                        LaneGauge(w, "bytes"), LaneGauge(w, "rows")});
+  }
+
+  // Takes one task for lane `w`, waiting while other lanes hold the rest,
+  // runs it and files the outcome. Returns false once the lane is done:
+  // no task is left, the run aborted, or this task failed.
+  auto pump_one = [&](size_t w) -> bool {
+    ShardLane& lane = *lanes[w];
+    LaneProgress& tally = progress[w];
+    uint64_t task;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return !queue.empty() || completed == num_tasks || aborted; });
+      if (completed == num_tasks || aborted) {
+        return false;
       }
-    });
+      // Prefer this lane's own contiguous block of tasks: a lane that
+      // only ever advances through adjacent ranges streams the file
+      // forward once, while interleaved pulls would make every lane
+      // skip-read the gaps between its tasks. Falling back to the
+      // queue head (stealing) keeps retries and stragglers moving.
+      auto it = std::find_if(queue.begin(), queue.end(),
+                             [&](uint64_t t) { return t * num_lanes / num_tasks == w; });
+      if (it == queue.end()) {
+        it = queue.begin();
+      }
+      task = *it;
+      queue.erase(it);
+    }
+    const auto [begin, end] = tasks[task];
+    tally.assigned += end - begin;
+    tally.assigned_gauge->Set(static_cast<double>(tally.assigned));
+    LaneResult result;
+    {
+      obs::ScopedSpan dispatch_span("dist/dispatch");
+      if (dispatch_span.active()) {
+        dispatch_span.Arg("worker", static_cast<int64_t>(w))
+            .Arg("task", static_cast<int64_t>(task))
+            .Arg("begin", static_cast<int64_t>(begin))
+            .Arg("end", static_cast<int64_t>(end));
+      }
+      try {
+        result = lane.Summarize(begin, end);
+      } catch (const std::exception& e) {
+        // Nothing may escape a pump thread; the run fails instead.
+        result = {LaneResult::Kind::kFatal,
+                  InternalError(std::string("shard lane failed: ") + e.what())};
+      }
+      if (dispatch_span.active()) {
+        dispatch_span.Arg("bytes", static_cast<int64_t>(result.bytes));
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    if (result.kind == LaneResult::Kind::kOk) {
+      tally.done += end - begin;
+      tally.bytes += result.bytes;
+      tally.rows += result.range.rows;
+      tally.done_gauge->Set(static_cast<double>(tally.done));
+      tally.bytes_gauge->Set(static_cast<double>(tally.bytes));
+      tally.rows_gauge->Set(static_cast<double>(tally.rows));
+      results[task] = std::move(result);
+      ++completed;
+      obs::Heartbeat("dist.task_done", static_cast<int64_t>(completed));
+      cv.notify_all();
+      return true;
+    }
+    // Retry earliest-first so the in-order fold unblocks soonest.
+    queue.push_front(task);
+    if (result.kind == LaneResult::Kind::kLost) {
+      tasks_retried->Add();
+      lanes_lost->Add();
+      lanes_live_gauge->Set(static_cast<double>(--live_lanes));
+      lane.Kill();
+      result.status = UnavailableError("all workers lost with work outstanding; last failure: " +
+                                       result.status.ToString());
+    }
+    if (!aborted && (result.kind == LaneResult::Kind::kFatal || live_lanes == 0)) {
+      aborted = true;
+      abort_status = result.status;
+    }
+    cv.notify_all();
+    return false;
+  };
+
+  // A single lane runs on this thread, one task before each fold. A pump
+  // thread would only hand it the tasks and wait, and a thread started per
+  // run takes its heap from whichever malloc arena an exited thread left
+  // behind, so the pages a run touches would vary with what ran before it.
+  const bool inline_lane = num_lanes == 1;
+  std::vector<std::thread> pumps;
+  if (!inline_lane) {
+    pumps.reserve(num_lanes);
+    for (size_t w = 0; w < num_lanes; ++w) {
+      pumps.emplace_back([&, w] {
+        while (pump_one(w)) {
+        }
+      });
+    }
   }
 
   // Fold in task order as results land.
   uint64_t folded_rows = 0;
   for (uint64_t t = 0; t < num_tasks; ++t) {
+    if (inline_lane) {
+      pump_one(0);  // the queue head is task t, the lane's own
+    }
     std::optional<LaneResult> result;
     {
       std::unique_lock<std::mutex> lock(mu);

@@ -79,8 +79,9 @@ Result<ShardedCheckPlan> PrepareShardedCheck(const Table& schema,
                                              const std::vector<ApproximateSc>& constraints,
                                              const TestOptions& test);
 
-/// The shared back half: finishes every component summary (re-streaming
-/// `path` for components whose G-test fell back to the permutation null),
+/// The shared back half: finishes every component summary, one per pool
+/// task (re-streaming `path` for components whose G-test fell back to the
+/// permutation null),
 /// assembles one ViolationReport per constraint exactly as DetectViolation
 /// would, and publishes the per-constraint progress gauges. `shards` and
 /// `rows` report how much input the caller streamed.
@@ -111,12 +112,13 @@ struct ShardRangeSummary {
 /// in-process lane and `scoded worker` alike: summarises shards
 /// [begin, end) of `cursor.path`, one summary per spec. Advances the
 /// cursor's reader, and opens a new one (a full first pass) only when
-/// there is none or it has passed `begin`. Shards are read in waves of up
-/// to min(parallel::Threads(), 4), each (shard, spec) pair summarised on
-/// the pool and folded in (shard, spec) order. A range ending at the last
-/// shard drains the reader, so a file changed since its first pass fails
-/// with kDataLoss. Specs and the range are validated: they may come off
-/// the wire.
+/// there is none or it has passed `begin`. Shards are read in waves of
+/// ceil(parallel::Threads() / specs), at most 4, each (shard, spec) pair
+/// summarised on the pool, and each spec's partials folded in shard order,
+/// neighbours of equal shard count first. A range ending at the last shard
+/// drains the reader, so a file changed since its first pass fails with
+/// kDataLoss. Specs and the range are validated: they may come off the
+/// wire.
 Result<ShardRangeSummary> SummarizeShardRange(ShardCursor& cursor,
                                               const std::vector<PairwiseShardSummary::Spec>& specs,
                                               uint64_t begin, uint64_t end);
@@ -135,8 +137,9 @@ struct LaneResult {
 };
 
 /// Summarises shard-range tasks for RunShardedCheck, one at a time, on a
-/// pump thread of its own. Kill() comes from another thread when the lane
-/// is lost or the run aborts and must unblock a Summarize in flight.
+/// pump thread of its own, or on the calling thread when it is the run's
+/// only lane. Kill() comes from another thread when the lane is lost or
+/// the run aborts and must unblock a Summarize in flight.
 class ShardLane {
  public:
   virtual ~ShardLane() = default;
@@ -155,9 +158,10 @@ using ShardLaneFactory = std::function<Result<ShardLanes>(
 /// dist::DistributedCheckAll: first pass, `progress.*` gauges and plan,
 /// and only then the lanes. [0, num_shards) is cut into about 4
 /// contiguous tasks per lane; a lane's pump prefers its own stripe of
-/// tasks and steals when idle. Results fold strictly in task order, so
-/// every report bit is the same at any lane count. A lost lane's task is
-/// retried on the survivors (kUnavailable once none is left); a fatal
+/// tasks and steals when idle, and a single lane runs on the calling
+/// thread, one task before each fold. Results fold strictly in task order,
+/// so every report bit is the same at any lane count. A lost lane's task
+/// is retried on the survivors (kUnavailable once none is left); a fatal
 /// result aborts. A folded row total unlike the first pass's is kDataLoss.
 Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
                                            const std::vector<ApproximateSc>& constraints,

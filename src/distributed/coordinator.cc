@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/json.h"
-#include "common/string_util.h"
 #include "obs/trace.h"
 #include "serve/wire.h"
 #include "table/csv_stream.h"
@@ -52,28 +51,21 @@ std::string SummarizeRequestHead(const std::string& path, const csv::ShardReader
 // worker or transport — dead channel, deadline, torn or malformed frame,
 // summaries that fail restoration — is kLost; a well-formed error
 // envelope is the worker correctly reporting a problem retrying elsewhere
-// cannot cure, so it is kFatal.
+// cannot cure, so it is kFatal. Destroying the channel closes it, and the
+// worker exits on the EOF: every socket is close-on-exec, so no other
+// worker holds this one's coordinator end open.
 class ChannelLane : public ShardLane {
  public:
   ChannelLane(std::unique_ptr<WorkerChannel> channel, std::string request_head,
-              int deadline_millis, const Table& schema,
+              int deadline_millis, uint64_t shard_rows, uint64_t file_rows, const Table& schema,
               const std::vector<PairwiseShardSummary::Spec>& specs)
       : channel_(std::move(channel)),
         request_head_(std::move(request_head)),
         deadline_millis_(deadline_millis),
+        shard_rows_(shard_rows),
+        file_rows_(file_rows),
         schema_(schema),
         specs_(specs) {}
-
-  // Dismisses the worker before its channel closes: fork/exec workers
-  // inherit the coordinator's end of their own socket and of every
-  // earlier worker's, so closing ours alone does not reach the worker as
-  // EOF. On a killed channel the send fails at once; failures are not
-  // errors, since teardown still reaps the worker.
-  ~ChannelLane() override {
-    if (channel_->Send("{\"op\":\"shutdown\"}").ok()) {
-      (void)channel_->Receive(/*deadline_millis=*/2000);
-    }
-  }
 
   LaneResult Summarize(uint64_t begin, uint64_t end) override {
     std::string request = request_head_ + ",\"begin\":" + std::to_string(begin) +
@@ -82,14 +74,22 @@ class ChannelLane : public ShardLane {
     if (!sent.ok()) {
       return Lost(sent);
     }
-    Result<std::string> payload = channel_->Receive(deadline_millis_);
-    if (!payload.ok()) {
-      if (payload.status().code() == StatusCode::kDeadlineExceeded) {
+    uint64_t bytes = 0;
+    auto receive = [&]() -> Result<std::string> {
+      Result<std::string> payload = channel_->Receive(deadline_millis_);
+      if (!payload.ok() && payload.status().code() == StatusCode::kDeadlineExceeded) {
         channel_->Kill();  // a stalled worker keeps the socket open; cut it
       }
-      return Lost(payload.status());
+      if (payload.ok()) {
+        bytes += payload->size();
+      }
+      return payload;
+    };
+    Result<std::string> head = receive();
+    if (!head.ok()) {
+      return Lost(head.status());
     }
-    Result<JsonValue> response = ParseJson(*payload);
+    Result<JsonValue> response = ParseJson(*head);
     if (!response.ok()) {
       return Lost(response.status());
     }
@@ -107,39 +107,39 @@ class ChannelLane : public ShardLane {
                                        ? message->string_value
                                        : std::string("unspecified error")))};
     }
-    const JsonValue* rows = response->Find("rows");
     const JsonValue* summaries = response->Find("summaries");
-    if (rows == nullptr || !rows->is_string() || summaries == nullptr || !summaries->is_array()) {
-      return Lost(InternalError("worker response is missing rows or summaries"));
+    if (summaries == nullptr) {
+      return Lost(InternalError("worker response does not count its summaries"));
     }
-    Result<int64_t> range_rows = ParseCheckedInt(rows->string_value, 0, INT64_MAX, "worker rows");
-    if (!range_rows.ok()) {
-      return Lost(range_rows.status());
+    Result<int64_t> count = JsonInteger(*summaries, 0, INT64_MAX, "worker summaries");
+    if (!count.ok()) {
+      return Lost(count.status());
     }
-    if (summaries->array.size() != specs_.size()) {
-      return Lost(InternalError("worker returned " + std::to_string(summaries->array.size()) +
+    if (static_cast<uint64_t>(*count) != specs_.size()) {
+      return Lost(InternalError("worker returned " + std::to_string(*count) +
                                 " summaries, expected " + std::to_string(specs_.size())));
     }
+    // The most rows shards [begin, end) can hold: the bound on every count
+    // the body announces.
+    uint64_t max_rows = file_rows_;
+    if (end - begin <= file_rows_ / shard_rows_) {
+      max_rows = std::min(max_rows, (end - begin) * shard_rows_);
+    }
+    Result<serve::ShardSummaryFrames> body =
+        serve::ReadShardSummaryFrames(receive, specs_, max_rows);
+    if (!body.ok()) {
+      return Lost(body.status());
+    }
     LaneResult result{LaneResult::Kind::kOk};
-    result.range.rows = static_cast<uint64_t>(*range_rows);
-    result.bytes = payload->size();
+    result.range.rows = body->rows;
+    result.bytes = bytes;
     result.range.summaries.reserve(specs_.size());
-    for (size_t c = 0; c < specs_.size(); ++c) {
-      Result<PairwiseShardSummary::Snapshot> snapshot =
-          serve::ParseShardSummaryJson(summaries->array[c]);
-      if (!snapshot.ok()) {
-        return Lost(snapshot.status());
-      }
-      const PairwiseShardSummary::Spec& want = specs_[c];
-      if (snapshot->spec.x_col != want.x_col || snapshot->spec.y_col != want.y_col ||
-          snapshot->spec.z_cols != want.z_cols) {
-        return Lost(InternalError("worker summary answers the wrong component"));
-      }
-      if (snapshot->rows != *range_rows) {
+    for (PairwiseShardSummary::Snapshot& snapshot : body->snapshots) {
+      if (snapshot.rows != static_cast<int64_t>(body->rows)) {
         return Lost(InternalError("worker summaries disagree on the row count"));
       }
       Result<PairwiseShardSummary> restored =
-          PairwiseShardSummary::FromSnapshot(schema_, *snapshot);
+          PairwiseShardSummary::FromSnapshot(schema_, std::move(snapshot));
       if (!restored.ok()) {
         return Lost(restored.status());
       }
@@ -156,6 +156,8 @@ class ChannelLane : public ShardLane {
   std::unique_ptr<WorkerChannel> channel_;
   std::string request_head_;
   int deadline_millis_;
+  uint64_t shard_rows_;
+  uint64_t file_rows_;
   const Table& schema_;
   const std::vector<PairwiseShardSummary::Spec>& specs_;
 };
@@ -176,14 +178,16 @@ Result<ShardedCheckResult> DistributedCheckAll(const std::string& path,
   }
   return RunShardedCheck(
       path, constraints, options.base,
-      [&](csv::ShardReader&, const Table& schema,
+      [&](csv::ShardReader& reader, const Table& schema,
           const std::vector<PairwiseShardSummary::Spec>& specs) -> Result<ShardLanes> {
         std::string head = SummarizeRequestHead(path, options.base.reader, specs);
         ShardLanes lanes;
         for (size_t w = 0; w < static_cast<size_t>(options.workers); ++w) {
           SCODED_ASSIGN_OR_RETURN(std::unique_ptr<WorkerChannel> channel, substrate.Spawn(w));
-          lanes.push_back(std::make_unique<ChannelLane>(std::move(channel), head,
-                                                        options.deadline_millis, schema, specs));
+          lanes.push_back(std::make_unique<ChannelLane>(
+              std::move(channel), head, options.deadline_millis,
+              std::max<uint64_t>(1, options.base.reader.shard_rows), reader.num_data_rows(),
+              schema, specs));
         }
         return lanes;
       });

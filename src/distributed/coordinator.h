@@ -26,12 +26,14 @@ struct DistributedCheckOptions {
 /// The sharded-check driver (RunShardedCheck in core/sharded_check.h) over
 /// one lane per worker spawned from `substrate`, after the driver's first
 /// pass and plan succeed: each task travels as a summarize request, and
-/// the summaries come back in the exact integer wire form, so every report
-/// bit is identical to ShardedCheckAll at any worker count.
+/// the summaries come back as exact integer binary frames
+/// (serve::ReadShardSummaryFrames), so every report bit is identical to
+/// ShardedCheckAll at any worker count.
 ///
 /// A worker that dies (kUnavailable / kDataLoss), stalls past the deadline
-/// (it is killed), or returns a response that fails validation (codec
-/// round-trip, spec match, row accounting) is lost and its task retried;
+/// (it is killed), or returns a response that fails validation (counts
+/// past the task's row bound, spec match, row accounting, FromSnapshot's
+/// invariants) is lost and its task retried;
 /// nothing is folded before it validates. A well-formed error envelope
 /// (bad file, Spearman refusal, file changed between passes) aborts the
 /// run with that worker's status.

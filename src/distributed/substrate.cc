@@ -4,12 +4,16 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "distributed/worker.h"
@@ -67,18 +71,41 @@ class InProcessChannel : public ConnChannel {
   std::thread worker_;
 };
 
+// The directory a spawned worker's flight recorder pre-opens its reports
+// in: SCODED_CRASH_DIR, else the working directory, both inherited.
+std::string WorkerReportDir() {
+  const char* dir = std::getenv("SCODED_CRASH_DIR");
+  return dir != nullptr && *dir != '\0' ? dir : ".";
+}
+
+// A SIGKILLed worker never disarms its flight recorder, so the reports it
+// pre-opened stay behind: unlink its scoded-{crash,stall}-<pid>.report if
+// nothing was written to them. A report with content is kept.
+void UnlinkUnwrittenReports(const std::string& dir, pid_t pid) {
+  for (const char* stem : {"scoded-crash-", "scoded-stall-"}) {
+    std::string path = dir + "/" + stem + std::to_string(pid) + ".report";
+    struct stat info;
+    if (::stat(path.c_str(), &info) == 0 && S_ISREG(info.st_mode) && info.st_size == 0) {
+      ::unlink(path.c_str());
+    }
+  }
+}
+
 // A child process connected by some stream. Kill() is SIGKILL; destruction
 // closes the stream (which makes a healthy worker exit), grants it a grace
 // period, then escalates so a wedged worker can never leak past the
-// coordinator's lifetime.
+// coordinator's lifetime. A child killed either way has its unwritten
+// reports unlinked once it is reaped.
 class ProcessChannel : public ConnChannel {
  public:
-  ProcessChannel(net::TcpConn conn, pid_t pid) : ConnChannel(std::move(conn)), pid_(pid) {}
+  ProcessChannel(net::TcpConn conn, pid_t pid, std::string report_dir)
+      : ConnChannel(std::move(conn)), pid_(pid), report_dir_(std::move(report_dir)) {}
 
   ~ProcessChannel() override { Reap(); }
 
   void Kill() override {
     if (pid_ > 0) {
+      killed_ = true;
       ::kill(pid_, SIGKILL);
     }
     ConnChannel::Kill();
@@ -105,13 +132,19 @@ class ProcessChannel : public ConnChannel {
       ::close(pidfd);
     }
     if (::waitpid(pid_, nullptr, WNOHANG) == 0) {
+      killed_ = true;
       ::kill(pid_, SIGKILL);  // still running after the grace period
       ::waitpid(pid_, nullptr, 0);
+    }
+    if (killed_) {
+      UnlinkUnwrittenReports(report_dir_, pid_);
     }
     pid_ = -1;
   }
 
   pid_t pid_;
+  std::string report_dir_;
+  std::atomic<bool> killed_{false};
 };
 
 // fork + exec of `program` with `args` plus `extra` appended. Every socket
@@ -164,7 +197,8 @@ Result<std::unique_ptr<WorkerChannel>> ForkExecSubstrate::Spawn(size_t) {
                           SpawnProcess(program_, args_, {"--fd", std::to_string(pair.second.fd())},
                                        pair.second.fd()));
   pair.second.Close();  // the child holds its own reference now
-  return std::unique_ptr<WorkerChannel>(new ProcessChannel(std::move(pair.first), pid));
+  return std::unique_ptr<WorkerChannel>(
+      new ProcessChannel(std::move(pair.first), pid, WorkerReportDir()));
 }
 
 Result<std::unique_ptr<WorkerChannel>> TcpSubstrate::Spawn(size_t) {
@@ -176,9 +210,11 @@ Result<std::unique_ptr<WorkerChannel>> TcpSubstrate::Spawn(size_t) {
   if (!conn.ok()) {
     ::kill(pid, SIGKILL);
     ::waitpid(pid, nullptr, 0);
+    UnlinkUnwrittenReports(WorkerReportDir(), pid);
     return UnavailableError("worker never connected: " + conn.status().ToString());
   }
-  return std::unique_ptr<WorkerChannel>(new ProcessChannel(std::move(*conn), pid));
+  return std::unique_ptr<WorkerChannel>(
+      new ProcessChannel(std::move(*conn), pid, WorkerReportDir()));
 }
 
 Result<std::string> SelfExePath() {

@@ -34,8 +34,9 @@ class WorkerChannel {
   virtual Result<std::string> Receive(int deadline_millis) = 0;
 
   /// Forcibly tears the worker down (SIGKILL for process-backed workers,
-  /// connection close for in-process ones). Idempotent; the channel only
-  /// fails afterwards.
+  /// whose empty flight-recorder reports are unlinked once the child is
+  /// reaped; connection close for in-process ones). Idempotent; the
+  /// channel only fails afterwards.
   virtual void Kill() = 0;
 
   /// OS process id of the worker, or -1 when it is not its own process.

@@ -96,38 +96,6 @@ Result<SummarizeRequest> ParseSummarizeRequest(const JsonValue& request) {
   return out;
 }
 
-// `cursor` lives across requests: the coordinator hands a worker ascending
-// shard ranges in the common case, and advancing the open reader is what
-// keeps each task's cost to its own bytes.
-Result<std::string> HandleSummarize(const JsonValue& request, ShardCursor& cursor) {
-  SCODED_ASSIGN_OR_RETURN(SummarizeRequest req, ParseSummarizeRequest(request));
-  obs::ScopedSpan span("dist/worker_summarize");
-  if (span.active()) {
-    span.Arg("begin", static_cast<int64_t>(req.begin))
-        .Arg("end", static_cast<int64_t>(req.end))
-        .Arg("specs", static_cast<int64_t>(req.specs.size()));
-  }
-  if (cursor.path != req.path || cursor.options != req.reader) {
-    cursor.path = req.path;  // another file or options: start over
-    cursor.options = req.reader;
-    cursor.reader.reset();
-  }
-  SCODED_ASSIGN_OR_RETURN(ShardRangeSummary range,
-                          SummarizeShardRange(cursor, req.specs, req.begin, req.end));
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("ok").Bool(true);
-  json.Key("shards").Uint(req.end - req.begin);
-  json.Key("rows").String(std::to_string(range.rows));
-  json.Key("summaries").BeginArray();
-  for (const PairwiseShardSummary& summary : range.summaries) {
-    serve::WriteShardSummaryJson(summary.ToSnapshot(), json);
-  }
-  json.EndArray();
-  json.EndObject();
-  return json.str();
-}
-
 std::string ErrorEnvelope(const Status& status) {
   JsonWriter json;
   json.BeginObject();
@@ -136,6 +104,46 @@ std::string ErrorEnvelope(const Status& status) {
   json.Key("message").String(status.message());
   json.EndObject();
   return json.str();
+}
+
+// `cursor` lives across requests: the coordinator hands a worker ascending
+// shard ranges in the common case, and advancing the open reader is what
+// keeps each task's cost to its own bytes. A failed range is answered with
+// an error envelope; only a transport error is returned.
+Status HandleSummarize(const JsonValue& request, ShardCursor& cursor, net::TcpConn& conn) {
+  Result<SummarizeRequest> req = ParseSummarizeRequest(request);
+  if (!req.ok()) {
+    return serve::WriteFrame(conn, ErrorEnvelope(req.status()));
+  }
+  obs::ScopedSpan span("dist/worker_summarize");
+  if (span.active()) {
+    span.Arg("begin", static_cast<int64_t>(req->begin))
+        .Arg("end", static_cast<int64_t>(req->end))
+        .Arg("specs", static_cast<int64_t>(req->specs.size()));
+  }
+  if (cursor.path != req->path || cursor.options != req->reader) {
+    cursor.path = req->path;  // another file or options: start over
+    cursor.options = req->reader;
+    cursor.reader.reset();
+  }
+  Result<ShardRangeSummary> range = SummarizeShardRange(cursor, req->specs, req->begin, req->end);
+  if (!range.ok()) {
+    return serve::WriteFrame(conn, ErrorEnvelope(range.status()));
+  }
+  std::vector<PairwiseShardSummary::Snapshot> snapshots;
+  snapshots.reserve(range->summaries.size());
+  for (PairwiseShardSummary& summary : range->summaries) {
+    snapshots.push_back(std::move(summary).ToSnapshot());
+  }
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("ok").Bool(true);
+  json.Key("shards").Uint(req->end - req->begin);
+  json.Key("summaries").Uint(snapshots.size());
+  json.EndObject();
+  SCODED_RETURN_IF_ERROR(serve::WriteFrame(conn, json.str()));
+  return serve::WriteShardSummaryFrames(
+      range->rows, snapshots, [&](std::string_view frame) { return serve::WriteFrame(conn, frame); });
 }
 
 }  // namespace
@@ -156,27 +164,19 @@ Status ServeWorker(net::TcpConn& conn) {
         op = op_value->string_value;
       }
     }
+    if (request.ok() && op == "summarize") {
+      SCODED_RETURN_IF_ERROR(HandleSummarize(*request, cursor, conn));
+      continue;
+    }
     std::string reply;
-    bool shutdown = false;
     if (!request.ok()) {
       reply = ErrorEnvelope(request.status());
-    } else if (op == "ping" || op == "shutdown") {
-      JsonWriter json;
-      json.BeginObject();
-      json.Key("ok").Bool(true);
-      json.EndObject();
-      reply = json.str();
-      shutdown = op == "shutdown";
-    } else if (op == "summarize") {
-      Result<std::string> response = HandleSummarize(*request, cursor);
-      reply = response.ok() ? *response : ErrorEnvelope(response.status());
+    } else if (op == "ping") {
+      reply = R"({"ok":true})";
     } else {
       reply = ErrorEnvelope(InvalidArgumentError("unknown op '" + op + "'"));
     }
     SCODED_RETURN_IF_ERROR(serve::WriteFrame(conn, reply));
-    if (shutdown) {
-      return OkStatus();
-    }
   }
 }
 

@@ -1,13 +1,15 @@
 #include "serve/wire.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/string_util.h"
 
 namespace scoded::serve {
 
@@ -82,156 +84,232 @@ Result<Column> ParseCategoricalColumn(const JsonValue& column) {
   return Column::CategoricalFromCodes(std::move(out), std::move(dictionary));
 }
 
-// One 64-bit wire integer: a decimal string, full int64 range (cell keys
-// use INT64_MIN as the null sentinel and negative values for double bit
-// patterns with the sign bit set).
-Result<int64_t> ParseWireInt64(const JsonValue& cell, std::string_view what) {
-  if (!cell.is_string()) {
-    return InvalidArgumentError(std::string(what) + " must be a decimal string");
-  }
-  return ParseCheckedInt(cell.string_value, INT64_MIN, INT64_MAX, what);
-}
+// Cell arrays cross the wire as their in-memory bytes.
+static_assert(std::endian::native == std::endian::little,
+              "the shard summary frames copy little-endian arrays as they are");
 
-Result<std::vector<int64_t>> ParseWireInt64Array(const JsonValue& parent, const std::string& name) {
-  const JsonValue* array = parent.Find(name);
-  if (array == nullptr || !array->is_array()) {
-    return InvalidArgumentError("shard summary is missing its " + name + " array");
-  }
-  std::vector<int64_t> out;
-  out.reserve(array->array.size());
-  for (const JsonValue& cell : array->array) {
-    SCODED_ASSIGN_OR_RETURN(int64_t value, ParseWireInt64(cell, name + " entry"));
-    out.push_back(value);
-  }
-  return out;
-}
+// Buffers the encoded bytes and emits a frame whenever kSummaryFrameBytes
+// of them are ready.
+class FrameWriter {
+ public:
+  explicit FrameWriter(const std::function<Status(std::string_view)>& emit) : emit_(emit) {}
 
-Result<int> ParseColumnIndex(const JsonValue& cell, std::string_view what) {
-  SCODED_ASSIGN_OR_RETURN(int64_t index, JsonInteger(cell, 0, INT32_MAX, what));
-  return static_cast<int>(index);
+  Status Bytes(const void* data, size_t n) {
+    const char* p = static_cast<const char*>(data);
+    while (n > 0) {
+      size_t take = std::min(n, kSummaryFrameBytes - buffer_.size());
+      buffer_.append(p, take);
+      p += take;
+      n -= take;
+      if (buffer_.size() == kSummaryFrameBytes) {
+        SCODED_RETURN_IF_ERROR(Flush());
+      }
+    }
+    return OkStatus();
+  }
+
+  Status U64(uint64_t value) { return Bytes(&value, sizeof(value)); }
+
+  template <typename Word>
+  Status Words(const std::vector<Word>& words) {
+    static_assert(sizeof(Word) == 8);
+    return Bytes(words.data(), words.size() * sizeof(Word));
+  }
+
+  Status Flush() {
+    if (buffer_.empty()) {
+      return OkStatus();
+    }
+    Status status = emit_(buffer_);
+    buffer_.clear();
+    return status;
+  }
+
+ private:
+  const std::function<Status(std::string_view)>& emit_;
+  std::string buffer_;
+};
+
+// Reads the byte stream back, pulling the next frame when the current one
+// runs out.
+class FrameReader {
+ public:
+  explicit FrameReader(const std::function<Result<std::string>()>& next) : next_(next) {}
+
+  // Up to `n` bytes of the current frame, fetching a frame when it is spent.
+  Result<std::string_view> Some(size_t n) {
+    if (pos_ == frame_.size()) {
+      SCODED_ASSIGN_OR_RETURN(frame_, next_());
+      pos_ = 0;
+      if (frame_.empty()) {
+        return InvalidArgumentError("shard summary body has an empty frame");
+      }
+    }
+    size_t take = std::min(n, frame_.size() - pos_);
+    std::string_view out(frame_.data() + pos_, take);
+    pos_ += take;
+    return out;
+  }
+
+  Status Bytes(void* out, size_t n) {
+    char* p = static_cast<char*>(out);
+    while (n > 0) {
+      SCODED_ASSIGN_OR_RETURN(std::string_view piece, Some(n));
+      std::memcpy(p, piece.data(), piece.size());
+      p += piece.size();
+      n -= piece.size();
+    }
+    return OkStatus();
+  }
+
+  Result<uint64_t> U64() {
+    uint64_t value = 0;
+    SCODED_RETURN_IF_ERROR(Bytes(&value, sizeof(value)));
+    return value;
+  }
+
+  Result<int64_t> I64() {
+    SCODED_ASSIGN_OR_RETURN(uint64_t value, U64());
+    return static_cast<int64_t>(value);
+  }
+
+  // A count in [0, bound], checked before the caller sizes anything by it.
+  Result<uint64_t> Count(uint64_t bound, std::string_view what) {
+    SCODED_ASSIGN_OR_RETURN(uint64_t value, U64());
+    if (value > bound) {
+      return InvalidArgumentError("shard summary announces " + std::to_string(value) + " " +
+                                  std::string(what) + ", above the bound of " +
+                                  std::to_string(bound));
+    }
+    return value;
+  }
+
+  template <typename Word>
+  Status Words(std::vector<Word>& words, size_t n) {
+    static_assert(sizeof(Word) == 8);
+    words.resize(n);
+    return Bytes(words.data(), n * sizeof(Word));
+  }
+
+  // A string of `n` bytes, grown only as its bytes arrive.
+  Result<std::string> String(uint64_t n) {
+    std::string out;
+    while (n > 0) {
+      SCODED_ASSIGN_OR_RETURN(std::string_view piece, Some(n));
+      out.append(piece);
+      n -= piece.size();
+    }
+    return out;
+  }
+
+  size_t Unread() const { return frame_.size() - pos_; }
+
+ private:
+  const std::function<Result<std::string>()>& next_;
+  std::string frame_;
+  size_t pos_ = 0;
+};
+
+Result<PairwiseShardSummary::Snapshot> ReadSnapshot(FrameReader& in,
+                                                    const PairwiseShardSummary::Spec& want,
+                                                    uint64_t max_rows) {
+  PairwiseShardSummary::Snapshot snapshot;
+  SCODED_ASSIGN_OR_RETURN(int64_t x, in.I64());
+  SCODED_ASSIGN_OR_RETURN(int64_t y, in.I64());
+  SCODED_ASSIGN_OR_RETURN(uint64_t nz, in.U64());
+  if (x != want.x_col || y != want.y_col || nz != want.z_cols.size()) {
+    return InvalidArgumentError("shard summary answers the wrong component");
+  }
+  snapshot.spec.x_col = want.x_col;
+  snapshot.spec.y_col = want.y_col;
+  for (int want_z : want.z_cols) {
+    SCODED_ASSIGN_OR_RETURN(int64_t z, in.I64());
+    if (z != want_z) {
+      return InvalidArgumentError("shard summary answers the wrong component");
+    }
+    snapshot.spec.z_cols.push_back(want_z);
+  }
+  const size_t num_roles = want.z_cols.size() + 2;
+  for (size_t r = 0; r < num_roles; ++r) {
+    SCODED_ASSIGN_OR_RETURN(uint64_t type, in.Count(1, "as a role type"));
+    snapshot.role_types.push_back(type == 0 ? ColumnType::kNumeric : ColumnType::kCategorical);
+  }
+  snapshot.dicts.resize(num_roles);
+  for (std::vector<std::string>& dict : snapshot.dicts) {
+    // Every dictionary value occurs in some row of the range.
+    SCODED_ASSIGN_OR_RETURN(uint64_t size, in.Count(max_rows, "dictionary values"));
+    dict.reserve(size);
+    for (uint64_t v = 0; v < size; ++v) {
+      SCODED_ASSIGN_OR_RETURN(uint64_t length, in.U64());
+      SCODED_ASSIGN_OR_RETURN(std::string value, in.String(length));
+      dict.push_back(std::move(value));
+    }
+  }
+  SCODED_ASSIGN_OR_RETURN(snapshot.rows, in.I64());
+  if (snapshot.rows < 0 || static_cast<uint64_t>(snapshot.rows) > max_rows) {
+    return InvalidArgumentError("shard summary claims " + std::to_string(snapshot.rows) +
+                                " rows, outside [0, " + std::to_string(max_rows) + "]");
+  }
+  // A cell holds at least one row.
+  const uint64_t cell_bound = std::min<uint64_t>(static_cast<uint64_t>(snapshot.rows),
+                                                 SIZE_MAX / (sizeof(int64_t) * num_roles));
+  SCODED_ASSIGN_OR_RETURN(uint64_t cells, in.Count(cell_bound, "cells"));
+  SCODED_RETURN_IF_ERROR(in.Words(snapshot.keys, static_cast<size_t>(cells) * num_roles));
+  SCODED_RETURN_IF_ERROR(in.Words(snapshot.counts, static_cast<size_t>(cells)));
+  SCODED_RETURN_IF_ERROR(in.Words(snapshot.first_rows, static_cast<size_t>(cells)));
+  return snapshot;
 }
 
 }  // namespace
 
-void WriteShardSummaryJson(const PairwiseShardSummary::Snapshot& snapshot, JsonWriter& json) {
-  json.BeginObject();
-  json.Key("spec").BeginObject();
-  json.Key("x").Int(snapshot.spec.x_col);
-  json.Key("y").Int(snapshot.spec.y_col);
-  json.Key("z").BeginArray();
-  for (int z : snapshot.spec.z_cols) {
-    json.Int(z);
-  }
-  json.EndArray();
-  json.EndObject();
-  json.Key("types").BeginArray();
-  for (ColumnType type : snapshot.role_types) {
-    json.String(ColumnTypeToString(type));
-  }
-  json.EndArray();
-  json.Key("dicts").BeginArray();
-  for (const std::vector<std::string>& dict : snapshot.dicts) {
-    json.BeginArray();
-    for (const std::string& value : dict) {
-      json.String(value);
+Status WriteShardSummaryFrames(uint64_t rows,
+                               const std::vector<PairwiseShardSummary::Snapshot>& snapshots,
+                               const std::function<Status(std::string_view)>& emit) {
+  FrameWriter out(emit);
+  SCODED_RETURN_IF_ERROR(out.U64(rows));
+  for (const PairwiseShardSummary::Snapshot& snapshot : snapshots) {
+    SCODED_RETURN_IF_ERROR(out.U64(static_cast<uint64_t>(snapshot.spec.x_col)));
+    SCODED_RETURN_IF_ERROR(out.U64(static_cast<uint64_t>(snapshot.spec.y_col)));
+    SCODED_RETURN_IF_ERROR(out.U64(snapshot.spec.z_cols.size()));
+    for (int z : snapshot.spec.z_cols) {
+      SCODED_RETURN_IF_ERROR(out.U64(static_cast<uint64_t>(z)));
     }
-    json.EndArray();
+    for (ColumnType type : snapshot.role_types) {
+      SCODED_RETURN_IF_ERROR(out.U64(type == ColumnType::kNumeric ? 0 : 1));
+    }
+    for (const std::vector<std::string>& dict : snapshot.dicts) {
+      SCODED_RETURN_IF_ERROR(out.U64(dict.size()));
+      for (const std::string& value : dict) {
+        SCODED_RETURN_IF_ERROR(out.U64(value.size()));
+        SCODED_RETURN_IF_ERROR(out.Bytes(value.data(), value.size()));
+      }
+    }
+    SCODED_RETURN_IF_ERROR(out.U64(static_cast<uint64_t>(snapshot.rows)));
+    SCODED_RETURN_IF_ERROR(out.U64(snapshot.counts.size()));
+    SCODED_RETURN_IF_ERROR(out.Words(snapshot.keys));
+    SCODED_RETURN_IF_ERROR(out.Words(snapshot.counts));
+    SCODED_RETURN_IF_ERROR(out.Words(snapshot.first_rows));
   }
-  json.EndArray();
-  json.Key("rows").String(std::to_string(snapshot.rows));
-  json.Key("keys").BeginArray();
-  for (int64_t key : snapshot.keys) {
-    json.String(std::to_string(key));
-  }
-  json.EndArray();
-  json.Key("counts").BeginArray();
-  for (int64_t count : snapshot.counts) {
-    json.String(std::to_string(count));
-  }
-  json.EndArray();
-  json.Key("first_rows").BeginArray();
-  for (uint64_t row : snapshot.first_rows) {
-    json.String(std::to_string(row));
-  }
-  json.EndArray();
-  json.EndObject();
+  return out.Flush();
 }
 
-Result<PairwiseShardSummary::Snapshot> ParseShardSummaryJson(const JsonValue& value) {
-  if (!value.is_object()) {
-    return InvalidArgumentError("shard summary must be an object");
+Result<ShardSummaryFrames> ReadShardSummaryFrames(
+    const std::function<Result<std::string>()>& next_frame,
+    const std::vector<PairwiseShardSummary::Spec>& specs, uint64_t max_rows) {
+  FrameReader in(next_frame);
+  ShardSummaryFrames out;
+  SCODED_ASSIGN_OR_RETURN(out.rows, in.Count(max_rows, "rows"));
+  out.snapshots.reserve(specs.size());
+  for (const PairwiseShardSummary::Spec& spec : specs) {
+    SCODED_ASSIGN_OR_RETURN(PairwiseShardSummary::Snapshot snapshot,
+                            ReadSnapshot(in, spec, max_rows));
+    out.snapshots.push_back(std::move(snapshot));
   }
-  PairwiseShardSummary::Snapshot snapshot;
-  const JsonValue* spec = value.Find("spec");
-  if (spec == nullptr || !spec->is_object()) {
-    return InvalidArgumentError("shard summary is missing its spec object");
+  if (in.Unread() != 0) {
+    return InvalidArgumentError("shard summary body has " + std::to_string(in.Unread()) +
+                                " bytes past its last summary");
   }
-  const JsonValue* x = spec->Find("x");
-  const JsonValue* y = spec->Find("y");
-  const JsonValue* z = spec->Find("z");
-  if (x == nullptr || y == nullptr || z == nullptr || !z->is_array()) {
-    return InvalidArgumentError("shard summary spec needs x, y, and a z array");
-  }
-  SCODED_ASSIGN_OR_RETURN(snapshot.spec.x_col, ParseColumnIndex(*x, "spec x"));
-  SCODED_ASSIGN_OR_RETURN(snapshot.spec.y_col, ParseColumnIndex(*y, "spec y"));
-  snapshot.spec.z_cols.reserve(z->array.size());
-  for (const JsonValue& cell : z->array) {
-    SCODED_ASSIGN_OR_RETURN(int col, ParseColumnIndex(cell, "spec z entry"));
-    snapshot.spec.z_cols.push_back(col);
-  }
-  const JsonValue* types = value.Find("types");
-  if (types == nullptr || !types->is_array()) {
-    return InvalidArgumentError("shard summary is missing its types array");
-  }
-  snapshot.role_types.reserve(types->array.size());
-  for (const JsonValue& cell : types->array) {
-    if (!cell.is_string()) {
-      return InvalidArgumentError("shard summary types must be strings");
-    }
-    if (cell.string_value == "numeric") {
-      snapshot.role_types.push_back(ColumnType::kNumeric);
-    } else if (cell.string_value == "categorical") {
-      snapshot.role_types.push_back(ColumnType::kCategorical);
-    } else {
-      return InvalidArgumentError("unknown role type '" + cell.string_value + "'");
-    }
-  }
-  const JsonValue* dicts = value.Find("dicts");
-  if (dicts == nullptr || !dicts->is_array()) {
-    return InvalidArgumentError("shard summary is missing its dicts array");
-  }
-  snapshot.dicts.reserve(dicts->array.size());
-  for (const JsonValue& dict : dicts->array) {
-    if (!dict.is_array()) {
-      return InvalidArgumentError("shard summary dictionaries must be arrays");
-    }
-    std::vector<std::string> values;
-    values.reserve(dict.array.size());
-    for (const JsonValue& entry : dict.array) {
-      if (!entry.is_string()) {
-        return InvalidArgumentError("shard summary dictionary entries must be strings");
-      }
-      values.push_back(entry.string_value);
-    }
-    snapshot.dicts.push_back(std::move(values));
-  }
-  const JsonValue* rows = value.Find("rows");
-  if (rows == nullptr) {
-    return InvalidArgumentError("shard summary is missing its rows field");
-  }
-  SCODED_ASSIGN_OR_RETURN(snapshot.rows, ParseWireInt64(*rows, "rows"));
-  SCODED_ASSIGN_OR_RETURN(snapshot.keys, ParseWireInt64Array(value, "keys"));
-  SCODED_ASSIGN_OR_RETURN(snapshot.counts, ParseWireInt64Array(value, "counts"));
-  SCODED_ASSIGN_OR_RETURN(std::vector<int64_t> first_rows,
-                          ParseWireInt64Array(value, "first_rows"));
-  snapshot.first_rows.reserve(first_rows.size());
-  for (int64_t row : first_rows) {
-    if (row < 0) {
-      return InvalidArgumentError("shard summary first_rows must be non-negative");
-    }
-    snapshot.first_rows.push_back(static_cast<uint64_t>(row));
-  }
-  return snapshot;
+  return out;
 }
 
 void WriteSchemaJson(const Schema& schema, JsonWriter& json) {

@@ -1,6 +1,13 @@
 #ifndef SCODED_SERVE_WIRE_H_
 #define SCODED_SERVE_WIRE_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/json.h"
 #include "common/result.h"
 #include "stats/shard_stats.h"
@@ -40,19 +47,48 @@ void WriteBatchJson(const Table& batch, JsonWriter& json);
 /// Parses the object produced by WriteBatchJson back into a Table.
 Result<Table> ParseBatchJson(const JsonValue& value);
 
-/// Appends a PairwiseShardSummary snapshot as a JSON object value:
-///   {"spec": {"x", "y", "z": []}, "types": [...], "dicts": [[...], ...],
-///    "rows": "N", "keys": [...], "counts": [...], "first_rows": [...]}
-/// Every 64-bit integer (cell keys — which carry full double bit patterns
-/// for numeric roles — counts, first-row indices, the row total) travels
-/// as a decimal string: JSON numbers are doubles and lose exactness past
-/// 2^53, and the whole point of shipping summaries instead of statistics
-/// is that no float folding crosses the wire.
-void WriteShardSummaryJson(const PairwiseShardSummary::Snapshot& snapshot, JsonWriter& json);
+/// Binary form of PairwiseShardSummary snapshots: the body of a worker's
+/// summarize reply (distributed/worker.h). Every value is a fixed-width
+/// 64-bit little-endian word — no decimal strings, no float folding on
+/// either side:
+///
+///   u64 rows                               the range's data rows
+///   per summary:
+///     i64 x, i64 y, u64 nz, nz × i64 z     spec columns
+///     (nz + 2) × u64 role type             0 numeric, 1 categorical
+///     per role: u64 size, then per value u64 length + bytes
+///     i64 rows, u64 cells
+///     cells × (nz + 2) × i64 keys, cells × i64 counts, cells × u64 first rows
+///
+/// The byte stream is cut into frames of at most kSummaryFrameBytes (a
+/// value may straddle two), so no frame nears kMaxFrameBytes whatever the
+/// number of cells.
+inline constexpr size_t kSummaryFrameBytes = size_t{1} << 20;
 
-/// Parses the object produced by WriteShardSummaryJson. Structural checks
-/// only; PairwiseShardSummary::FromSnapshot revalidates against the schema.
-Result<PairwiseShardSummary::Snapshot> ParseShardSummaryJson(const JsonValue& value);
+/// Encodes `snapshots` with the range's row total, handing each frame to
+/// `emit` as it fills; returns the first error `emit` reports.
+Status WriteShardSummaryFrames(uint64_t rows,
+                               const std::vector<PairwiseShardSummary::Snapshot>& snapshots,
+                               const std::function<Status(std::string_view)>& emit);
+
+/// One decoded reply body.
+struct ShardSummaryFrames {
+  uint64_t rows = 0;
+  std::vector<PairwiseShardSummary::Snapshot> snapshots;
+};
+
+/// Decodes a body written by WriteShardSummaryFrames, one summary per spec
+/// in `specs`, pulling frames from `next_frame` as bytes are needed (its
+/// errors pass through). Each summary must carry its spec's columns, and
+/// every count is checked before anything is sized by it: row totals,
+/// dictionary sizes and cell counts against `max_rows`, the most rows the
+/// range can hold. Strings grow only as their bytes arrive. An empty frame
+/// or bytes left over after the last summary are kInvalidArgument.
+/// Structural checks only; PairwiseShardSummary::FromSnapshot revalidates
+/// every cell against the schema.
+Result<ShardSummaryFrames> ReadShardSummaryFrames(
+    const std::function<Result<std::string>()>& next_frame,
+    const std::vector<PairwiseShardSummary::Spec>& specs, uint64_t max_rows);
 
 }  // namespace scoded::serve
 

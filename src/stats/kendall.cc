@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 
 #include "common/check.h"
@@ -266,7 +265,7 @@ KendallResult KendallTau(const std::vector<double>& x, const std::vector<double>
 
 KendallResult KendallTauFromCounts(std::vector<WeightedPoint> points) {
   // Canonical point order: (x, y) lexicographic with NaN after every
-  // number, then duplicates merged so multiplicities are additive.
+  // number, then duplicates merged in place so multiplicities are additive.
   NanAwareLess less;
   auto point_less = [&](const WeightedPoint& a, const WeightedPoint& b) {
     if (!NanAwareEqual(a.x, b.x)) {
@@ -275,8 +274,7 @@ KendallResult KendallTauFromCounts(std::vector<WeightedPoint> points) {
     return less(a.y, b.y);
   };
   std::sort(points.begin(), points.end(), point_less);
-  std::vector<WeightedPoint> merged;
-  merged.reserve(points.size());
+  size_t m = 0;
   int64_t n = 0;
   for (const WeightedPoint& p : points) {
     SCODED_CHECK(p.count >= 0);
@@ -284,13 +282,13 @@ KendallResult KendallTauFromCounts(std::vector<WeightedPoint> points) {
       continue;
     }
     n += p.count;
-    if (!merged.empty() && NanAwareEqual(merged.back().x, p.x) &&
-        NanAwareEqual(merged.back().y, p.y)) {
-      merged.back().count += p.count;
+    if (m > 0 && NanAwareEqual(points[m - 1].x, p.x) && NanAwareEqual(points[m - 1].y, p.y)) {
+      points[m - 1].count += p.count;
     } else {
-      merged.push_back(p);
+      points[m++] = p;
     }
   }
+  points.resize(m);
   KendallResult result;
   result.n = n;
   if (n < 2) {
@@ -298,39 +296,50 @@ KendallResult KendallTauFromCounts(std::vector<WeightedPoint> points) {
     return result;
   }
 
-  // Y marginal in ascending order: dense ranks, tie-pair count n2, and the
-  // tie-group sizes for the variance correction.
-  std::map<double, int64_t, NanAwareLess> y_marginal;
-  for (const WeightedPoint& p : merged) {
-    y_marginal[p.y] += p.count;
-  }
-  std::map<double, size_t, NanAwareLess> y_rank;
+  // Y marginal in ascending order from one sort of the points by y: dense
+  // ranks, tie-pair count n2, and the tie-group sizes for the variance
+  // correction.
+  SCODED_CHECK(m < UINT32_MAX);
+  std::vector<uint32_t> by_y(m);
+  std::iota(by_y.begin(), by_y.end(), uint32_t{0});
+  std::sort(by_y.begin(), by_y.end(),
+            [&](uint32_t a, uint32_t b) { return less(points[a].y, points[b].y); });
+  std::vector<uint32_t> y_rank(m);
   std::vector<int64_t> y_ties;
   int64_t n2 = 0;
-  for (const auto& [value, count] : y_marginal) {
-    y_rank.emplace(value, y_rank.size());
+  uint32_t num_ranks = 0;
+  for (size_t i = 0; i < m;) {
+    size_t j = i;
+    int64_t count = 0;
+    while (j < m && NanAwareEqual(points[by_y[j]].y, points[by_y[i]].y)) {
+      y_rank[by_y[j]] = num_ranks;
+      count += points[by_y[j]].count;
+      ++j;
+    }
     n2 += count * (count - 1) / 2;
     if (count > 1) {
       y_ties.push_back(count);
     }
+    ++num_ranks;
+    i = j;
   }
 
   // One ascending-x sweep: within an x-run query the tree first (points
   // already inserted all have strictly smaller x), then insert the whole
   // run — pairs between them have distinct x, and a discordant pair is one
   // where the earlier (smaller-x) point has the larger y.
-  SegmentTree tree(y_rank.size());
+  SegmentTree tree(num_ranks);
   std::vector<int64_t> x_ties;
   int64_t n1 = 0;
   int64_t n3 = 0;
   int64_t discordant = 0;
   size_t i = 0;
-  while (i < merged.size()) {
+  while (i < m) {
     size_t j = i;
     int64_t run_total = 0;
-    while (j < merged.size() && NanAwareEqual(merged[j].x, merged[i].x)) {
-      run_total += merged[j].count;
-      n3 += merged[j].count * (merged[j].count - 1) / 2;
+    while (j < m && NanAwareEqual(points[j].x, points[i].x)) {
+      run_total += points[j].count;
+      n3 += points[j].count * (points[j].count - 1) / 2;
       ++j;
     }
     n1 += run_total * (run_total - 1) / 2;
@@ -338,11 +347,10 @@ KendallResult KendallTauFromCounts(std::vector<WeightedPoint> points) {
       x_ties.push_back(run_total);
     }
     for (size_t k = i; k < j; ++k) {
-      size_t rank = y_rank.find(merged[k].y)->second;
-      discordant += merged[k].count * tree.SuffixSum(rank + 1);
+      discordant += points[k].count * tree.SuffixSum(y_rank[k] + 1);
     }
     for (size_t k = i; k < j; ++k) {
-      tree.Add(y_rank.find(merged[k].y)->second, merged[k].count);
+      tree.Add(y_rank[k], points[k].count);
     }
     i = j;
   }

@@ -1,14 +1,14 @@
 #include "stats/shard_stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
-#include "stats/colcodec.h"
 #include "stats/ranks.h"
-#include "stats/simd.h"
 #include "stats/stratified.h"
 
 namespace scoded {
@@ -32,6 +32,98 @@ double DoubleOfBits(int64_t bits) {
   double value = 0.0;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
+}
+
+// Lexicographic order of two `stride`-long keys, signed per entry — the
+// order of std::vector<int64_t>. Negative, zero or positive like memcmp.
+int CompareKeys(const int64_t* a, const int64_t* b, size_t stride) {
+  for (size_t r = 0; r < stride; ++r) {
+    if (a[r] != b[r]) {
+      return a[r] < b[r] ? -1 : 1;
+    }
+  }
+  return 0;
+}
+
+// Open-addressing hash table from a cell key to its place in three
+// parallel arrays of distinct cells, in first-seen order. The slot table
+// starts small and doubles at half load, so memory follows the distinct
+// cells, not the rows.
+class CellTable {
+ public:
+  explicit CellTable(size_t stride) : stride_(stride) { Rehash(64); }
+
+  void Add(const int64_t* key, uint64_t row) {
+    size_t slot = SlotOf(key);
+    while (uint32_t entry = slots_[slot]) {
+      const size_t cell = entry - 1;
+      if (std::equal(key, key + stride_, keys.data() + cell * stride_)) {
+        ++counts[cell];
+        return;
+      }
+      slot = (slot + 1) & mask_;
+    }
+    SCODED_CHECK(counts.size() + 1 < UINT32_MAX);
+    slots_[slot] = static_cast<uint32_t>(counts.size() + 1);
+    keys.insert(keys.end(), key, key + stride_);
+    counts.push_back(1);
+    first_rows.push_back(row);
+    if (2 * counts.size() > slots_.size()) {
+      Rehash(2 * slots_.size());
+    }
+  }
+
+  std::vector<int64_t> keys;
+  std::vector<int64_t> counts;
+  std::vector<uint64_t> first_rows;
+
+ private:
+  // Multiplicative hashing; the slot is the top bits, which depend on
+  // every bit of the key.
+  size_t SlotOf(const int64_t* key) const {
+    uint64_t h = 0;
+    for (size_t r = 0; r < stride_; ++r) {
+      h = (h ^ static_cast<uint64_t>(key[r])) * 0x9E3779B97F4A7C15ull;
+      h ^= h >> 32;
+    }
+    return static_cast<size_t>((h * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void Rehash(size_t size) {
+    slots_.assign(size, 0);
+    mask_ = size - 1;
+    shift_ = 64 - static_cast<int>(std::countr_zero(size));
+    for (size_t cell = 0; cell < counts.size(); ++cell) {
+      size_t slot = SlotOf(keys.data() + cell * stride_);
+      while (slots_[slot] != 0) {
+        slot = (slot + 1) & mask_;
+      }
+      slots_[slot] = static_cast<uint32_t>(cell + 1);
+    }
+  }
+
+  size_t stride_;
+  std::vector<uint32_t> slots_;  // 0 = empty, else cell index + 1
+  size_t mask_ = 0;
+  int shift_ = 0;
+};
+
+// Sorts (value, count) pairs by NanAwareLess and adds up equal values, all
+// NaNs being one value ordered last: a numeric role's marginal in the
+// order of its values.
+void SortAndCoalesce(std::vector<std::pair<double, int64_t>>& values) {
+  NanAwareLess less;
+  std::sort(values.begin(), values.end(),
+            [&](const auto& a, const auto& b) { return less(a.first, b.first); });
+  size_t out = 0;
+  for (const auto& [value, count] : values) {
+    if (out > 0 && NanAwareEqual(values[out - 1].first, value)) {
+      values[out - 1].second += count;
+    } else {
+      values[out++] = {value, count};
+    }
+  }
+  values.resize(out);
 }
 
 }  // namespace
@@ -64,6 +156,70 @@ int32_t PairwiseShardSummary::Intern(Dict& dict, const std::string& value) {
   return it->second;
 }
 
+void PairwiseShardSummary::SortRun(Cells& run, size_t stride) {
+  const size_t n = run.counts.size();
+  SCODED_CHECK(n < UINT32_MAX);
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  const int64_t* keys = run.keys.data();
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return CompareKeys(keys + a * stride, keys + b * stride, stride) < 0;
+  });
+  Cells sorted;
+  sorted.keys.reserve(run.keys.size());
+  sorted.counts.reserve(n);
+  sorted.first_rows.reserve(n);
+  for (uint32_t cell : order) {
+    sorted.keys.insert(sorted.keys.end(), keys + cell * stride, keys + (cell + 1) * stride);
+    sorted.counts.push_back(run.counts[cell]);
+    sorted.first_rows.push_back(run.first_rows[cell]);
+  }
+  run = std::move(sorted);
+}
+
+void PairwiseShardSummary::MergeRun(const Cells& run) {
+  if (cells_.counts.empty()) {
+    cells_ = run;
+    return;
+  }
+  const size_t stride = role_cols_.size();
+  const Cells& a = cells_;
+  const size_t na = a.counts.size();
+  const size_t nb = run.counts.size();
+  Cells out;
+  out.keys.reserve(a.keys.size() + run.keys.size());
+  out.counts.reserve(na + nb);
+  out.first_rows.reserve(na + nb);
+  auto append = [&](const Cells& from, size_t cell) {
+    const int64_t* key = from.keys.data() + cell * stride;
+    out.keys.insert(out.keys.end(), key, key + stride);
+    out.counts.push_back(from.counts[cell]);
+    out.first_rows.push_back(from.first_rows[cell]);
+  };
+  size_t i = 0;
+  size_t j = 0;
+  while (i < na && j < nb) {
+    int cmp = CompareKeys(a.keys.data() + i * stride, run.keys.data() + j * stride, stride);
+    if (cmp < 0) {
+      append(a, i++);
+    } else if (cmp > 0) {
+      append(run, j++);
+    } else {
+      append(a, i++);
+      out.counts.back() += run.counts[j];
+      out.first_rows.back() = std::min(out.first_rows.back(), run.first_rows[j]);
+      ++j;
+    }
+  }
+  for (; i < na; ++i) {
+    append(a, i);
+  }
+  for (; j < nb; ++j) {
+    append(run, j);
+  }
+  cells_ = std::move(out);
+}
+
 void PairwiseShardSummary::Accumulate(const Table& shard, uint64_t row_offset) {
   SCODED_CHECK(valid_);
   size_t num_roles = role_cols_.size();
@@ -85,75 +241,78 @@ void PairwiseShardSummary::Accumulate(const Table& shard, uint64_t row_offset) {
     }
   }
   size_t num_rows = shard.NumRows();
-  // Dense kernel fast path for the unconditional categorical×categorical
-  // shape: map nulls onto one extra bucket per role, accumulate the whole
-  // shard through the dispatched contingency_first kernel, and fold the
-  // dense grid into the cell map. Behaviour matches the row loop exactly —
-  // the kernel records each cell's first row within the shard, which is
-  // what try_emplace in row order would have kept. The grid is bounded
-  // both absolutely and relative to the shard so tiny shards over large
-  // accumulated dictionaries never pay an O(cells) sweep.
+  rows_ += static_cast<int64_t>(num_rows);
+  Cells run;
+  // Dense fast path for the unconditional categorical×categorical shape:
+  // map nulls onto one extra bucket per role, count the shard's codes
+  // straight into a grid that also keeps each cell's first row within the
+  // shard, and read the grid out in key order — the null bucket first,
+  // since kNullCell sorts below every id. Nothing is staged per row, so a
+  // task's memory is the grid. The grid is bounded both absolutely and
+  // relative to the shard so tiny shards over large accumulated
+  // dictionaries never pay an O(cells) sweep.
   constexpr size_t kDenseCellCap = size_t{1} << 18;
-  if (num_roles == 2 && role_types_[0] == ColumnType::kCategorical &&
-      role_types_[1] == ColumnType::kCategorical && num_rows > 0 && num_rows < UINT32_MAX) {
-    const size_t nx = dicts_[0].values.size();
-    const size_t nyv = dicts_[1].values.size();
-    const size_t cells = (nx + 1) * (nyv + 1);
-    if (cells <= kDenseCellCap && cells <= 4 * num_rows + 64) {
-      const Column& cx = *cols[0];
-      const Column& cy = *cols[1];
-      std::vector<int32_t> x_codes(num_rows);
-      std::vector<int32_t> y_codes(num_rows);
-      for (size_t row = 0; row < num_rows; ++row) {
-        x_codes[row] = cx.IsNull(row) ? static_cast<int32_t>(nx)
-                                      : translate[0][static_cast<size_t>(cx.CodeAt(row))];
-        y_codes[row] = cy.IsNull(row) ? static_cast<int32_t>(nyv)
-                                      : translate[1][static_cast<size_t>(cy.CodeAt(row))];
+  const bool dense_shape = num_roles == 2 && role_types_[0] == ColumnType::kCategorical &&
+                           role_types_[1] == ColumnType::kCategorical && num_rows > 0 &&
+                           num_rows < UINT32_MAX;
+  const size_t nx = dicts_[0].values.size();
+  const size_t nyv = dicts_[num_roles - 1].values.size();
+  const size_t grid_cells = (nx + 1) * (nyv + 1);
+  if (dense_shape && grid_cells <= kDenseCellCap && grid_cells <= 4 * num_rows + 64) {
+    const std::vector<int32_t>& x_codes = cols[0]->codes();
+    const std::vector<int32_t>& y_codes = cols[1]->codes();
+    std::vector<int64_t> counts(grid_cells, 0);
+    std::vector<uint32_t> first(grid_cells, 0);
+    for (size_t row = 0; row < num_rows; ++row) {
+      const int32_t xc = x_codes[row];
+      const int32_t yc = y_codes[row];
+      const size_t xi = xc < 0 ? nx : static_cast<size_t>(translate[0][static_cast<size_t>(xc)]);
+      const size_t yi = yc < 0 ? nyv : static_cast<size_t>(translate[1][static_cast<size_t>(yc)]);
+      const size_t cell = xi * (nyv + 1) + yi;
+      if (counts[cell]++ == 0) {
+        first[cell] = static_cast<uint32_t>(row);
       }
-      CompressedCodes packed_x = CompressedCodes::Encode(x_codes, nx + 1);
-      CompressedCodes packed_y = CompressedCodes::Encode(y_codes, nyv + 1);
-      std::vector<int64_t> counts(cells, 0);
-      std::vector<uint32_t> first(cells, UINT32_MAX);
-      simd::Active().contingency_first(packed_x, packed_y, counts.data(), first.data());
-      std::vector<int64_t> key(2);
-      for (size_t xi = 0; xi <= nx; ++xi) {
-        for (size_t yi = 0; yi <= nyv; ++yi) {
-          size_t cell = xi * (nyv + 1) + yi;
-          if (counts[cell] == 0) {
-            continue;
-          }
-          key[0] = xi == nx ? kNullCell : static_cast<int64_t>(xi);
-          key[1] = yi == nyv ? kNullCell : static_cast<int64_t>(yi);
-          auto [it, inserted] = cells_.try_emplace(key);
-          if (inserted) {
-            it->second.first_row = row_offset + first[cell];
-          }
-          it->second.count += counts[cell];
+    }
+    for (size_t xo = 0; xo <= nx; ++xo) {
+      const size_t xi = xo == 0 ? nx : xo - 1;
+      for (size_t yo = 0; yo <= nyv; ++yo) {
+        const size_t yi = yo == 0 ? nyv : yo - 1;
+        const size_t cell = xi * (nyv + 1) + yi;
+        if (counts[cell] == 0) {
+          continue;
+        }
+        run.keys.push_back(xi == nx ? kNullCell : static_cast<int64_t>(xi));
+        run.keys.push_back(yi == nyv ? kNullCell : static_cast<int64_t>(yi));
+        run.counts.push_back(counts[cell]);
+        run.first_rows.push_back(row_offset + first[cell]);
+      }
+    }
+  } else {
+    CellTable table(num_roles);
+    std::vector<int64_t> key(num_roles);
+    for (size_t row = 0; row < num_rows; ++row) {
+      for (size_t r = 0; r < num_roles; ++r) {
+        const Column& col = *cols[r];
+        if (col.IsNull(row)) {
+          key[r] = kNullCell;
+        } else if (role_types_[r] == ColumnType::kCategorical) {
+          key[r] = translate[r][static_cast<size_t>(col.CodeAt(row))];
+        } else {
+          key[r] = CanonicalBits(col.NumericAt(row));
         }
       }
-      rows_ += static_cast<int64_t>(num_rows);
-      return;
+      table.Add(key.data(), row_offset + row);
     }
+    run.keys = std::move(table.keys);
+    run.counts = std::move(table.counts);
+    run.first_rows = std::move(table.first_rows);
+    SortRun(run, num_roles);
   }
-  std::vector<int64_t> key(num_roles);
-  for (size_t row = 0; row < num_rows; ++row) {
-    for (size_t r = 0; r < num_roles; ++r) {
-      const Column& col = *cols[r];
-      if (col.IsNull(row)) {
-        key[r] = kNullCell;
-      } else if (role_types_[r] == ColumnType::kCategorical) {
-        key[r] = translate[r][static_cast<size_t>(col.CodeAt(row))];
-      } else {
-        key[r] = CanonicalBits(col.NumericAt(row));
-      }
-    }
-    auto [it, inserted] = cells_.try_emplace(key);
-    if (inserted) {
-      it->second.first_row = row_offset + row;
-    }
-    ++it->second.count;
+  if (cells_.counts.empty()) {
+    cells_ = std::move(run);
+  } else {
+    MergeRun(run);
   }
-  rows_ += static_cast<int64_t>(num_rows);
 }
 
 PairwiseShardSummary PairwiseShardSummary::FromShard(const Table& shard, Spec spec,
@@ -168,57 +327,69 @@ void PairwiseShardSummary::Merge(const PairwiseShardSummary& other) {
   SCODED_CHECK(role_cols_ == other.role_cols_);
   size_t num_roles = role_cols_.size();
   std::vector<std::vector<int32_t>> translate(num_roles);
+  bool identity = true;
+  bool increasing = true;
   for (size_t r = 0; r < num_roles; ++r) {
-    if (role_types_[r] == ColumnType::kCategorical) {
-      translate[r].reserve(other.dicts_[r].values.size());
-      for (const std::string& value : other.dicts_[r].values) {
-        translate[r].push_back(Intern(dicts_[r], value));
-      }
+    if (role_types_[r] != ColumnType::kCategorical) {
+      continue;  // numeric keys are bit patterns, never translated
+    }
+    translate[r].reserve(other.dicts_[r].values.size());
+    for (const std::string& value : other.dicts_[r].values) {
+      int32_t id = Intern(dicts_[r], value);
+      identity = identity && id == static_cast<int32_t>(translate[r].size());
+      increasing = increasing && (translate[r].empty() || id > translate[r].back());
+      translate[r].push_back(id);
     }
   }
-  std::vector<int64_t> key(num_roles);
-  for (const auto& [other_key, entry] : other.cells_) {
+  rows_ += other.rows_;
+  if (identity) {
+    MergeRun(other.cells_);
+    return;
+  }
+  // Translation is injective, so the run keeps distinct keys; but it need
+  // not keep their order, and then the run is sorted again.
+  Cells run = other.cells_;
+  for (size_t at = 0; at < run.keys.size(); at += num_roles) {
     for (size_t r = 0; r < num_roles; ++r) {
-      int64_t k = other_key[r];
+      int64_t& k = run.keys[at + r];
       if (k != kNullCell && role_types_[r] == ColumnType::kCategorical) {
         k = translate[r][static_cast<size_t>(k)];
       }
-      key[r] = k;
     }
-    auto [it, inserted] = cells_.try_emplace(key);
-    if (inserted) {
-      it->second.first_row = entry.first_row;
-    } else {
-      it->second.first_row = std::min(it->second.first_row, entry.first_row);
-    }
-    it->second.count += entry.count;
   }
-  rows_ += other.rows_;
+  if (!increasing) {
+    SortRun(run, num_roles);
+  }
+  if (cells_.counts.empty()) {
+    cells_ = std::move(run);
+  } else {
+    MergeRun(run);
+  }
 }
 
-PairwiseShardSummary::Snapshot PairwiseShardSummary::ToSnapshot() const {
+PairwiseShardSummary::Snapshot PairwiseShardSummary::ToSnapshot() const& {
+  return PairwiseShardSummary(*this).ToSnapshot();
+}
+
+PairwiseShardSummary::Snapshot PairwiseShardSummary::ToSnapshot() && {
   SCODED_CHECK(valid_);
   Snapshot snapshot;
   snapshot.spec = spec_;
   snapshot.role_types = role_types_;
   snapshot.dicts.reserve(dicts_.size());
-  for (const Dict& dict : dicts_) {
-    snapshot.dicts.push_back(dict.values);
+  for (Dict& dict : dicts_) {
+    snapshot.dicts.push_back(std::move(dict.values));
   }
-  snapshot.keys.reserve(cells_.size() * role_cols_.size());
-  snapshot.counts.reserve(cells_.size());
-  snapshot.first_rows.reserve(cells_.size());
-  for (const auto& [key, entry] : cells_) {
-    snapshot.keys.insert(snapshot.keys.end(), key.begin(), key.end());
-    snapshot.counts.push_back(entry.count);
-    snapshot.first_rows.push_back(entry.first_row);
-  }
+  snapshot.keys = std::move(cells_.keys);
+  snapshot.counts = std::move(cells_.counts);
+  snapshot.first_rows = std::move(cells_.first_rows);
   snapshot.rows = rows_;
+  valid_ = false;
   return snapshot;
 }
 
 Result<PairwiseShardSummary> PairwiseShardSummary::FromSnapshot(const Table& schema,
-                                                                const Snapshot& snapshot) {
+                                                                Snapshot snapshot) {
   const Spec& spec = snapshot.spec;
   auto column_ok = [&](int col) {
     return col >= 0 && static_cast<size_t>(col) < schema.NumColumns();
@@ -257,36 +428,43 @@ Result<PairwiseShardSummary> PairwiseShardSummary::FromSnapshot(const Table& sch
   }
   const size_t num_cells = snapshot.counts.size();
   if (snapshot.first_rows.size() != num_cells ||
-      snapshot.keys.size() != num_cells * num_roles) {
+      snapshot.keys.size() / num_roles != num_cells || snapshot.keys.size() % num_roles != 0) {
     return InvalidArgumentError("snapshot cell arrays have inconsistent sizes");
   }
+  if (snapshot.rows < 0) {
+    return InvalidArgumentError("snapshot claims a negative row count");
+  }
   int64_t total = 0;
-  std::vector<int64_t> key(num_roles);
   for (size_t cell = 0; cell < num_cells; ++cell) {
+    const int64_t* key = snapshot.keys.data() + cell * num_roles;
     for (size_t r = 0; r < num_roles; ++r) {
-      int64_t k = snapshot.keys[cell * num_roles + r];
+      int64_t k = key[r];
       if (k != kNullCell && summary.role_types_[r] == ColumnType::kCategorical &&
           (k < 0 || static_cast<size_t>(k) >= summary.dicts_[r].values.size())) {
         return InvalidArgumentError("snapshot cell key is outside its dictionary");
       }
-      key[r] = k;
+    }
+    // Strictly ascending keys: the run is sorted and holds no repeats.
+    if (cell > 0 && CompareKeys(key - num_roles, key, num_roles) >= 0) {
+      return InvalidArgumentError("snapshot cell keys are not strictly ascending");
     }
     int64_t count = snapshot.counts[cell];
     if (count <= 0) {
       return InvalidArgumentError("snapshot cell count must be positive");
     }
-    auto [it, inserted] = summary.cells_.try_emplace(key);
-    if (!inserted) {
-      return InvalidArgumentError("snapshot repeats a cell key");
+    if (count > snapshot.rows - total) {
+      return InvalidArgumentError("snapshot cell counts sum past its " +
+                                  std::to_string(snapshot.rows) + " rows");
     }
-    it->second.count = count;
-    it->second.first_row = snapshot.first_rows[cell];
     total += count;
   }
-  if (snapshot.rows < 0 || total != snapshot.rows) {
+  if (total != snapshot.rows) {
     return InvalidArgumentError("snapshot cell counts sum to " + std::to_string(total) +
                                 " but claim " + std::to_string(snapshot.rows) + " rows");
   }
+  summary.cells_.keys = std::move(snapshot.keys);
+  summary.cells_.counts = std::move(snapshot.counts);
+  summary.cells_.first_rows = std::move(snapshot.first_rows);
   summary.rows_ = snapshot.rows;
   return summary;
 }
@@ -306,6 +484,7 @@ Result<PairwiseShardSummary::FinishOutcome> PairwiseShardSummary::Finish(
     const TestOptions& options) {
   SCODED_CHECK(valid_);
   const size_t nz = spec_.z_cols.size();
+  const size_t stride = role_cols_.size();
   const size_t x_role = nz;
   const size_t y_role = nz + 1;
   const bool is_tau = role_types_[x_role] == ColumnType::kNumeric &&
@@ -320,6 +499,32 @@ Result<PairwiseShardSummary::FinishOutcome> PairwiseShardSummary::Finish(
         "use Kendall's tau or the in-memory path");
   }
 
+  const size_t num_cells = cells_.counts.size();
+  SCODED_CHECK(num_cells < UINT32_MAX);
+  const int64_t* keys = cells_.keys.data();
+  const int64_t* counts = cells_.counts.data();
+  // Cells in stratum order; strata are contiguous ranges of it.
+  std::vector<uint32_t> order(num_cells);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  // Ascending value counts of numeric `role` over order[begin, end) — the
+  // multiset the in-memory encoders sort. Scratch shared by every caller.
+  std::vector<std::pair<double, int64_t>> marginal;
+  auto fill_marginal = [&](size_t role, size_t begin, size_t end) {
+    marginal.clear();
+    for (size_t i = begin; i < end; ++i) {
+      int64_t key = keys[order[i] * stride + role];
+      if (key != kNullCell) {
+        marginal.emplace_back(DoubleOfBits(key), counts[order[i]]);
+      }
+    }
+    SortAndCoalesce(marginal);
+  };
+  auto drop_nan = [&] {
+    if (!marginal.empty() && std::isnan(marginal.back().first)) {
+      marginal.pop_back();  // NaN sorts last
+    }
+  };
+
   // Stratification keys per conditioning column, mirroring
   // ComputeStratumKeys: a numeric column with more than
   // condition_max_distinct distinct non-null values (NaNs count as one) is
@@ -327,57 +532,70 @@ Result<PairwiseShardSummary::FinishOutcome> PairwiseShardSummary::Finish(
   // value. The marginal over cells loses nothing: distinct counts and
   // quantile cuts are multiset functions.
   z_plan_.assign(nz, ZKeyPlan{});
+  bool any_binned = false;
   for (size_t zr = 0; zr < nz; ++zr) {
     if (role_types_[zr] != ColumnType::kNumeric) {
       continue;
     }
-    std::map<double, int64_t, NanAwareLess> marginal;
-    for (const auto& [key, entry] : cells_) {
-      if (key[zr] != kNullCell) {
-        marginal[DoubleOfBits(key[zr])] += entry.count;
-      }
-    }
+    fill_marginal(zr, 0, num_cells);
     if (marginal.size() > options.condition_max_distinct) {
-      std::vector<std::pair<double, int64_t>> value_counts;
-      value_counts.reserve(marginal.size());
-      for (const auto& [value, count] : marginal) {
-        if (!std::isnan(value)) {
-          value_counts.emplace_back(value, count);
-        }
-      }
+      drop_nan();
       z_plan_[zr].binned = true;
-      z_plan_[zr].cuts = QuantileCutsFromCounts(value_counts, options.condition_bins);
+      z_plan_[zr].cuts = QuantileCutsFromCounts(marginal, options.condition_bins);
+      any_binned = true;
     }
   }
 
-  // Group cells into strata and order the strata by their minimum global
-  // row — the first-appearance order StratifyRows assigns.
+  // Group cells into strata. Cells are sorted by key, so exact-value z
+  // prefixes are already contiguous; binned values are keyed again and the
+  // cells re-sorted by signature.
+  std::vector<int64_t> binned_sigs;
+  auto sig_of = [&](uint32_t cell) -> const int64_t* {
+    if (nz == 0) {
+      return nullptr;  // the one stratum has the empty signature
+    }
+    return any_binned ? binned_sigs.data() + cell * nz : keys + cell * stride;
+  };
+  if (any_binned) {
+    binned_sigs.resize(num_cells * nz);
+    for (size_t cell = 0; cell < num_cells; ++cell) {
+      for (size_t zr = 0; zr < nz; ++zr) {
+        binned_sigs[cell * nz + zr] = StratumKeyOfCell(zr, keys[cell * stride + zr]);
+      }
+    }
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return CompareKeys(sig_of(a), sig_of(b), nz) < 0;
+    });
+  }
   struct Stratum {
+    size_t begin = 0;  // range of `order`
+    size_t end = 0;
     uint64_t first_row = UINT64_MAX;
     int64_t rows = 0;
-    std::map<std::pair<int64_t, int64_t>, int64_t> pairs;
   };
-  std::map<std::vector<int64_t>, Stratum> strata;
+  std::vector<Stratum> strata;
   if (nz == 0) {
-    strata.emplace(std::vector<int64_t>{}, Stratum{});  // one stratum, even when empty
-  }
-  std::vector<int64_t> sig(nz);
-  for (const auto& [key, entry] : cells_) {
-    for (size_t zr = 0; zr < nz; ++zr) {
-      sig[zr] = StratumKeyOfCell(zr, key[zr]);
+    strata.push_back({0, num_cells});  // one stratum, even when empty
+  } else {
+    for (size_t i = 0; i < num_cells;) {
+      size_t j = i + 1;
+      while (j < num_cells && CompareKeys(sig_of(order[i]), sig_of(order[j]), nz) == 0) {
+        ++j;
+      }
+      strata.push_back({i, j});
+      i = j;
     }
-    Stratum& s = strata[sig];
-    s.first_row = std::min(s.first_row, entry.first_row);
-    s.rows += entry.count;
-    s.pairs[{key[x_role], key[y_role]}] += entry.count;
   }
-  std::vector<std::pair<const std::vector<int64_t>*, const Stratum*>> ordered;
-  ordered.reserve(strata.size());
-  for (const auto& [s_key, s] : strata) {
-    ordered.emplace_back(&s_key, &s);
+  // Order the strata by their minimum global row — the first-appearance
+  // order StratifyRows assigns.
+  for (Stratum& s : strata) {
+    for (size_t i = s.begin; i < s.end; ++i) {
+      s.first_row = std::min(s.first_row, cells_.first_rows[order[i]]);
+      s.rows += counts[order[i]];
+    }
   }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.second->first_row < b.second->first_row; });
+  std::sort(strata.begin(), strata.end(),
+            [](const Stratum& a, const Stratum& b) { return a.first_row < b.first_row; });
 
   // Per-stratum code of an x/y cell key, mirroring EncodeAsCategorical:
   // categorical cells keep their dictionary ids, numeric cells are
@@ -394,31 +612,19 @@ Result<PairwiseShardSummary::FinishOutcome> PairwiseShardSummary::Finish(
   // Quantile cuts of one numeric role over a stratum's non-null, non-NaN
   // cells — the cuts EncodeAsCategorical computes from the stratum's rows.
   auto cuts_of_role = [&](size_t role, const Stratum& s) -> std::vector<double> {
-    std::map<double, int64_t, NanAwareLess> marginal;
-    for (const auto& [xy, count] : s.pairs) {
-      int64_t key = role == x_role ? xy.first : xy.second;
-      if (key != kNullCell) {
-        marginal[DoubleOfBits(key)] += count;
-      }
-    }
-    std::vector<std::pair<double, int64_t>> value_counts;
-    value_counts.reserve(marginal.size());
-    for (const auto& [value, count] : marginal) {
-      if (!std::isnan(value)) {
-        value_counts.emplace_back(value, count);
-      }
-    }
-    return QuantileCutsFromCounts(value_counts, options.discretize_bins);
+    fill_marginal(role, s.begin, s.end);
+    drop_nan();
+    return QuantileCutsFromCounts(marginal, options.discretize_bins);
   };
 
   StratifiedAccumulator acc;
   acc.is_tau = is_tau;
-  stratum_index_.clear();
+  stratum_sigs_.clear();
+  stratum_slots_.clear();
   stratum_plans_.clear();
+  std::vector<uint32_t> kept_cells;  // one cell of each kept stratum, for its signature
   std::optional<ContingencyTable> first_kept_ct;
-  size_t kept = 0;
-  for (const auto& [sig_ptr, s_ptr] : ordered) {
-    const Stratum& s = *s_ptr;
+  for (const Stratum& s : strata) {
     // The minimum-size rule applies only to conditioning strata; the
     // unconditional test always runs (degenerate tables are skipped inside
     // the accumulator instead).
@@ -428,10 +634,12 @@ Result<PairwiseShardSummary::FinishOutcome> PairwiseShardSummary::Finish(
     }
     if (is_tau) {
       std::vector<WeightedPoint> points;
-      points.reserve(s.pairs.size());
-      for (const auto& [xy, count] : s.pairs) {
-        if (xy.first != kNullCell && xy.second != kNullCell) {
-          points.push_back({DoubleOfBits(xy.first), DoubleOfBits(xy.second), count});
+      points.reserve(s.end - s.begin);
+      for (size_t i = s.begin; i < s.end; ++i) {
+        const int64_t* key = keys + order[i] * stride;
+        if (key[x_role] != kNullCell && key[y_role] != kNullCell) {
+          points.push_back(
+              {DoubleOfBits(key[x_role]), DoubleOfBits(key[y_role]), counts[order[i]]});
         }
       }
       KendallResult kr = KendallTauFromCounts(std::move(points));
@@ -458,22 +666,22 @@ Result<PairwiseShardSummary::FinishOutcome> PairwiseShardSummary::Finish(
       plan.y_cuts = cuts_of_role(y_role, s);
       cy = static_cast<size_t>(options.discretize_bins);
     }
-    std::vector<int64_t> counts(cx * cy, 0);
-    for (const auto& [xy, count] : s.pairs) {
-      int32_t xc = code_of_key(x_role, plan.x_cuts, xy.first);
-      int32_t yc = code_of_key(y_role, plan.y_cuts, xy.second);
+    std::vector<int64_t> grid(cx * cy, 0);
+    for (size_t i = s.begin; i < s.end; ++i) {
+      const int64_t* key = keys + order[i] * stride;
+      int32_t xc = code_of_key(x_role, plan.x_cuts, key[x_role]);
+      int32_t yc = code_of_key(y_role, plan.y_cuts, key[y_role]);
       if (xc >= 0 && yc >= 0) {
-        counts[static_cast<size_t>(xc) * cy + static_cast<size_t>(yc)] += count;
+        grid[static_cast<size_t>(xc) * cy + static_cast<size_t>(yc)] += counts[order[i]];
       }
     }
-    ContingencyTable ct = ContingencyTable::FromCounts(counts, cx, cy);
+    ContingencyTable ct = ContingencyTable::FromCounts(grid, cx, cy);
     acc.AddG(PiecesOf(ct));
-    if (kept == 0) {
+    if (kept_cells.empty()) {
       first_kept_ct.emplace(std::move(ct));
     }
-    stratum_index_.emplace(*sig_ptr, kept);
+    kept_cells.push_back(s.begin < s.end ? order[s.begin] : 0);
     stratum_plans_.push_back(std::move(plan));
-    ++kept;
   }
 
   FinishOutcome outcome;
@@ -482,6 +690,7 @@ Result<PairwiseShardSummary::FinishOutcome> PairwiseShardSummary::Finish(
     return outcome;  // stratified τ has no Fisher or permutation routing
   }
   TestResult& result = outcome.result;
+  const size_t kept = kept_cells.size();
 
   if (options.use_fisher_for_2x2 && kept == 1 && result.strata_used == 1 && result.n > 0 &&
       result.n <= options.fisher_max_n) {
@@ -489,6 +698,7 @@ Result<PairwiseShardSummary::FinishOutcome> PairwiseShardSummary::Finish(
     if (fisher_p.has_value()) {
       result.p_value = *fisher_p;
       result.used_exact = true;
+      stratum_plans_.clear();
       return outcome;
     }
   }
@@ -499,10 +709,21 @@ Result<PairwiseShardSummary::FinishOutcome> PairwiseShardSummary::Finish(
   if (options.allow_exact && grossly_inadequate && options.permutation_fallback_iterations > 0) {
     // The Monte-Carlo fallback permutes row-order code vectors — the one
     // statistic counts cannot reproduce. Keep the encoding plan recorded
-    // above so a second streaming pass can rebuild those vectors.
+    // above, with the kept strata's signatures sorted for the second
+    // pass's lookups.
     outcome.needs_row_pass = true;
+    std::vector<size_t> by_sig(kept);
+    std::iota(by_sig.begin(), by_sig.end(), size_t{0});
+    std::sort(by_sig.begin(), by_sig.end(), [&](size_t a, size_t b) {
+      return CompareKeys(sig_of(kept_cells[a]), sig_of(kept_cells[b]), nz) < 0;
+    });
+    stratum_sigs_.reserve(kept * nz);
+    for (size_t k : by_sig) {
+      const int64_t* sig = sig_of(kept_cells[k]);
+      stratum_sigs_.insert(stratum_sigs_.end(), sig, sig + nz);
+      stratum_slots_.push_back(k);
+    }
   } else {
-    stratum_index_.clear();
     stratum_plans_.clear();
   }
   return outcome;
@@ -536,6 +757,28 @@ void PairwiseShardSummary::CollectPermutationCodes(const Table& shard,
     }
     return QuantileCodeOf(cuts, col.NumericAt(row));
   };
+  // The kept stratum with signature `sig` (binary search over the sorted
+  // signatures), or -1 when the row's stratum was skipped as small.
+  const size_t kept = stratum_slots_.size();
+  auto slot_of = [&](const int64_t* sig) -> ptrdiff_t {
+    if (nz == 0) {
+      return kept > 0 ? static_cast<ptrdiff_t>(stratum_slots_[0]) : -1;
+    }
+    size_t lo = 0;
+    size_t hi = kept;
+    while (lo < hi) {
+      size_t mid = lo + (hi - lo) / 2;
+      if (CompareKeys(stratum_sigs_.data() + mid * nz, sig, nz) < 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo < kept && CompareKeys(stratum_sigs_.data() + lo * nz, sig, nz) == 0) {
+      return static_cast<ptrdiff_t>(stratum_slots_[lo]);
+    }
+    return -1;
+  };
   size_t num_rows = shard.NumRows();
   std::vector<int64_t> sig(nz);
   for (size_t row = 0; row < num_rows; ++row) {
@@ -554,15 +797,15 @@ void PairwiseShardSummary::CollectPermutationCodes(const Table& shard,
       }
       sig[zr] = StratumKeyOfCell(zr, raw);
     }
-    auto it = stratum_index_.find(sig);
-    if (it == stratum_index_.end()) {
+    ptrdiff_t slot = slot_of(sig.data());
+    if (slot < 0) {
       continue;  // row belongs to a skipped (small) stratum
     }
-    const StratumPlan& plan = stratum_plans_[it->second];
+    const StratumPlan& plan = stratum_plans_[static_cast<size_t>(slot)];
     int32_t xc = code_of_cell(x_role, plan.x_cuts, row);
     int32_t yc = code_of_cell(y_role, plan.y_cuts, row);
     if (xc >= 0 && yc >= 0) {
-      PermutationStratum& out = (*strata)[it->second];
+      PermutationStratum& out = (*strata)[static_cast<size_t>(slot)];
       out.x.push_back(xc);
       out.y.push_back(yc);
     }

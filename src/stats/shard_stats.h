@@ -2,7 +2,6 @@
 #define SCODED_STATS_SHARD_STATS_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -21,8 +20,11 @@ namespace scoded {
 ///
 /// The summary keeps one exact integer count per distinct joint cell
 /// (z..., x, y), plus the global first-row index of each cell and a
-/// first-appearance dictionary per categorical column. Those are
-/// sufficient statistics for everything IndependenceTest computes:
+/// first-appearance dictionary per categorical column. Cells live in three
+/// flat arrays sorted by key — keys (one int64 per role), counts and first
+/// rows, the Snapshot layout — so a cell costs 8 bytes per role plus 16.
+/// Those are sufficient statistics for everything IndependenceTest
+/// computes:
 ///
 ///  * the G path reduces to per-stratum contingency counts (quantile cuts
 ///    for numeric columns are value/count functions, order-free);
@@ -46,7 +48,7 @@ namespace scoded {
 ///  * the Monte-Carlo permutation fallback shuffles per-row code vectors,
 ///    so Finish() reports `needs_row_pass` and the caller re-streams the
 ///    file through CollectPermutationCodes (the fallback only triggers in
-///    the dof >= n regime, where the cell map is as large as the data
+///    the dof >= n regime, where there are about as many cells as rows
 ///    anyway — a second pass costs I/O, not memory);
 ///  * Spearman's ρ sums ranks in row order with row-order float error, so
 ///    Finish() refuses `numeric_method = kSpearman` with Unimplemented.
@@ -78,15 +80,17 @@ class PairwiseShardSummary {
   static PairwiseShardSummary FromShard(const Table& shard, Spec spec, uint64_t row_offset);
 
   /// Associative fold. `other` must summarise rows that come after every
-  /// row already in `this` (merge in file order).
+  /// row already in `this` (merge in file order). A linear merge of the
+  /// two sorted cell runs: counts add, and the first row is the minimum.
   void Merge(const PairwiseShardSummary& other);
 
   /// A self-contained, exactly-restorable image of a summary: everything is
   /// integers and dictionary strings (numeric cell values travel as the
   /// canonical bit pattern of the double), so a summary can cross a process
   /// or wire boundary and Merge/Finish on the far side bit-identically.
-  /// Cells are flattened in key order, `keys` holding num_roles entries per
-  /// cell (z..., x, y layout, same as the in-memory map key).
+  /// Cells are flattened in ascending lexicographic key order (signed
+  /// int64 per role, so a null, INT64_MIN, sorts first), `keys` holding
+  /// num_roles entries per cell in z..., x, y layout.
   struct Snapshot {
     Spec spec;
     std::vector<ColumnType> role_types;  // z..., x, y
@@ -97,21 +101,23 @@ class PairwiseShardSummary {
     int64_t rows = 0;
   };
 
-  /// Exports the folded state. Valid any time before Finish().
-  Snapshot ToSnapshot() const;
+  /// Exports the folded state. Valid any time before Finish(). The rvalue
+  /// form moves the cell arrays out instead of copying them.
+  Snapshot ToSnapshot() const&;
+  Snapshot ToSnapshot() &&;
 
   /// Rebuilds a summary from a snapshot against `schema` (any table with
-  /// the file's schema). Every structural invariant is re-validated —
-  /// column bounds, role types, dictionary uniqueness, categorical key
-  /// ranges, positive counts, sum(counts) == rows — so a corrupted or
-  /// adversarial wire payload fails with kInvalidArgument instead of
-  /// poisoning the fold.
-  static Result<PairwiseShardSummary> FromSnapshot(const Table& schema, const Snapshot& snapshot);
+  /// the file's schema), taking over its cell arrays. Every structural
+  /// invariant is re-validated — column bounds, role types, dictionary
+  /// uniqueness, keys strictly ascending, categorical key ranges, positive
+  /// counts, sum(counts) == rows — so a corrupted or adversarial wire
+  /// payload fails with kInvalidArgument instead of poisoning the fold.
+  static Result<PairwiseShardSummary> FromSnapshot(const Table& schema, Snapshot snapshot);
 
   /// Data rows folded in so far (including rows with nulls).
   int64_t rows() const { return rows_; }
   /// Distinct joint cells held — the summary's memory footprint driver.
-  size_t num_cells() const { return cells_.size(); }
+  size_t num_cells() const { return cells_.counts.size(); }
 
   struct FinishOutcome {
     TestResult result;
@@ -140,9 +146,12 @@ class PairwiseShardSummary {
  private:
   static constexpr int64_t kNullCell = INT64_MIN;
 
-  struct CellEntry {
-    int64_t count = 0;
-    uint64_t first_row = 0;
+  /// Distinct cells as parallel arrays, ascending by key; `keys` holds
+  /// num_roles entries per cell.
+  struct Cells {
+    std::vector<int64_t> keys;
+    std::vector<int64_t> counts;
+    std::vector<uint64_t> first_rows;
   };
 
   /// First-appearance dictionary for one categorical role.
@@ -166,18 +175,25 @@ class PairwiseShardSummary {
 
   int32_t Intern(Dict& dict, const std::string& value);
   int64_t StratumKeyOfCell(size_t z_role, int64_t raw) const;
+  /// Sorts a run of distinct cells by key.
+  static void SortRun(Cells& run, size_t stride);
+  /// Linear merge of a sorted run, already in this summary's ids.
+  void MergeRun(const Cells& run);
 
   Spec spec_;
   std::vector<int> role_cols_;           // z..., x, y — key layout order
   std::vector<ColumnType> role_types_;   // parallel to role_cols_
   std::vector<Dict> dicts_;              // parallel; unused for numeric roles
-  std::map<std::vector<int64_t>, CellEntry> cells_;
+  Cells cells_;
   int64_t rows_ = 0;
   bool valid_ = false;
 
-  // Permutation second-pass plan, populated by Finish when needed.
+  // Permutation second-pass plan, populated by Finish when needed: the kept
+  // strata's signatures (nz entries each, ascending) with the index of each
+  // one's plan, for a binary search per row.
   std::vector<ZKeyPlan> z_plan_;
-  std::map<std::vector<int64_t>, size_t> stratum_index_;
+  std::vector<int64_t> stratum_sigs_;
+  std::vector<size_t> stratum_slots_;
   std::vector<StratumPlan> stratum_plans_;
 };
 

@@ -46,27 +46,6 @@ void ContingencyScalarImpl(const CompressedCodes& xc, const CompressedCodes& yc,
   }
 }
 
-template <typename XT, typename YT>
-void ContingencyFirstScalarImpl(const CompressedCodes& xc, const CompressedCodes& yc,
-                                int64_t* counts, uint32_t* first_row) {
-  const XT* x = reinterpret_cast<const XT*>(xc.data_u8());
-  const YT* y = reinterpret_cast<const YT*>(yc.data_u8());
-  const uint64_t* xv = xc.valid_words();
-  const uint64_t* yv = yc.valid_words();
-  const size_t n = xc.size();
-  const size_t ny = yc.cardinality();
-  for (size_t i = 0; i < n; ++i) {
-    if (!RowValid(xv, i) || !RowValid(yv, i)) {
-      continue;
-    }
-    size_t cell = static_cast<size_t>(x[i]) * ny + static_cast<size_t>(y[i]);
-    counts[cell] += 1;
-    if (first_row[cell] == UINT32_MAX) {
-      first_row[cell] = static_cast<uint32_t>(i);
-    }
-  }
-}
-
 // Expands a width-pair dispatch over the 3x3 lane combinations.
 template <template <typename, typename> class Fn, typename... Args>
 void DispatchWidths(const CompressedCodes& x, const CompressedCodes& y, Args... args) {
@@ -111,23 +90,9 @@ struct ContingencyScalarFn {
   }
 };
 
-template <typename XT, typename YT>
-struct ContingencyFirstScalarFn {
-  static void Run(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts,
-                  uint32_t* first_row) {
-    ContingencyFirstScalarImpl<XT, YT>(x, y, counts, first_row);
-  }
-};
-
 void ContingencyScalar(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts) {
   SCODED_CHECK(x.size() == y.size());
   DispatchWidths<ContingencyScalarFn>(x, y, counts);
-}
-
-void ContingencyFirstScalar(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts,
-                            uint32_t* first_row) {
-  SCODED_CHECK(x.size() == y.size());
-  DispatchWidths<ContingencyFirstScalarFn>(x, y, counts, first_row);
 }
 
 // Reference dense ranks: the historical sort + unique + per-element
@@ -274,64 +239,9 @@ void ContingencyBlockedImpl(const CompressedCodes& xc, const CompressedCodes& yc
 }
 
 template <typename XT, typename YT>
-void ContingencyFirstBlockedImpl(const CompressedCodes& xc, const CompressedCodes& yc,
-                                 int64_t* counts, uint32_t* first_row) {
-  const XT* x = reinterpret_cast<const XT*>(xc.data_u8());
-  const YT* y = reinterpret_cast<const YT*>(yc.data_u8());
-  const uint64_t* xv = xc.valid_words();
-  const uint64_t* yv = yc.valid_words();
-  const size_t n = xc.size();
-  const size_t ny = yc.cardinality();
-
-  const size_t words = n / 64;
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t valid = (xv != nullptr ? xv[w] : ~0ull) & (yv != nullptr ? yv[w] : ~0ull);
-    const XT* xb = x + w * 64;
-    const YT* yb = y + w * 64;
-    const uint32_t base = static_cast<uint32_t>(w * 64);
-    if (valid == ~0ull) {
-      for (size_t i = 0; i < 64; ++i) {
-        size_t cell = static_cast<size_t>(xb[i]) * ny + yb[i];
-        counts[cell] += 1;
-        if (first_row[cell] == UINT32_MAX) {
-          first_row[cell] = base + static_cast<uint32_t>(i);
-        }
-      }
-    } else {
-      while (valid != 0) {
-        int bit = __builtin_ctzll(valid);
-        valid &= valid - 1;
-        size_t cell = static_cast<size_t>(xb[bit]) * ny + yb[bit];
-        counts[cell] += 1;
-        if (first_row[cell] == UINT32_MAX) {
-          first_row[cell] = base + static_cast<uint32_t>(bit);
-        }
-      }
-    }
-  }
-  for (size_t i = words * 64; i < n; ++i) {
-    if (RowValid(xv, i) && RowValid(yv, i)) {
-      size_t cell = static_cast<size_t>(x[i]) * ny + y[i];
-      counts[cell] += 1;
-      if (first_row[cell] == UINT32_MAX) {
-        first_row[cell] = static_cast<uint32_t>(i);
-      }
-    }
-  }
-}
-
-template <typename XT, typename YT>
 struct ContingencyBlockedFn {
   static void Run(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts) {
     ContingencyBlockedImpl<XT, YT>(x, y, counts);
-  }
-};
-
-template <typename XT, typename YT>
-struct ContingencyFirstBlockedFn {
-  static void Run(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts,
-                  uint32_t* first_row) {
-    ContingencyFirstBlockedImpl<XT, YT>(x, y, counts, first_row);
   }
 };
 
@@ -356,12 +266,6 @@ inline uint64_t OrderedKey(double v) {
 void ContingencyBlocked(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts) {
   SCODED_CHECK(x.size() == y.size());
   DispatchWidths<ContingencyBlockedFn>(x, y, counts);
-}
-
-void ContingencyFirstBlocked(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts,
-                             uint32_t* first_row) {
-  SCODED_CHECK(x.size() == y.size());
-  DispatchWidths<ContingencyFirstBlockedFn>(x, y, counts, first_row);
 }
 
 // LSD radix sort over order-preserving keys (8-bit digits, uniform-digit
@@ -483,14 +387,14 @@ int PopcountBuiltin(uint64_t word) { return __builtin_popcountll(word); }
 namespace {
 
 const Kernels kScalarKernels = {
-    ContingencyScalar,      ContingencyFirstScalar, DenseRanksScalar,
-    CountInversionsScalar,  PopcountScalar,         PairSignScanScalar,
+    ContingencyScalar, DenseRanksScalar,   CountInversionsScalar,
+    PopcountScalar,    PairSignScanScalar,
 };
 
 const Kernels kPortableKernels = {
-    internal::ContingencyBlocked,      internal::ContingencyFirstBlocked,
-    internal::DenseRanksRadix,         internal::CountInversionsBottomUp,
-    internal::PopcountBuiltin,         internal::PairSignScanPortable,
+    internal::ContingencyBlocked,      internal::DenseRanksRadix,
+    internal::CountInversionsBottomUp, internal::PopcountBuiltin,
+    internal::PairSignScanPortable,
 };
 
 struct DispatchState {

@@ -44,12 +44,6 @@ struct Kernels {
   /// zero-initialised (or pre-seeded) cells. x and y must be row-aligned.
   void (*contingency)(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts);
 
-  /// As `contingency`, and also records in `first_row[cell]` the smallest
-  /// row index that hit the cell (UINT32_MAX = untouched). Used by the
-  /// shard summaries, whose merge order is keyed on first occurrence.
-  void (*contingency_first)(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts,
-                            uint32_t* first_row);
-
   /// Dense (competition-free) ranks of `values` into `ranks[i]` in
   /// [0, distinct); returns the distinct count. NaN-aware: NaNs sort
   /// after all numbers and share one rank.

@@ -17,8 +17,6 @@ inline constexpr size_t kInterleaveCells = 8192;
 // Portable width-specialised blocked kernels — the kSse2 table, and every
 // AVX2 table entry but pair_sign_scan.
 void ContingencyBlocked(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts);
-void ContingencyFirstBlocked(const CompressedCodes& x, const CompressedCodes& y, int64_t* counts,
-                             uint32_t* first_row);
 size_t DenseRanksRadix(const double* values, size_t n, size_t* ranks);
 int64_t CountInversionsBottomUp(uint32_t* values, uint32_t* scratch, size_t n);
 void PairSignScanPortable(const double* xs, const double* ys, size_t n, double x, double y,

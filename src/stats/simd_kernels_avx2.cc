@@ -62,8 +62,8 @@ __attribute__((target("avx2"))) void PairSignScanAvx2(const double* xs, const do
 }
 
 const Kernels kAvx2Kernels = {
-    ContingencyBlocked,      ContingencyFirstBlocked, DenseRanksRadix,
-    CountInversionsBottomUp, PopcountBuiltin,         PairSignScanAvx2,
+    ContingencyBlocked, DenseRanksRadix,  CountInversionsBottomUp,
+    PopcountBuiltin,    PairSignScanAvx2,
 };
 
 }  // namespace

@@ -255,10 +255,11 @@ Status RecordScanner::Refill() {
   SCODED_DCHECK(file_.has_value());
   size_t filled = input_.size();
   if (filled + chunk_bytes_ > buffer_.size()) {
-    // Carry the unfinished record to the front. A record is moved at most
-    // once (after that it starts the buffer), and the buffer doubles when
-    // the record and one more read do not fit, so a record of any length
-    // costs time linear in its length.
+    // Carry the unfinished record to the front and read into the rest. A
+    // record is moved at most once (after that it starts the buffer), and
+    // the buffer doubles only when the record leaves less than half a read
+    // of room, so a record of any length costs time linear in its length
+    // while short records keep the buffer at one read.
     size_t carry = filled - record_start_;
     if (record_start_ > 0 && carry > 0) {
       std::memmove(buffer_.data(), buffer_.data() + record_start_, carry);
@@ -266,11 +267,12 @@ Status RecordScanner::Refill() {
     pos_ -= record_start_;
     record_start_ = 0;
     filled = carry;
-    if (carry + chunk_bytes_ > buffer_.size()) {
+    if (carry + (chunk_bytes_ + 1) / 2 > buffer_.size()) {
       buffer_.resize(std::max(carry + chunk_bytes_, 2 * buffer_.size()));
     }
   }
-  SCODED_ASSIGN_OR_RETURN(size_t got, file_->Read(buffer_.data() + filled, chunk_bytes_));
+  SCODED_ASSIGN_OR_RETURN(size_t got,
+                          file_->Read(buffer_.data() + filled, buffer_.size() - filled));
   bytes_read_ += got;
   at_eof_ = got == 0;
   input_ = std::string_view(buffer_.data(), filled + got);
@@ -289,6 +291,14 @@ ColumnBuilder ColumnBuilder::Inferring(bool infer_types, bool keep_values) {
 
 ColumnBuilder ColumnBuilder::Typed(bool numeric) {
   return ColumnBuilder(numeric ? State::kNumeric : State::kCategorical, true);
+}
+
+void ColumnBuilder::Reserve(size_t rows) {
+  if (state_ == State::kNumeric) {
+    values_.reserve(rows);
+  } else if (state_ == State::kCategorical) {
+    codes_.reserve(rows);
+  }
 }
 
 void ColumnBuilder::Add(std::string_view cell) {

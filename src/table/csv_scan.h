@@ -52,19 +52,20 @@ class InputFile {
 /// Records end at '\n' or "\r\n" outside quotes; a '\r' before anything
 /// else is a literal character. Blank lines are skipped.
 ///
-/// The input is either one in-memory text or a file read `buffer_bytes` at
-/// a time. A record cut by the end of a read is carried: its bytes move to
-/// the front of the buffer and the next read lands after them, so every
-/// record is contiguous when it is handed out, and scanning resumes where
-/// it stopped (quote state, field offsets) instead of starting the record
-/// over. The two bytes that need lookahead — '"' inside quotes and '\r'
-/// outside — wait for the next read, so splitting the input at any byte
-/// offset cannot change the output. A record is carried at most once, and
-/// the buffer doubles while one record outgrows it, so a record longer than
-/// `buffer_bytes` still reads in time linear in its length, and the buffer
-/// stays below twice the longest record plus one read. Unquoted fields are
-/// views into the buffer; a field with quotes is unescaped into a
-/// per-record scratch string.
+/// The input is either one in-memory text or a file read through a buffer
+/// of `buffer_bytes`. A record cut by the end of a read is carried: its
+/// bytes move to the front of the buffer and the next read fills the rest,
+/// so every record is contiguous when it is handed out, and scanning
+/// resumes where it stopped (quote state, field offsets) instead of
+/// starting the record over. The two bytes that need lookahead — '"'
+/// inside quotes and '\r' outside — wait for the next read, so splitting
+/// the input at any byte offset cannot change the output. A record is
+/// carried at most once, and the buffer doubles only while one record
+/// leaves it less than half a read of room, so a record longer than
+/// `buffer_bytes` still reads in time linear in its length, the buffer
+/// stays below twice the longest record plus one read, and input of short
+/// records never grows it. Unquoted fields are views into the buffer; a
+/// field with quotes is unescaped into a per-record scratch string.
 class RecordScanner {
  public:
   /// Scans `text`, which must outlive the scanner.
@@ -139,6 +140,10 @@ class ColumnBuilder {
   static ColumnBuilder Typed(bool numeric);
 
   void Add(std::string_view cell);
+
+  /// Makes room for `rows` cells of a typed column, so filling it does
+  /// not regrow its storage.
+  void Reserve(size_t rows);
 
   /// The type verdict over the cells added so far.
   bool numeric() const;

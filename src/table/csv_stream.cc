@@ -1,5 +1,6 @@
 #include "table/csv_stream.h"
 
+#include <algorithm>
 #include <string_view>
 #include <utility>
 
@@ -34,9 +35,14 @@ Result<ShardReader> ShardReader::Open(const std::string& path, const ShardReader
 }
 
 Result<std::optional<Table>> ShardReader::Next() {
+  // Every shard but the last is full, so its columns are sized up front
+  // from the first pass's row count (a file that grew since gets no more).
+  const size_t left = num_data_rows_ > rows_yielded_ ? num_data_rows_ - rows_yielded_ : 0;
+  const size_t expected = std::min(options_.shard_rows, left);
   std::vector<ColumnBuilder> columns;
   for (bool numeric : numeric_) {
     columns.push_back(ColumnBuilder::Typed(numeric));
+    columns.back().Reserve(expected);
   }
   size_t rows = 0;
   while (rows < options_.shard_rows) {

@@ -14,8 +14,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -457,6 +459,40 @@ TEST_F(DistributedCheckTest, ForkWorkersAreDismissedWithoutWaitingOutTheGrace) {
   EXPECT_LT(waited, 4.0);
 }
 
+TEST_F(DistributedCheckTest, FailedSpawnDismissesTheWorkersAlreadyUp) {
+  // A later spawn fails, so the run fails; the workers already up read EOF
+  // when their channels close and are reaped at once, not after the 5 s
+  // grace.
+  class FailingSpawn : public dist::Substrate {
+   public:
+    explicit FailingSpawn(size_t fail_at) : fail_at_(fail_at) {}
+    Result<std::unique_ptr<dist::WorkerChannel>> Spawn(size_t worker_index) override {
+      if (worker_index == fail_at_) {
+        return UnavailableError("injected: spawn failed");
+      }
+      return inner_.Spawn(worker_index);
+    }
+
+   private:
+    size_t fail_at_;
+    dist::ForkExecSubstrate inner_{SCODED_CLI_BIN, {"worker"}};
+  };
+  for (size_t fail_at : {1, 2}) {
+    FailingSpawn substrate(fail_at);
+    dist::DistributedCheckOptions options;
+    options.base = BaseOptions();
+    options.workers = 3;
+    auto start = std::chrono::steady_clock::now();
+    Result<ShardedCheckResult> result =
+        dist::DistributedCheckAll(path_, constraints_, substrate, options);
+    double waited =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    ASSERT_FALSE(result.ok()) << "fail_at=" << fail_at;
+    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable) << result.status().ToString();
+    EXPECT_LT(waited, 4.0) << "fail_at=" << fail_at;
+  }
+}
+
 TEST_F(DistributedCheckTest, TcpWorkersMatchSingleProcess) {
   std::vector<std::string> expected = SingleProcessLines();
   dist::TcpSubstrate substrate(SCODED_CLI_BIN, {"worker"});
@@ -481,6 +517,115 @@ TEST_F(DistributedCheckTest, SigkilledForkWorkerIsRetriedOnSurvivor) {
   EXPECT_EQ(result->rows, uint64_t{900});
   EXPECT_EQ(Lines(*result), expected);
 }
+
+TEST(DistributedContinuousTest, ForkWorkersMatchSingleProcessOnContinuousData) {
+  // Continuous columns, where nearly every row is its own cell: negative
+  // values, zeros of both signs and empty cells, a conditional τ on a
+  // quantile-binned numeric z, and a numeric × categorical G.
+  const std::string path = ::testing::TempDir() + "/distributed_continuous_test.csv";
+  {
+    Rng rng(33);
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good());
+    out << "D,N,Z,G\n";
+    const char* groups[] = {"north", "south", "east"};
+    for (int i = 0; i < 2400; ++i) {
+      double d = rng.Uniform(-40.0, 40.0);
+      double n = d * 0.25 + rng.Uniform(-12.0, 12.0);
+      double z = rng.Uniform(-3.0, 3.0);
+      int64_t pick = rng.UniformInt(0, 49);
+      char line[160];
+      std::snprintf(line, sizeof(line), "%s,%s,%.4f,%s\n",
+                    pick == 0   ? "0"
+                    : pick == 1 ? "-0"
+                    : pick == 2 ? ""
+                                : std::to_string(std::round(d * 1e4) / 1e4).c_str(),
+                    pick == 3 ? "" : pick == 4 ? "-0.0" : std::to_string(n).c_str(), z,
+                    pick == 5 ? "" : groups[rng.UniformInt(0, 2)]);
+      out << line;
+    }
+  }
+  std::vector<ApproximateSc> constraints;
+  for (const char* text : {"D !_||_ N", "D _||_ N | Z", "G _||_ D", "N _||_ G | Z"}) {
+    Result<StatisticalConstraint> sc = ParseConstraint(text);
+    ASSERT_TRUE(sc.ok()) << sc.status().message();
+    constraints.push_back({std::move(sc).value(), 0.05});
+  }
+  auto lines = [&](const ShardedCheckResult& result) {
+    std::vector<std::string> out;
+    for (size_t i = 0; i < result.reports.size(); ++i) {
+      out.push_back(FormatReport(constraints[i], result.reports[i]));
+    }
+    return out;
+  };
+  ShardedCheckOptions base;
+  base.reader.shard_rows = 128;
+  Result<ShardedCheckResult> single = ShardedCheckAll(path, constraints, base);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  for (int workers : {1, 3}) {
+    dist::ForkExecSubstrate substrate(SCODED_CLI_BIN, {"worker"});
+    dist::DistributedCheckOptions options;
+    options.base = base;
+    options.workers = workers;
+    Result<ShardedCheckResult> result =
+        dist::DistributedCheckAll(path, constraints, substrate, options);
+    ASSERT_TRUE(result.ok()) << "workers=" << workers << ": " << result.status().ToString();
+    EXPECT_EQ(result->rows, uint64_t{2400});
+    EXPECT_EQ(lines(*result), lines(*single)) << "workers=" << workers;
+  }
+  std::remove(path.c_str());
+}
+
+#ifndef SCODED_OBS_DISABLED
+TEST(ProcessChannelTest, KilledWorkersLeaveNoUnwrittenReports) {
+  // A worker pre-opens its flight-recorder reports in SCODED_CRASH_DIR; one
+  // the coordinator SIGKILLs never disarms, so reaping it must unlink the
+  // empty ones and keep any with content.
+  std::string dir = ::testing::TempDir() + "/scoded_reap_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const char* old_dir = std::getenv("SCODED_CRASH_DIR");
+  const std::string saved = old_dir != nullptr ? old_dir : "";
+  ASSERT_EQ(::setenv("SCODED_CRASH_DIR", dir.c_str(), 1), 0);
+  dist::ForkExecSubstrate substrate(SCODED_CLI_BIN, {"worker"});
+  Result<std::unique_ptr<dist::WorkerChannel>> plain = substrate.Spawn(0);
+  Result<std::unique_ptr<dist::WorkerChannel>> with_report = substrate.Spawn(1);
+  if (old_dir != nullptr) {
+    ::setenv("SCODED_CRASH_DIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SCODED_CRASH_DIR");
+  }
+  ASSERT_TRUE(plain.ok() && with_report.ok());
+  auto report = [&](const char* kind, const dist::WorkerChannel& channel) {
+    return dir + "/scoded-" + kind + "-" + std::to_string(channel.pid()) + ".report";
+  };
+  auto exists = [](const std::string& file) { return ::access(file.c_str(), F_OK) == 0; };
+  const std::vector<std::string> files = {
+      report("crash", **plain), report("stall", **plain), report("crash", **with_report),
+      report("stall", **with_report)};
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!std::all_of(files.begin(), files.end(), exists) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(std::all_of(files.begin(), files.end(), exists)) << "workers never armed";
+  {
+    std::ofstream evidence(files[2], std::ios::app);
+    evidence << "kind: crash\n";
+  }
+  for (auto* channel : {&*plain, &*with_report}) {
+    (*channel)->Kill();
+    channel->reset();
+  }
+  EXPECT_FALSE(exists(files[0]));
+  EXPECT_FALSE(exists(files[1]));
+  EXPECT_TRUE(exists(files[2])) << "a report with content was unlinked";
+  EXPECT_FALSE(exists(files[3]));
+  for (const std::string& file : files) {
+    std::remove(file.c_str());
+  }
+  ::rmdir(dir.c_str());
+}
+#endif  // SCODED_OBS_DISABLED
 
 // Parsed /proc/<pid>/stat: the state letter and the parent pid, or
 // state '\0' when the process is gone.

@@ -201,11 +201,13 @@ TEST(FlightRecorderDeathTest, SigsegvDuringShardedCheckLeavesCrashReport) {
     }
     // Crash as soon as the check makes observable progress, so the main
     // thread is caught with its sharded-check spans open.
+    static std::atomic<bool> fired{false};
     std::thread([] {
       obs::Counter* rows = obs::Metrics::Global().FindOrCreateCounter("shard.rows");
       while (rows->Value() == 0) {
         std::this_thread::yield();
       }
+      fired.store(true);
       // A non-null address in the unmapped first page: UBSan reports a
       // store through nullptr before any signal arrives, so no report
       // would be written under the sanitizer build. The address is read at
@@ -216,6 +218,12 @@ TEST(FlightRecorderDeathTest, SigsegvDuringShardedCheckLeavesCrashReport) {
     ShardedCheckOptions options_check;
     options_check.reader.shard_rows = 500;
     (void)ShardedCheckAll(csv, {MustParseAsc("A _||_ C", 0.05)}, options_check);
+    // A crash that fired mid-check may still be in its handlers (a
+    // sanitizer prints its own report after ours), and exiting here would
+    // cut it short: give it up to 10 s to end the process.
+    for (int i = 0; i < 100 && fired.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
     _exit(0);
   }
   int wstatus = 0;

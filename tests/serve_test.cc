@@ -22,6 +22,7 @@
 
 #include "common/json.h"
 #include "common/net.h"
+#include "common/rng.h"
 #include "constraints/sc.h"
 #include "core/scoded.h"
 #include "core/stream_monitor.h"
@@ -251,18 +252,254 @@ TEST(WireTest, NonIntegralOrOutOfRangeNumbersAreInvalidArgument) {
   EXPECT_EQ(serve::ParseBatchJson(batch("-1", "1")).status().code(),
             StatusCode::kInvalidArgument);
 
+  // Summary specs travel as binary i64 columns: one that is not a column
+  // index (negative, or past INT32_MAX) is rejected, not cast.
   Table table = CarsTable();
-  PairwiseShardSummary summary(table, PairwiseShardSummary::Spec{0, 1, {}});
+  const PairwiseShardSummary::Spec spec{0, 1, {}};
+  PairwiseShardSummary summary(table, spec);
   summary.Accumulate(table, 0);
-  JsonWriter json;
-  serve::WriteShardSummaryJson(summary.ToSnapshot(), json);
-  std::string text = json.str();
-  EXPECT_TRUE(serve::ParseShardSummaryJson(MustParse(text)).ok());
-  size_t x = text.find(R"("x":0)");
-  ASSERT_NE(x, std::string::npos) << text;
-  std::string fractional = text.replace(x, 5, R"("x":2.5)");
-  EXPECT_EQ(serve::ParseShardSummaryJson(MustParse(fractional)).status().code(),
+  std::vector<std::string> frames;
+  ASSERT_TRUE(serve::WriteShardSummaryFrames(table.NumRows(), {summary.ToSnapshot()},
+                                             [&](std::string_view frame) {
+                                               frames.emplace_back(frame);
+                                               return OkStatus();
+                                             })
+                  .ok());
+  ASSERT_EQ(frames.size(), 1u);
+  auto decode = [&](const std::string& body) {
+    bool sent = false;
+    return serve::ReadShardSummaryFrames(
+        [&]() -> Result<std::string> {
+          if (sent) {
+            return UnavailableError("no more frames");
+          }
+          sent = true;
+          return body;
+        },
+        {spec}, table.NumRows());
+  };
+  EXPECT_TRUE(decode(frames[0]).ok());
+  for (uint64_t x : {uint64_t{1} << 40, ~uint64_t{0}}) {
+    std::string body = frames[0];
+    for (int i = 0; i < 8; ++i) {
+      body[8 + i] = static_cast<char>(x >> (8 * i));  // spec x follows the u64 row total
+    }
+    EXPECT_EQ(decode(body).status().code(), StatusCode::kInvalidArgument) << x;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Binary shard-summary frames: the worker's summarize reply body.
+
+// Numeric columns with negatives, both zeros, NaN and nulls; a categorical
+// column with nulls; many distinct values so most cells are singletons.
+Table ContinuousTable(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(n);
+  std::vector<double> y(n);
+  std::vector<bool> y_valid(n, true);
+  std::vector<int32_t> g(n);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = rng.Uniform(-50.0, 50.0);
+    y[i] = x[i] * 0.5 + rng.Uniform(-10.0, 10.0);
+    int64_t pick = rng.UniformInt(0, 39);
+    if (pick == 0) {
+      x[i] = 0.0;
+    } else if (pick == 1) {
+      x[i] = -0.0;
+    } else if (pick == 2) {
+      y[i] = std::nan("");
+    } else if (pick == 3) {
+      y_valid[i] = false;
+    }
+    g[i] = rng.UniformInt(0, 9) == 0 ? -1 : static_cast<int32_t>(rng.UniformInt(0, 2));
+  }
+  Result<Table> table =
+      std::move(TableBuilder()
+                    .AddNumeric("X", std::move(x))
+                    .AddNumericWithNulls("Y", std::move(y), std::move(y_valid))
+                    .AddColumn("G", Column::CategoricalFromCodes(std::move(g), {"a", "b", "c"})))
+          .Build();
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return std::move(table).value();
+}
+
+const std::vector<PairwiseShardSummary::Spec> kContinuousSpecs = {{0, 1, {}}, {2, 1, {0}}};
+
+// The body the worker would send for `table`, frame by frame.
+std::vector<std::string> EncodeSummaries(const Table& table) {
+  std::vector<PairwiseShardSummary::Snapshot> snapshots;
+  for (const PairwiseShardSummary::Spec& spec : kContinuousSpecs) {
+    snapshots.push_back(PairwiseShardSummary::FromShard(table, spec, 0).ToSnapshot());
+  }
+  std::vector<std::string> frames;
+  Status written = serve::WriteShardSummaryFrames(table.NumRows(), snapshots,
+                                                  [&](std::string_view frame) {
+                                                    frames.emplace_back(frame);
+                                                    return OkStatus();
+                                                  });
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  return frames;
+}
+
+// Decodes `frames`, then reads as a closed connection.
+Result<serve::ShardSummaryFrames> DecodeSummaries(const std::vector<std::string>& frames,
+                                                  uint64_t max_rows) {
+  size_t next = 0;
+  return serve::ReadShardSummaryFrames(
+      [&]() -> Result<std::string> {
+        if (next == frames.size()) {
+          return UnavailableError("connection closed");
+        }
+        return frames[next++];
+      },
+      kContinuousSpecs, max_rows);
+}
+
+// Checks a decoded body within the range's bound, and that each summary
+// either restores and finishes or fails with a typed status.
+void ExpectBoundedAndRestorable(const serve::ShardSummaryFrames& body, const Table& schema,
+                                uint64_t max_rows) {
+  EXPECT_LE(body.rows, max_rows);
+  for (const PairwiseShardSummary::Snapshot& snapshot : body.snapshots) {
+    EXPECT_LE(snapshot.counts.size(), max_rows);
+    EXPECT_EQ(snapshot.keys.size(), snapshot.counts.size() * (snapshot.spec.z_cols.size() + 2));
+    for (const std::vector<std::string>& dict : snapshot.dicts) {
+      EXPECT_LE(dict.size(), max_rows);
+    }
+    Result<PairwiseShardSummary> restored = PairwiseShardSummary::FromSnapshot(schema, snapshot);
+    if (restored.ok()) {
+      EXPECT_TRUE(restored->Finish(TestOptions{}).ok());
+    } else {
+      EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(WireTest, SummaryFramesRoundTripAtAnyFrameCut) {
+  Table table = ContinuousTable(600, 5);
+  std::vector<std::string> frames = EncodeSummaries(table);
+  ASSERT_EQ(frames.size(), 1u);
+  const std::string body = frames[0];
+  Rng rng(41);
+  for (int trial = 0; trial < 20; ++trial) {
+    // The same bytes cut anywhere, values straddling frames included.
+    std::vector<std::string> cut;
+    size_t at = 0;
+    while (at < body.size()) {
+      size_t take = trial == 0 ? body.size() : static_cast<size_t>(rng.UniformInt(1, 97));
+      cut.push_back(body.substr(at, take));
+      at += take;
+    }
+    Result<serve::ShardSummaryFrames> decoded = DecodeSummaries(cut, table.NumRows());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->rows, table.NumRows());
+    ASSERT_EQ(decoded->snapshots.size(), kContinuousSpecs.size());
+    for (size_t c = 0; c < kContinuousSpecs.size(); ++c) {
+      PairwiseShardSummary::Snapshot want =
+          PairwiseShardSummary::FromShard(table, kContinuousSpecs[c], 0).ToSnapshot();
+      const PairwiseShardSummary::Snapshot& got = decoded->snapshots[c];
+      EXPECT_EQ(got.role_types, want.role_types);
+      EXPECT_EQ(got.dicts, want.dicts);
+      EXPECT_EQ(got.keys, want.keys);
+      EXPECT_EQ(got.counts, want.counts);
+      EXPECT_EQ(got.first_rows, want.first_rows);
+      EXPECT_EQ(got.rows, want.rows);
+      EXPECT_TRUE(PairwiseShardSummary::FromSnapshot(table, got).ok());
+    }
+  }
+}
+
+TEST(WireTest, LargeSummaryBodySplitsIntoBoundedFrames) {
+  // 40k distinct (X, Y) cells are 1.28 MB of cell arrays on their own.
+  Table table = ContinuousTable(40000, 6);
+  std::vector<std::string> frames = EncodeSummaries(table);
+  ASSERT_GE(frames.size(), 2u);
+  for (const std::string& frame : frames) {
+    EXPECT_LE(frame.size(), serve::kSummaryFrameBytes);
+    EXPECT_FALSE(frame.empty());
+  }
+  Result<serve::ShardSummaryFrames> decoded = DecodeSummaries(frames, table.NumRows());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->snapshots[0].counts.size(),
+            PairwiseShardSummary::FromShard(table, kContinuousSpecs[0], 0).num_cells());
+  // A row bound below the claimed rows is refused before anything is read.
+  Result<serve::ShardSummaryFrames> bounded = DecodeSummaries(frames, table.NumRows() - 1);
+  ASSERT_FALSE(bounded.ok());
+  EXPECT_EQ(bounded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(WireTest, TruncatedSummaryBodyIsATypedError) {
+  Table table = ContinuousTable(40, 7);
+  const std::string body = EncodeSummaries(table)[0];
+  for (size_t size = 0; size < body.size(); ++size) {
+    Result<serve::ShardSummaryFrames> decoded =
+        DecodeSummaries({body.substr(0, size)}, table.NumRows());
+    ASSERT_FALSE(decoded.ok()) << "cut at " << size;
+    StatusCode code = decoded.status().code();
+    EXPECT_TRUE(code == StatusCode::kInvalidArgument || code == StatusCode::kUnavailable)
+        << "cut at " << size << ": " << decoded.status().ToString();
+  }
+  // Bytes past the last summary are refused too.
+  EXPECT_EQ(DecodeSummaries({body + "x"}, table.NumRows()).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(WireTest, MutatedSummaryBodiesFailTypedWithinTheRowBound) {
+  // A worker's bytes are untrusted: every mutation decodes, or fails with a
+  // typed status, without crashing or sizing anything past the task's row
+  // bound (the sanitizer job would flag a runaway allocation).
+  Table table = ContinuousTable(60, 8);
+  const uint64_t max_rows = table.NumRows();
+  const std::string body = EncodeSummaries(table)[0];
+  const uint64_t extremes[] = {0,
+                               1,
+                               max_rows,
+                               max_rows + 1,
+                               uint64_t{1} << 31,
+                               uint64_t{1} << 62,
+                               static_cast<uint64_t>(std::numeric_limits<int64_t>::max()),
+                               static_cast<uint64_t>(std::numeric_limits<int64_t>::min()),
+                               ~uint64_t{0}};
+  Rng rng(20261018);
+  int decoded_ok = 0;
+  for (int iteration = 0; iteration < 4000; ++iteration) {
+    std::string mutated = body;
+    int64_t kind = rng.UniformInt(0, 4);
+    size_t at = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(body.size()) - 1));
+    if (kind == 0) {  // flip a few bytes
+      for (int64_t k = rng.UniformInt(1, 4); k > 0; --k) {
+        size_t where =
+            static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(body.size()) - 1));
+        mutated[where] = static_cast<char>(mutated[where] ^ (1 << rng.UniformInt(0, 7)));
+      }
+    } else if (kind == 1 && at + 8 <= mutated.size()) {  // an extreme 64-bit word
+      uint64_t value =
+          extremes[rng.UniformInt(0, static_cast<int64_t>(std::size(extremes)) - 1)];
+      for (int i = 0; i < 8; ++i) {
+        mutated[at + i] = static_cast<char>(value >> (8 * i));
+      }
+    } else if (kind == 2) {  // drop a run of bytes
+      mutated.erase(at, static_cast<size_t>(rng.UniformInt(1, 16)));
+    } else if (kind == 3) {  // insert junk
+      mutated.insert(at, std::string(static_cast<size_t>(rng.UniformInt(1, 16)),
+                                     static_cast<char>(rng.UniformInt(0, 255))));
+    } else {  // duplicate a slice
+      mutated.insert(at, body.substr(at, static_cast<size_t>(rng.UniformInt(1, 64))));
+    }
+    Result<serve::ShardSummaryFrames> decoded = DecodeSummaries({mutated}, max_rows);
+    if (decoded.ok()) {
+      ++decoded_ok;
+      ExpectBoundedAndRestorable(*decoded, table, max_rows);
+    } else {
+      StatusCode code = decoded.status().code();
+      EXPECT_TRUE(code == StatusCode::kInvalidArgument || code == StatusCode::kUnavailable)
+          << decoded.status().ToString();
+    }
+  }
+  // Some mutations (a flipped cell value, say) still decode; most do not.
+  EXPECT_GT(decoded_ok, 0);
+  EXPECT_LT(decoded_ok, 4000);
 }
 
 // ---------------------------------------------------------------------------

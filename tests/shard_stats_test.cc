@@ -427,5 +427,111 @@ TEST(ShardStatsTest, EmptyTableMatches) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Snapshots: the exact image of a summary that crosses the worker wire.
+
+void ExpectSameSnapshot(const PairwiseShardSummary::Snapshot& want,
+                        const PairwiseShardSummary::Snapshot& got) {
+  EXPECT_EQ(want.spec.x_col, got.spec.x_col);
+  EXPECT_EQ(want.spec.y_col, got.spec.y_col);
+  EXPECT_EQ(want.spec.z_cols, got.spec.z_cols);
+  EXPECT_EQ(want.role_types, got.role_types);
+  EXPECT_EQ(want.dicts, got.dicts);
+  EXPECT_EQ(want.keys, got.keys);
+  EXPECT_EQ(want.counts, got.counts);
+  EXPECT_EQ(want.first_rows, got.first_rows);
+  EXPECT_EQ(want.rows, got.rows);
+}
+
+// A summary folded from three shards with shard-local dictionaries, so
+// its cells went through translation and re-sorting.
+PairwiseShardSummary FoldedSummary(const Table& table, PairwiseShardSummary::Spec spec) {
+  PairwiseShardSummary folded(table, spec);
+  uint64_t offset = 0;
+  for (const std::vector<size_t>& slice : SlicesOf(table.NumRows(), {40, 95})) {
+    Table shard = LocalizeDictionaries(table.Gather(slice));
+    folded.Merge(PairwiseShardSummary::FromShard(shard, spec, offset));
+    offset += slice.size();
+  }
+  return folded;
+}
+
+TEST(ShardStatsTest, SnapshotRoundTripIsExact) {
+  // Categorical and numeric roles with nulls and both zeros, conditioning
+  // on one and on two columns.
+  Table table = CarsLikeTable(160, 21, /*with_nulls=*/true);
+  const std::vector<PairwiseShardSummary::Spec> specs = {
+      {0, 1, {}}, {2, 3, {}}, {1, 2, {0}}, {3, 2, {0, 1}}};
+  for (const PairwiseShardSummary::Spec& spec : specs) {
+    SCOPED_TRACE("x=" + std::to_string(spec.x_col) + " y=" + std::to_string(spec.y_col));
+    PairwiseShardSummary summary = FoldedSummary(table, spec);
+    const PairwiseShardSummary::Snapshot first = summary.ToSnapshot();
+    ASSERT_EQ(first.keys.size(), first.counts.size() * (spec.z_cols.size() + 2));
+    Result<PairwiseShardSummary> restored = PairwiseShardSummary::FromSnapshot(table, first);
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    EXPECT_EQ(restored->num_cells(), summary.num_cells());
+    EXPECT_EQ(restored->rows(), summary.rows());
+    ExpectSameSnapshot(first, restored->ToSnapshot());
+    Result<PairwiseShardSummary::FinishOutcome> want = summary.Finish(TestOptions{});
+    Result<PairwiseShardSummary::FinishOutcome> got = restored->Finish(TestOptions{});
+    ASSERT_TRUE(want.ok() && got.ok());
+    ExpectSameResult(want->result, got->result);
+    // Moving the arrays out yields the same image as copying them.
+    ExpectSameSnapshot(first, std::move(summary).ToSnapshot());
+  }
+}
+
+TEST(ShardStatsTest, FromSnapshotRejectsEveryBrokenInvariant) {
+  // Roles: z = Model (categorical), x = Color (categorical), y = Price
+  // (numeric). Each case breaks one rule of a valid snapshot.
+  Table table = CarsLikeTable(160, 22, /*with_nulls=*/true);
+  const PairwiseShardSummary::Snapshot valid = FoldedSummary(table, {1, 2, {0}}).ToSnapshot();
+  ASSERT_GE(valid.counts.size(), size_t{3});
+  ASSERT_TRUE(PairwiseShardSummary::FromSnapshot(table, valid).ok());
+  const size_t roles = 3;
+  std::vector<std::pair<std::string, PairwiseShardSummary::Snapshot>> broken;
+  auto add = [&](const std::string& label, auto&& mutate) {
+    PairwiseShardSummary::Snapshot snapshot = valid;
+    mutate(snapshot);
+    broken.emplace_back(label, std::move(snapshot));
+  };
+  add("cells out of order", [&](auto& s) {
+    std::swap_ranges(s.keys.begin(), s.keys.begin() + roles, s.keys.begin() + roles);
+    std::swap(s.counts[0], s.counts[1]);
+    std::swap(s.first_rows[0], s.first_rows[1]);
+  });
+  add("repeated key", [&](auto& s) {
+    std::copy(s.keys.begin(), s.keys.begin() + roles, s.keys.begin() + roles);
+  });
+  add("key past its dictionary", [&](auto& s) {
+    s.keys[1] = static_cast<int64_t>(s.dicts[1].size());
+  });
+  add("negative key that is not null", [&](auto& s) { s.keys[1] = -2; });
+  add("zero count", [&](auto& s) {
+    s.rows -= s.counts[0];
+    s.counts[0] = 0;
+  });
+  add("negative count", [&](auto& s) { s.counts[0] = -s.counts[0]; });
+  add("counts sum past rows", [&](auto& s) { s.counts[0] += 1; });
+  add("counts sum short of rows", [&](auto& s) { s.rows += 1; });
+  add("count overflowing the sum", [&](auto& s) {
+    s.counts[1] = std::numeric_limits<int64_t>::max();
+  });
+  add("negative rows", [&](auto& s) { s.rows = -1; });
+  add("role type mismatch", [&](auto& s) { s.role_types[2] = ColumnType::kCategorical; });
+  add("duplicate dictionary value", [&](auto& s) { s.dicts[1].push_back(s.dicts[1][0]); });
+  add("dictionary on a numeric role", [&](auto& s) { s.dicts[2] = {"7"}; });
+  add("ragged cell arrays", [&](auto& s) { s.first_rows.pop_back(); });
+  add("ragged key array", [&](auto& s) { s.keys.pop_back(); });
+  add("spec column off the schema", [&](auto& s) { s.spec.x_col = 99; });
+  add("spec column repeated", [&](auto& s) { s.spec.z_cols = {1}; });
+  for (const auto& [label, snapshot] : broken) {
+    Result<PairwiseShardSummary> restored = PairwiseShardSummary::FromSnapshot(table, snapshot);
+    ASSERT_FALSE(restored.ok()) << label;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << label << ": " << restored.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace scoded
