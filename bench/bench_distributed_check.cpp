@@ -231,6 +231,7 @@ int main() {
   bench::PrintTitle("distributed vs single-process result identity");
   std::printf("reports identical at every size and worker count: %s\n", identical ? "yes" : "NO");
   bench::RecordValue("reports_identical", identical ? 1.0 : 0.0);
+  bench::EndSection();
 
   for (const std::string& path : paths) {
     std::remove(path.c_str());

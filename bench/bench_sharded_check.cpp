@@ -202,6 +202,7 @@ int main() {
   }
   std::printf("reports identical at every size: %s\n", identical ? "yes" : "NO");
   bench::RecordValue("reports_identical", identical ? 1.0 : 0.0);
+  bench::EndSection();
 
   for (const std::string& path : paths) {
     std::remove(path.c_str());

@@ -74,6 +74,10 @@ class Reporter {
     sections_.push_back(Section{title, obs::NowMicros(), -1.0, {}, {}});
   }
 
+  /// Closes the current section now instead of at the at-exit write, so
+  /// clean-up and process exit are not timed into it.
+  void EndSection() { CloseSection(); }
+
   /// Attaches a structured F-score sweep to the current section.
   void RecordSweep(const ComparisonResult& result) {
     EnsureSection();
@@ -196,6 +200,10 @@ inline void PrintTitle(const std::string& title) {
   Reporter::Global().StartSection(title);
   std::printf("\n=== %s ===\n", title.c_str());
 }
+
+/// Ends the last section where main()'s measured work ends; call it before
+/// removing fixtures.
+inline void EndSection() { Reporter::Global().EndSection(); }
 
 /// Records one labelled scalar (runtime, p-value, ...) into the current
 /// section of the JSON artefact.

@@ -41,24 +41,24 @@ Status ValidateSpec(const PairwiseShardSummary::Spec& spec, const Table& schema)
   return OkStatus();
 }
 
-// Runs tasks in this process: the second pass streams from the driver's
-// first-pass reader, and summaries reach the fold as objects. A file error
-// would recur on any lane, so it is fatal.
+// Runs tasks in this process, each through the same range reader a worker
+// uses, and hands summaries to the fold as objects. A file error would
+// recur on any lane, so it is fatal.
 class InProcessLane : public ShardLane {
  public:
-  InProcessLane(ShardCursor cursor, std::vector<PairwiseShardSummary::Spec> specs)
-      : cursor_(std::move(cursor)), specs_(std::move(specs)) {}
+  InProcessLane(ShardSource source, std::vector<PairwiseShardSummary::Spec> specs)
+      : source_(std::move(source)), specs_(std::move(specs)) {}
 
-  LaneResult Summarize(uint64_t begin, uint64_t end) override {
-    Result<ShardRangeSummary> range = SummarizeShardRange(cursor_, specs_, begin, end);
-    if (!range.ok()) {
-      return {LaneResult::Kind::kFatal, range.status()};
+  LaneResult Summarize(const csv::ShardRange& range) override {
+    Result<ShardRangeSummary> summary = SummarizeShardRange(source_, specs_, range);
+    if (!summary.ok()) {
+      return {LaneResult::Kind::kFatal, summary.status()};
     }
-    return {LaneResult::Kind::kOk, OkStatus(), std::move(*range)};
+    return {LaneResult::Kind::kOk, OkStatus(), std::move(*summary)};
   }
 
  private:
-  ShardCursor cursor_;
+  ShardSource source_;
   std::vector<PairwiseShardSummary::Spec> specs_;
 };
 
@@ -69,67 +69,49 @@ obs::Gauge* LaneGauge(size_t lane, const char* what) {
 
 }  // namespace
 
-Result<ShardRangeSummary> SummarizeShardRange(ShardCursor& cursor,
+void SummaryFold::Add(PairwiseShardSummary summary) {
+  stack_.push_back({std::move(summary), 1});
+  while (stack_.size() >= 2 && stack_[stack_.size() - 2].runs == stack_.back().runs) {
+    MergeTop();
+  }
+}
+
+void SummaryFold::MergeTop() {
+  Pending& left = stack_[stack_.size() - 2];
+  left.summary.Merge(stack_.back().summary);
+  left.runs += stack_.back().runs;
+  stack_.pop_back();
+}
+
+std::optional<PairwiseShardSummary> SummaryFold::Take() && {
+  if (stack_.empty()) {
+    return std::nullopt;
+  }
+  while (stack_.size() >= 2) {
+    MergeTop();
+  }
+  return std::move(stack_.front().summary);
+}
+
+Result<ShardRangeSummary> SummarizeShardRange(const ShardSource& source,
                                               const std::vector<PairwiseShardSummary::Spec>& specs,
-                                              uint64_t begin, uint64_t end) {
+                                              const csv::ShardRange& range) {
   static obs::Counter* const shard_rows_counter =
       obs::Metrics::Global().FindOrCreateCounter("shard.rows");
   static obs::Counter* const shard_merges_counter =
       obs::Metrics::Global().FindOrCreateCounter("shard.merges");
-  // The reader stays out of the cursor until the range succeeds, so a
-  // failed range leaves none behind: its position would be unknown.
-  std::optional<csv::ShardReader> open = std::move(cursor.reader);
-  cursor.reader.reset();
-  // Advancing an open reader costs only the range's own bytes; re-opening
-  // re-runs the whole first pass and re-skips from row 0.
-  if (!open.has_value() || cursor.next_shard > begin) {
-    SCODED_ASSIGN_OR_RETURN(csv::ShardReader fresh,
-                            csv::ShardReader::Open(cursor.path, cursor.options));
-    open.emplace(std::move(fresh));
-    cursor.next_shard = 0;
-    cursor.row_offset = 0;
-  }
-  csv::ShardReader& reader = *open;
-  SCODED_ASSIGN_OR_RETURN(Table schema, reader.EmptyTable());
-  const uint64_t num_shards =
-      (reader.num_data_rows() + cursor.options.shard_rows - 1) / cursor.options.shard_rows;
-  if (end > num_shards) {
-    return InvalidArgumentError("summarize range ends at shard " + std::to_string(end) +
-                                " but the file has " + std::to_string(num_shards) +
-                                " shards — changed since the coordinator read it?");
-  }
+  // Opening validates the range before anything is sized from it.
+  SCODED_ASSIGN_OR_RETURN(
+      csv::ShardRangeReader reader,
+      csv::ShardRangeReader::Open(source.path, source.reader, source.names, source.numeric, range));
+  SCODED_ASSIGN_OR_RETURN(Table schema, csv::SchemaTable(source.names, source.numeric));
   ShardRangeSummary out;
   out.summaries.reserve(specs.size());
   for (const PairwiseShardSummary::Spec& spec : specs) {
     SCODED_RETURN_IF_ERROR(ValidateSpec(spec, schema));
     out.summaries.emplace_back(schema, spec);
   }
-  // Per spec, summaries of consecutive shard groups, oldest first. Two
-  // neighbours covering equally many shards merge, as in a binary counter,
-  // so a cell is copied O(log shards) times rather than once per later
-  // shard. Merging is associative, so the result equals a left fold.
-  struct Pending {
-    PairwiseShardSummary summary;
-    uint64_t shards = 0;
-  };
-  std::vector<std::vector<Pending>> pending(specs.size());
-  auto merge_top = [](std::vector<Pending>& stack) {
-    Pending& left = stack[stack.size() - 2];
-    left.summary.Merge(stack.back().summary);
-    left.shards += stack.back().shards;
-    stack.pop_back();
-  };
-  // Skip to the range start, tracking the true global row offset (every
-  // shard before the last is full, but counting is cheaper to trust than
-  // to assume).
-  while (cursor.next_shard < begin) {
-    SCODED_ASSIGN_OR_RETURN(std::optional<Table> shard, reader.Next());
-    if (!shard.has_value()) {
-      return DataLossError("file ran out before shard " + std::to_string(begin));
-    }
-    cursor.row_offset += shard->NumRows();
-    ++cursor.next_shard;
-  }
+  std::vector<SummaryFold> folds(specs.size());
   // Read the range in waves: `wave` shards serially, every (shard, spec)
   // pair summarised on the pool, the partials folded serially in (shard,
   // spec) order — the fold order, and hence every result, is thread-count
@@ -139,34 +121,40 @@ Result<ShardRangeSummary> SummarizeShardRange(ShardCursor& cursor,
   const size_t threads = std::max(1, parallel::Threads());
   const size_t num_specs = std::max<size_t>(1, specs.size());
   const size_t wave = std::clamp<size_t>((threads + num_specs - 1) / num_specs, 1, 4);
-  while (cursor.next_shard < end) {
+  const uint64_t shard_rows = source.reader.shard_rows;  // the reader rejects 0
+  uint64_t row_offset = range.first_row;
+  bool more = true;
+  while (more) {
     std::vector<Table> shards;
     std::vector<uint64_t> offsets;
-    const uint64_t first_index = cursor.next_shard;
+    const uint64_t first_index = row_offset / shard_rows;
     shards.reserve(wave);
-    while (shards.size() < wave && cursor.next_shard < end) {
+    while (shards.size() < wave) {
       obs::ScopedSpan read_span("core/shard_read");
       SCODED_ASSIGN_OR_RETURN(std::optional<Table> shard, reader.Next());
       if (!shard.has_value()) {
-        return DataLossError("file ran out at shard " + std::to_string(cursor.next_shard));
+        more = false;
+        break;
       }
       if (read_span.active()) {
-        read_span.Arg("shard_index", static_cast<int64_t>(cursor.next_shard))
+        read_span.Arg("shard_index", static_cast<int64_t>(row_offset / shard_rows))
             .Arg("rows", static_cast<int64_t>(shard->NumRows()))
-            .Arg("row_offset", static_cast<int64_t>(cursor.row_offset));
+            .Arg("row_offset", static_cast<int64_t>(row_offset));
       }
-      offsets.push_back(cursor.row_offset);
-      cursor.row_offset += shard->NumRows();
-      ++cursor.next_shard;
-      obs::Heartbeat("core.shard_read", static_cast<int64_t>(cursor.next_shard));
+      offsets.push_back(row_offset);
+      row_offset += shard->NumRows();
+      obs::Heartbeat("core.shard_read", static_cast<int64_t>(row_offset / shard_rows));
       shards.push_back(std::move(*shard));
+    }
+    if (shards.empty()) {
+      break;
     }
     obs::ScopedSpan wave_span("core/shard_summarize");
     if (wave_span.active()) {
       wave_span.Arg("shards", static_cast<int64_t>(shards.size()))
           .Arg("components", static_cast<int64_t>(specs.size()))
           .Arg("first_shard_index", static_cast<int64_t>(first_index))
-          .Arg("rows_read", static_cast<int64_t>(cursor.row_offset - offsets.front()));
+          .Arg("rows_read", static_cast<int64_t>(row_offset - offsets.front()));
     }
     size_t tasks = shards.size() * specs.size();
     std::vector<PairwiseShardSummary> partials =
@@ -185,11 +173,7 @@ Result<ShardRangeSummary> SummarizeShardRange(ShardCursor& cursor,
           return PairwiseShardSummary::FromShard(shards[s], specs[c], offsets[s]);
         });
     for (size_t t = 0; t < tasks; ++t) {
-      std::vector<Pending>& stack = pending[t % specs.size()];
-      stack.push_back({std::move(partials[t]), 1});
-      while (stack.size() >= 2 && stack[stack.size() - 2].shards == stack.back().shards) {
-        merge_top(stack);
-      }
+      folds[t % specs.size()].Add(std::move(partials[t]));
     }
     for (const Table& shard : shards) {
       shard_rows_counter->Add(static_cast<int64_t>(shard.NumRows()));
@@ -198,24 +182,9 @@ Result<ShardRangeSummary> SummarizeShardRange(ShardCursor& cursor,
     shard_merges_counter->Add(static_cast<int64_t>(tasks));
   }
   for (size_t c = 0; c < specs.size(); ++c) {
-    std::vector<Pending>& stack = pending[c];
-    while (stack.size() >= 2) {
-      merge_top(stack);
+    if (std::optional<PairwiseShardSummary> folded = std::move(folds[c]).Take()) {
+      out.summaries[c] = std::move(*folded);
     }
-    if (!stack.empty()) {
-      out.summaries[c] = std::move(stack.front().summary);
-    }
-  }
-  if (cursor.next_shard == num_shards) {
-    // The range reached the end of the file: drain the reader so its
-    // second-pass byte/row accounting runs — a file rewritten mid-run
-    // surfaces as kDataLoss here instead of a silently wrong summary.
-    SCODED_ASSIGN_OR_RETURN(std::optional<Table> extra, reader.Next());
-    if (extra.has_value()) {
-      return DataLossError("file has more shards than the first pass saw");
-    }
-  } else {
-    cursor.reader.emplace(std::move(*open));
   }
   return out;
 }
@@ -377,14 +346,13 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
   static obs::Counter* const lanes_lost =
       obs::Metrics::Global().FindOrCreateCounter("dist.workers_lost");
 
-  // The first pass: the schema binds the constraints, the row count cuts
-  // the shard range, and its validation is the reference every lane's
-  // second pass must agree with.
+  // The first pass: the schema binds the constraints, the index cuts the
+  // tasks' byte ranges, and every lane's range reader checks its bytes
+  // against it.
   SCODED_ASSIGN_OR_RETURN(csv::ShardReader reader, csv::ShardReader::Open(path, options.reader));
   SCODED_ASSIGN_OR_RETURN(Table schema, reader.EmptyTable());
   const uint64_t num_rows = reader.num_data_rows();
-  const uint64_t shard_rows = options.reader.shard_rows;  // Open rejects 0
-  const uint64_t num_shards = (num_rows + shard_rows - 1) / shard_rows;
+  const uint64_t num_shards = reader.index().num_shards();
   progress_shards_total->Set(static_cast<double>(num_shards));
   progress_rows_total->Set(static_cast<double>(num_rows));
   progress_shards_done->Set(0.0);
@@ -463,10 +431,8 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
       if (completed == num_tasks || aborted) {
         return false;
       }
-      // Prefer this lane's own contiguous block of tasks: a lane that
-      // only ever advances through adjacent ranges streams the file
-      // forward once, while interleaved pulls would make every lane
-      // skip-read the gaps between its tasks. Falling back to the
+      // Prefer this lane's own contiguous block of tasks, so each lane
+      // reads one stretch of the file front to back. Falling back to the
       // queue head (stealing) keeps retries and stragglers moving.
       auto it = std::find_if(queue.begin(), queue.end(),
                              [&](uint64_t t) { return t * num_lanes / num_tasks == w; });
@@ -489,7 +455,7 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
             .Arg("end", static_cast<int64_t>(end));
       }
       try {
-        result = lane.Summarize(begin, end);
+        result = lane.Summarize(reader.index().Range(begin, end));
       } catch (const std::exception& e) {
         // Nothing may escape a pump thread; the run fails instead.
         result = {LaneResult::Kind::kFatal,
@@ -543,11 +509,18 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
       pumps.emplace_back([&, w] {
         while (pump_one(w)) {
         }
+        // No task is left for this lane: dismiss it now, so every lane's
+        // teardown (a worker's exit) overlaps the others' and the last folds.
+        std::unique_ptr<ShardLane> done;
+        std::lock_guard<std::mutex> lock(mu);
+        done = std::move(lanes[w]);
       });
     }
   }
 
-  // Fold in task order as results land.
+  // Fold in task order as results land. Every lane checked its rows
+  // against the index, so the folded total is the first pass's.
+  std::vector<SummaryFold> folds(plan.components.size());
   uint64_t folded_rows = 0;
   for (uint64_t t = 0; t < num_tasks; ++t) {
     if (inline_lane) {
@@ -569,7 +542,7 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
           .Arg("rows", static_cast<int64_t>(result->range.rows));
     }
     for (size_t c = 0; c < plan.components.size(); ++c) {
-      plan.components[c].summary.Merge(result->range.summaries[c]);
+      folds[c].Add(std::move(result->range.summaries[c]));
     }
     folded_rows += result->range.rows;
     // Tasks are contiguous from shard 0, so task t ends the folded prefix.
@@ -586,8 +559,11 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
     cv.notify_all();
   }
   if (failed) {
+    std::lock_guard<std::mutex> lock(mu);
     for (std::unique_ptr<ShardLane>& lane : lanes) {
-      lane->Kill();  // unblocks pumps waiting on a response
+      if (lane != nullptr) {
+        lane->Kill();  // unblocks pumps waiting on a response
+      }
     }
   }
   for (std::thread& pump : pumps) {
@@ -598,9 +574,10 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
   if (failed) {
     return abort_status;
   }
-  if (folded_rows != num_rows) {
-    return DataLossError("folded " + std::to_string(folded_rows) + " rows but the file has " +
-                         std::to_string(num_rows) + " — changed during the run?");
+  for (size_t c = 0; c < plan.components.size(); ++c) {
+    if (std::optional<PairwiseShardSummary> folded = std::move(folds[c]).Take()) {
+      plan.components[c].summary = std::move(*folded);
+    }
   }
   return FinishShardedCheck(path, constraints, options, std::move(plan),
                             static_cast<size_t>(num_shards), folded_rows);
@@ -616,11 +593,11 @@ Result<ShardedCheckResult> ShardedCheckAll(const std::string& path,
   }
   return RunShardedCheck(
       path, constraints, options,
-      [&](csv::ShardReader& reader, const Table&,
+      [&](const csv::ShardReader& pass1, const Table&,
           const std::vector<PairwiseShardSummary::Spec>& specs) -> Result<ShardLanes> {
         ShardLanes lanes;
         lanes.push_back(std::make_unique<InProcessLane>(
-            ShardCursor{path, options.reader, std::move(reader)}, specs));
+            ShardSource{path, options.reader, pass1.column_names(), pass1.numeric()}, specs));
         return lanes;
       });
 }

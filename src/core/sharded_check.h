@@ -43,8 +43,8 @@ struct ShardedCheckResult {
 /// (stats/shard_stats.h), and finishes each summary into the exact test
 /// result the in-memory path computes — same p-values bit for bit, same
 /// reports, same violation decisions — with peak memory O(shard + cells)
-/// instead of O(file). RunShardedCheck over one in-process lane, which
-/// streams the second pass from the driver's own first-pass reader.
+/// instead of O(file). RunShardedCheck over one in-process lane on the
+/// calling thread, which reads each task's range with SummarizeShardRange.
 ///
 /// Unsupported in sharded form: `numeric_method = kSpearman` (row-order
 /// float summation; returns Unimplemented).
@@ -91,16 +91,13 @@ Result<ShardedCheckResult> FinishShardedCheck(const std::string& path,
                                               ShardedCheckPlan plan, size_t shards,
                                               uint64_t rows);
 
-/// A forward-only position in `path`'s shard stream, kept between
-/// SummarizeShardRange calls so ascending ranges read the file once. The
-/// reader is empty until a range opens it, and again after the
-/// end-of-file drain or a failed range.
-struct ShardCursor {
+/// What a lane needs to parse any indexed range of a file on its own: the
+/// path, the reader options and the first pass's column names and types.
+struct ShardSource {
   std::string path;
-  csv::ShardReaderOptions options;
-  std::optional<csv::ShardReader> reader = std::nullopt;
-  uint64_t next_shard = 0;  // index of the shard reader->Next() yields next
-  uint64_t row_offset = 0;  // global index of that shard's first data row
+  csv::ShardReaderOptions reader;
+  std::vector<std::string> names;
+  std::vector<bool> numeric;
 };
 
 struct ShardRangeSummary {
@@ -108,20 +105,37 @@ struct ShardRangeSummary {
   uint64_t rows = 0;
 };
 
-/// The one routine that turns ShardReader output into summaries, for the
-/// in-process lane and `scoded worker` alike: summarises shards
-/// [begin, end) of `cursor.path`, one summary per spec. Advances the
-/// cursor's reader, and opens a new one (a full first pass) only when
-/// there is none or it has passed `begin`. Shards are read in waves of
+/// Folds summaries of consecutive row runs, oldest first, into one. Two
+/// neighbours covering equally many runs merge, as in a binary counter, so
+/// a cell is copied O(log runs) times rather than once per later run.
+/// Merging is associative, so the result equals the left fold.
+class SummaryFold {
+ public:
+  void Add(PairwiseShardSummary summary);
+  /// The fold of everything added, or nullopt when nothing was.
+  std::optional<PairwiseShardSummary> Take() &&;
+
+ private:
+  struct Pending {
+    PairwiseShardSummary summary;
+    uint64_t runs = 0;
+  };
+  void MergeTop();
+  std::vector<Pending> stack_;
+};
+
+/// The one routine that turns shard bytes into summaries, for the
+/// in-process lane and `scoded worker` alike: parses `range` of the source
+/// file alone (csv::ShardRangeReader, which checks the range's rows and
+/// end and fails kDataLoss on a file changed since its first pass) and
+/// summarises it, one summary per spec. Shards are read in waves of
 /// ceil(parallel::Threads() / specs), at most 4, each (shard, spec) pair
-/// summarised on the pool, and each spec's partials folded in shard order,
-/// neighbours of equal shard count first. A range ending at the last shard
-/// drains the reader, so a file changed since its first pass fails with
-/// kDataLoss. Specs and the range are validated: they may come off the
-/// wire.
-Result<ShardRangeSummary> SummarizeShardRange(ShardCursor& cursor,
+/// summarised on the pool, and each spec's partials folded in shard order
+/// through a SummaryFold. The range, the types and the specs are
+/// validated: they may come off the wire.
+Result<ShardRangeSummary> SummarizeShardRange(const ShardSource& source,
                                               const std::vector<PairwiseShardSummary::Spec>& specs,
-                                              uint64_t begin, uint64_t end);
+                                              const csv::ShardRange& range);
 
 /// One task's outcome. kLost: the lane broke (dead or stalled worker, bad
 /// response), so the task is retried elsewhere and the lane retires.
@@ -139,30 +153,33 @@ struct LaneResult {
 /// Summarises shard-range tasks for RunShardedCheck, one at a time, on a
 /// pump thread of its own, or on the calling thread when it is the run's
 /// only lane. Kill() comes from another thread when the lane is lost or
-/// the run aborts and must unblock a Summarize in flight.
+/// the run aborts and must unblock a Summarize in flight. A pump destroys
+/// its lane as soon as no task is left for it, so lanes whose destructor
+/// waits (a worker process's exit) are dismissed all at once.
 class ShardLane {
  public:
   virtual ~ShardLane() = default;
-  virtual LaneResult Summarize(uint64_t begin, uint64_t end) = 0;
+  virtual LaneResult Summarize(const csv::ShardRange& range) = 0;
   virtual void Kill() {}
 };
 
 using ShardLanes = std::vector<std::unique_ptr<ShardLane>>;
-/// Gets the driver's first-pass reader (before shard 0; a lane may take
-/// it over), the file's zero-row table and one spec per plan component.
+/// Gets the driver's first-pass reader (its index, names and types), the
+/// file's zero-row table and one spec per plan component.
 using ShardLaneFactory = std::function<Result<ShardLanes>(
-    csv::ShardReader& reader, const Table& schema,
+    const csv::ShardReader& pass1, const Table& schema,
     const std::vector<PairwiseShardSummary::Spec>& specs)>;
 
 /// The one sharded-check driver, behind ShardedCheckAll and
-/// dist::DistributedCheckAll: first pass, `progress.*` gauges and plan,
-/// and only then the lanes. [0, num_shards) is cut into about 4
-/// contiguous tasks per lane; a lane's pump prefers its own stripe of
-/// tasks and steals when idle, and a single lane runs on the calling
-/// thread, one task before each fold. Results fold strictly in task order,
-/// so every report bit is the same at any lane count. A lost lane's task
-/// is retried on the survivors (kUnavailable once none is left); a fatal
-/// result aborts. A folded row total unlike the first pass's is kDataLoss.
+/// dist::DistributedCheckAll: first pass (which indexes the shards),
+/// `progress.*` gauges and plan, and only then the lanes. [0, num_shards)
+/// is cut into about 4 contiguous tasks per lane, each handed over as the
+/// indexed byte range of its shards; a lane's pump prefers its own stripe
+/// of tasks and steals when idle, and a single lane runs on the calling
+/// thread, one task before each fold. Results fold strictly in task order
+/// through one SummaryFold per component, so every report bit is the same
+/// at any lane count. A lost lane's task is retried on the survivors
+/// (kUnavailable once none is left); a fatal result aborts.
 Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
                                            const std::vector<ApproximateSc>& constraints,
                                            const ShardedCheckOptions& options,

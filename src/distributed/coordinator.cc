@@ -17,8 +17,10 @@ namespace scoded::dist {
 namespace {
 
 // The request prefix every task of one run shares: the file, the reader
-// options and the component specs; Summarize appends the range.
+// options, the first pass's column types and byte count, and the component
+// specs; Summarize appends the task's byte range and rows.
 std::string SummarizeRequestHead(const std::string& path, const csv::ShardReaderOptions& reader,
+                                 const csv::ShardReader& pass1,
                                  const std::vector<PairwiseShardSummary::Spec>& specs) {
   JsonWriter json;
   json.BeginObject();
@@ -28,9 +30,13 @@ std::string SummarizeRequestHead(const std::string& path, const csv::ShardReader
   json.Key("shard_rows").Uint(std::max<size_t>(1, reader.shard_rows));
   json.Key("buffer_bytes").Uint(std::max<size_t>(1, reader.buffer_bytes));
   json.Key("delimiter").String(std::string(1, reader.csv.delimiter));
-  json.Key("has_header").Bool(reader.csv.has_header);
-  json.Key("infer_types").Bool(reader.csv.infer_types);
   json.EndObject();
+  json.Key("types").BeginArray();
+  for (bool numeric : pass1.numeric()) {
+    json.String(numeric ? "numeric" : "categorical");
+  }
+  json.EndArray();
+  json.Key("file_bytes").Uint(pass1.index().file_bytes);
   json.Key("specs").BeginArray();
   for (const PairwiseShardSummary::Spec& spec : specs) {
     json.BeginObject();
@@ -57,19 +63,19 @@ std::string SummarizeRequestHead(const std::string& path, const csv::ShardReader
 class ChannelLane : public ShardLane {
  public:
   ChannelLane(std::unique_ptr<WorkerChannel> channel, std::string request_head,
-              int deadline_millis, uint64_t shard_rows, uint64_t file_rows, const Table& schema,
+              int deadline_millis, const Table& schema,
               const std::vector<PairwiseShardSummary::Spec>& specs)
       : channel_(std::move(channel)),
         request_head_(std::move(request_head)),
         deadline_millis_(deadline_millis),
-        shard_rows_(shard_rows),
-        file_rows_(file_rows),
         schema_(schema),
         specs_(specs) {}
 
-  LaneResult Summarize(uint64_t begin, uint64_t end) override {
-    std::string request = request_head_ + ",\"begin\":" + std::to_string(begin) +
-                          ",\"end\":" + std::to_string(end) + "}";
+  LaneResult Summarize(const csv::ShardRange& range) override {
+    std::string request = request_head_ + ",\"begin_byte\":" + std::to_string(range.begin_byte) +
+                          ",\"end_byte\":" + std::to_string(range.end_byte) +
+                          ",\"first_row\":" + std::to_string(range.first_row) +
+                          ",\"rows\":" + std::to_string(range.rows) + "}";
     Status sent = channel_->Send(request);
     if (!sent.ok()) {
       return Lost(sent);
@@ -119,16 +125,15 @@ class ChannelLane : public ShardLane {
       return Lost(InternalError("worker returned " + std::to_string(*count) +
                                 " summaries, expected " + std::to_string(specs_.size())));
     }
-    // The most rows shards [begin, end) can hold: the bound on every count
-    // the body announces.
-    uint64_t max_rows = file_rows_;
-    if (end - begin <= file_rows_ / shard_rows_) {
-      max_rows = std::min(max_rows, (end - begin) * shard_rows_);
-    }
+    // The range's rows bound every count the body announces.
     Result<serve::ShardSummaryFrames> body =
-        serve::ReadShardSummaryFrames(receive, specs_, max_rows);
+        serve::ReadShardSummaryFrames(receive, specs_, range.rows);
     if (!body.ok()) {
       return Lost(body.status());
+    }
+    if (body->rows != range.rows) {
+      return Lost(InternalError("worker summarised " + std::to_string(body->rows) +
+                                " rows of a " + std::to_string(range.rows) + "-row range"));
     }
     LaneResult result{LaneResult::Kind::kOk};
     result.range.rows = body->rows;
@@ -156,8 +161,6 @@ class ChannelLane : public ShardLane {
   std::unique_ptr<WorkerChannel> channel_;
   std::string request_head_;
   int deadline_millis_;
-  uint64_t shard_rows_;
-  uint64_t file_rows_;
   const Table& schema_;
   const std::vector<PairwiseShardSummary::Spec>& specs_;
 };
@@ -178,16 +181,14 @@ Result<ShardedCheckResult> DistributedCheckAll(const std::string& path,
   }
   return RunShardedCheck(
       path, constraints, options.base,
-      [&](csv::ShardReader& reader, const Table& schema,
+      [&](const csv::ShardReader& pass1, const Table& schema,
           const std::vector<PairwiseShardSummary::Spec>& specs) -> Result<ShardLanes> {
-        std::string head = SummarizeRequestHead(path, options.base.reader, specs);
+        std::string head = SummarizeRequestHead(path, options.base.reader, pass1, specs);
         ShardLanes lanes;
         for (size_t w = 0; w < static_cast<size_t>(options.workers); ++w) {
           SCODED_ASSIGN_OR_RETURN(std::unique_ptr<WorkerChannel> channel, substrate.Spawn(w));
-          lanes.push_back(std::make_unique<ChannelLane>(
-              std::move(channel), head, options.deadline_millis,
-              std::max<uint64_t>(1, options.base.reader.shard_rows), reader.num_data_rows(),
-              schema, specs));
+          lanes.push_back(std::make_unique<ChannelLane>(std::move(channel), head,
+                                                        options.deadline_millis, schema, specs));
         }
         return lanes;
       });

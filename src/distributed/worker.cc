@@ -18,11 +18,9 @@ namespace scoded::dist {
 namespace {
 
 struct SummarizeRequest {
-  std::string path;
-  csv::ShardReaderOptions reader;
+  ShardSource source;
   std::vector<PairwiseShardSummary::Spec> specs;
-  uint64_t begin = 0;  // shard indices [begin, end)
-  uint64_t end = 0;
+  csv::ShardRange range;
 };
 
 Result<uint64_t> MemberUint(const JsonValue& parent, const std::string& name) {
@@ -41,28 +39,42 @@ Result<SummarizeRequest> ParseSummarizeRequest(const JsonValue& request) {
   if (path == nullptr || !path->is_string()) {
     return InvalidArgumentError("summarize request needs a string 'path'");
   }
-  out.path = path->string_value;
+  out.source.path = path->string_value;
   const JsonValue* reader = request.Find("reader");
   if (reader == nullptr || !reader->is_object()) {
     return InvalidArgumentError("summarize request needs a 'reader' object");
   }
   SCODED_ASSIGN_OR_RETURN(uint64_t shard_rows, MemberUint(*reader, "shard_rows"));
   SCODED_ASSIGN_OR_RETURN(uint64_t buffer_bytes, MemberUint(*reader, "buffer_bytes"));
-  out.reader.shard_rows = static_cast<size_t>(shard_rows);
-  out.reader.buffer_bytes = static_cast<size_t>(buffer_bytes);
+  out.source.reader.shard_rows = static_cast<size_t>(shard_rows);
+  out.source.reader.buffer_bytes = static_cast<size_t>(buffer_bytes);
   const JsonValue* delimiter = reader->Find("delimiter");
   if (delimiter == nullptr || !delimiter->is_string() || delimiter->string_value.size() != 1) {
     return InvalidArgumentError("reader options need a one-character 'delimiter'");
   }
-  out.reader.csv.delimiter = delimiter->string_value[0];
-  const JsonValue* has_header = reader->Find("has_header");
-  const JsonValue* infer_types = reader->Find("infer_types");
-  if (has_header == nullptr || !has_header->is_bool() || infer_types == nullptr ||
-      !infer_types->is_bool()) {
-    return InvalidArgumentError("reader options need boolean 'has_header' and 'infer_types'");
+  out.source.reader.csv.delimiter = delimiter->string_value[0];
+  SCODED_ASSIGN_OR_RETURN(out.range.begin_byte, MemberUint(request, "begin_byte"));
+  SCODED_ASSIGN_OR_RETURN(out.range.end_byte, MemberUint(request, "end_byte"));
+  SCODED_ASSIGN_OR_RETURN(out.range.first_row, MemberUint(request, "first_row"));
+  SCODED_ASSIGN_OR_RETURN(out.range.rows, MemberUint(request, "rows"));
+  SCODED_ASSIGN_OR_RETURN(out.range.file_bytes, MemberUint(request, "file_bytes"));
+  if (out.range.rows == 0 || out.range.end_byte < out.range.begin_byte) {
+    return InvalidArgumentError("summarize range must hold rows in ascending bytes");
   }
-  out.reader.csv.has_header = has_header->bool_value;
-  out.reader.csv.infer_types = infer_types->bool_value;
+  // A record of n fields spans at least its n - 1 delimiters, so the range's
+  // bytes bound the column count before any column is built.
+  const JsonValue* types = request.Find("types");
+  if (types == nullptr || !types->is_array() || types->array.empty() ||
+      types->array.size() - 1 > out.range.end_byte - out.range.begin_byte) {
+    return InvalidArgumentError("summarize request needs a 'types' array of the record width");
+  }
+  for (const JsonValue& type : types->array) {
+    if (!type.is_string() || (type.string_value != "numeric" && type.string_value != "categorical")) {
+      return InvalidArgumentError("column types must be \"numeric\" or \"categorical\"");
+    }
+    out.source.names.push_back("c" + std::to_string(out.source.names.size()));
+    out.source.numeric.push_back(type.string_value == "numeric");
+  }
   const JsonValue* specs = request.Find("specs");
   if (specs == nullptr || !specs->is_array()) {
     return InvalidArgumentError("summarize request needs a 'specs' array");
@@ -88,11 +100,6 @@ Result<SummarizeRequest> ParseSummarizeRequest(const JsonValue& request) {
     }
     out.specs.push_back(std::move(parsed));
   }
-  SCODED_ASSIGN_OR_RETURN(out.begin, MemberUint(request, "begin"));
-  SCODED_ASSIGN_OR_RETURN(out.end, MemberUint(request, "end"));
-  if (out.end < out.begin) {
-    return InvalidArgumentError("summarize range is inverted");
-  }
   return out;
 }
 
@@ -106,27 +113,21 @@ std::string ErrorEnvelope(const Status& status) {
   return json.str();
 }
 
-// `cursor` lives across requests: the coordinator hands a worker ascending
-// shard ranges in the common case, and advancing the open reader is what
-// keeps each task's cost to its own bytes. A failed range is answered with
-// an error envelope; only a transport error is returned.
-Status HandleSummarize(const JsonValue& request, ShardCursor& cursor, net::TcpConn& conn) {
+// A failed range is answered with an error envelope; only a transport
+// error is returned.
+Status HandleSummarize(const JsonValue& request, net::TcpConn& conn) {
   Result<SummarizeRequest> req = ParseSummarizeRequest(request);
   if (!req.ok()) {
     return serve::WriteFrame(conn, ErrorEnvelope(req.status()));
   }
   obs::ScopedSpan span("dist/worker_summarize");
   if (span.active()) {
-    span.Arg("begin", static_cast<int64_t>(req->begin))
-        .Arg("end", static_cast<int64_t>(req->end))
+    span.Arg("begin_byte", static_cast<int64_t>(req->range.begin_byte))
+        .Arg("end_byte", static_cast<int64_t>(req->range.end_byte))
+        .Arg("rows", static_cast<int64_t>(req->range.rows))
         .Arg("specs", static_cast<int64_t>(req->specs.size()));
   }
-  if (cursor.path != req->path || cursor.options != req->reader) {
-    cursor.path = req->path;  // another file or options: start over
-    cursor.options = req->reader;
-    cursor.reader.reset();
-  }
-  Result<ShardRangeSummary> range = SummarizeShardRange(cursor, req->specs, req->begin, req->end);
+  Result<ShardRangeSummary> range = SummarizeShardRange(req->source, req->specs, req->range);
   if (!range.ok()) {
     return serve::WriteFrame(conn, ErrorEnvelope(range.status()));
   }
@@ -135,10 +136,11 @@ Status HandleSummarize(const JsonValue& request, ShardCursor& cursor, net::TcpCo
   for (PairwiseShardSummary& summary : range->summaries) {
     snapshots.push_back(std::move(summary).ToSnapshot());
   }
+  const uint64_t shard_rows = req->source.reader.shard_rows;  // the reader rejects 0
   JsonWriter json;
   json.BeginObject();
   json.Key("ok").Bool(true);
-  json.Key("shards").Uint(req->end - req->begin);
+  json.Key("shards").Uint(req->range.rows / shard_rows + (req->range.rows % shard_rows != 0));
   json.Key("summaries").Uint(snapshots.size());
   json.EndObject();
   SCODED_RETURN_IF_ERROR(serve::WriteFrame(conn, json.str()));
@@ -149,7 +151,6 @@ Status HandleSummarize(const JsonValue& request, ShardCursor& cursor, net::TcpCo
 }  // namespace
 
 Status ServeWorker(net::TcpConn& conn) {
-  ShardCursor cursor;
   for (;;) {
     Result<std::string> frame = serve::ReadFrame(conn);
     if (!frame.ok()) {
@@ -165,7 +166,7 @@ Status ServeWorker(net::TcpConn& conn) {
       }
     }
     if (request.ok() && op == "summarize") {
-      SCODED_RETURN_IF_ERROR(HandleSummarize(*request, cursor, conn));
+      SCODED_RETURN_IF_ERROR(HandleSummarize(*request, conn));
       continue;
     }
     std::string reply;

@@ -11,17 +11,23 @@ namespace scoded::dist {
 /// JSON (serve/framing.h), one reply per request:
 ///
 ///  * {"op":"ping"} → {"ok":true} — liveness probe;
-///  * {"op":"summarize", "path", "reader":{...}, "specs":[...],
-///     "begin":B, "end":E} → summarises shards [B, E) with
-///    SummarizeShardRange (core/sharded_check.h) on a reader of its own,
-///    kept open across requests for the same file, and replies with the
-///    frame {"ok":true, "shards":N, "summaries":K} followed by the K
-///    summaries as binary frames (serve::WriteShardSummaryFrames).
+///  * {"op":"summarize", "path", "reader":{"shard_rows", "buffer_bytes",
+///     "delimiter"}, "types":[...], "file_bytes", "specs":[...],
+///     "begin_byte", "end_byte", "first_row", "rows"} → summarises the
+///    byte range the coordinator's first pass indexed with
+///    SummarizeShardRange (core/sharded_check.h): no first pass of its
+///    own, a seek, and a parse of only the range's bytes, checked against
+///    its rows, its end and the record width. Replies with the frame
+///    {"ok":true, "shards":N, "summaries":K} followed by the K summaries
+///    as binary frames (serve::WriteShardSummaryFrames).
 ///
-/// Per-request failures reply {"ok":false, "code", "message"} and keep
-/// serving; only transport errors and EOF end the loop. The worker holds
-/// one wave of shards plus its range's summaries at a time, so its peak
-/// RSS is bounded by shard size and distinct cells, not file size.
+/// Every number is range-checked (JsonInteger), and a range that cannot
+/// be — inverted, past file_bytes, more rows than bytes, more columns than
+/// its bytes could delimit — is refused before anything is opened or
+/// sized. Per-request failures reply {"ok":false, "code", "message"} and
+/// keep serving; only transport errors and EOF end the loop. The worker
+/// holds one wave of shards plus its range's summaries at a time, so its
+/// peak RSS is bounded by shard size and distinct cells, not file size.
 ///
 /// Returns OkStatus when the peer departs; a transport error otherwise.
 Status ServeWorker(net::TcpConn& conn);

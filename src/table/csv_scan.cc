@@ -47,6 +47,16 @@ Result<size_t> InputFile::Read(char* out, size_t size) {
   }
 }
 
+Result<uint64_t> InputFile::Seek(uint64_t offset) {
+  struct stat info;
+  if (::fstat(fd_, &info) != 0 || offset > static_cast<uint64_t>(INT64_MAX) ||
+      ::lseek(fd_, static_cast<off_t>(offset), SEEK_SET) < 0) {
+    return DataLossError("cannot seek CSV file '" + path_ + "' to byte " + std::to_string(offset) +
+                         ": " + ErrnoMessage(errno));
+  }
+  return static_cast<uint64_t>(info.st_size);
+}
+
 Result<std::string> InputFile::ReadAll() {
   // Sized from fstat plus one byte, so a regular file is read into a buffer
   // that never grows; pipes and files growing underneath grow it by doubling.
@@ -382,13 +392,15 @@ int32_t ColumnBuilder::Dictionary::Encode(std::string_view value) {
 // Whole-input pass and table assembly
 
 Result<TableScan> ScanTable(RecordScanner& scanner, const ReadOptions& options,
-                            bool keep_values) {
+                            bool keep_values, size_t shard_rows) {
   TableScan scan;
   size_t records = 0;
   // The first ragged row; reported only once the scan has shown that every
   // quote closes, since an open quote wins.
   Status ragged;
+  size_t next_shard_row = 0;
   while (true) {
+    const uint64_t record_offset = scanner.consumed();
     SCODED_ASSIGN_OR_RETURN(bool more, scanner.Next());
     if (!more) {
       break;
@@ -414,6 +426,10 @@ Result<TableScan> ScanTable(RecordScanner& scanner, const ReadOptions& options,
                                     std::to_string(fields.size()) + " fields, expected " +
                                     std::to_string(scan.names.size()));
       continue;
+    }
+    if (shard_rows > 0 && scan.data_rows == next_shard_row) {
+      scan.shard_offsets.push_back(record_offset);
+      next_shard_row += shard_rows;
     }
     ++scan.data_rows;
     for (size_t c = 0; c < fields.size(); ++c) {

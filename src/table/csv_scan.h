@@ -33,6 +33,10 @@ class InputFile {
   /// (EIO, or EISDIR for a directory) is kDataLoss.
   Result<size_t> Read(char* out, size_t size);
 
+  /// Moves the read position to byte `offset` and returns the file's size
+  /// at that moment. Fails kDataLoss when the file cannot be positioned.
+  Result<uint64_t> Seek(uint64_t offset);
+
   /// Reads the rest of the file into one buffer.
   Result<std::string> ReadAll();
 
@@ -85,6 +89,11 @@ class RecordScanner {
 
   /// Bytes read from the input so far.
   uint64_t bytes_read() const { return bytes_read_; }
+
+  /// Input offset just past the terminator of the record Next() last
+  /// returned (0 before the first): where a scan of the records that follow
+  /// may start afresh. Blank lines after that record lie beyond it.
+  uint64_t consumed() const { return bytes_read_ - input_.size() + record_start_; }
 
  private:
   enum class Step { kRecord, kNeedInput, kEnd, kUnterminated };
@@ -200,6 +209,9 @@ struct TableScan {
   std::vector<std::string> names;
   std::vector<ColumnBuilder> columns;  // inferring builders, one per column
   size_t data_rows = 0;
+  /// With shard_rows > 0: for data rows 0, shard_rows, 2 * shard_rows, ...
+  /// the scanner's consumed() offset just before that row was scanned.
+  std::vector<uint64_t> shard_offsets;
 };
 
 /// Runs `scanner` to the end of its input: names the columns from the first
@@ -207,9 +219,10 @@ struct TableScan {
 /// field count, and feeds each cell to an inferring column builder. This is
 /// the pass csv::ReadString and ShardReader::Open share, so they fail with
 /// the same errors in the same precedence: a quote left open at end of
-/// input, then "CSV input is empty", then the first ragged row.
+/// input, then "CSV input is empty", then the first ragged row. A positive
+/// `shard_rows` also records where every shard of that many rows starts.
 Result<TableScan> ScanTable(RecordScanner& scanner, const ReadOptions& options,
-                            bool keep_values);
+                            bool keep_values, size_t shard_rows = 0);
 
 /// Builds the columns into a table.
 Result<Table> BuildTable(const std::vector<std::string>& names,

@@ -602,5 +602,203 @@ TEST(ShardReaderChunkInvarianceTest, RecordLongerThanTheBufferReadsWhole) {
   std::remove(path.c_str());
 }
 
+// ---------------------------------------------------------------------------
+// The shard index: every indexed range, read alone by a ShardRangeReader,
+// is exactly the shard ShardReader::Next yields, whatever the line endings,
+// quoted newlines, blank lines and read chunking around the boundaries.
+
+// 40 records of three fields. Quoted '\n' and "\r\n" and a quoted comma
+// recur every few rows, so with shard_rows 1, 7 and 64 they sit on both
+// sides of boundaries, as do the blank lines after every fifth record.
+std::string IndexCorpus(const std::string& eol, bool header, bool final_newline) {
+  std::string text = header ? "id,text,value" + eol : "";
+  for (int i = 0; i < 40; ++i) {
+    text += std::to_string(i) + ",";
+    switch (i % 5) {
+      case 0:
+        text += "w" + std::to_string(i);
+        break;
+      case 1:
+        text += "\"x\ny" + std::to_string(i) + "\"";
+        break;
+      case 2:
+        text += "\"p\r\nq" + std::to_string(i) + "\"";
+        break;
+      case 3:
+        text += "\"c," + std::to_string(i) + "\"";
+        break;
+      default:
+        break;  // an empty cell
+    }
+    text += "," + (i % 6 == 0 ? std::string() : std::to_string(i * 0.5));
+    if (i + 1 < 40 || final_newline) {
+      text += eol;
+    }
+    if (i % 5 == 4 && i + 1 < 40) {
+      text += eol + eol;  // blank lines between records
+    }
+  }
+  return text;
+}
+
+std::vector<Table> ReadAllShards(ShardReader& reader, const std::string& context) {
+  std::vector<Table> shards;
+  while (true) {
+    Result<std::optional<Table>> shard = reader.Next();
+    EXPECT_TRUE(shard.ok()) << context << ": " << shard.status().ToString();
+    if (!shard.ok() || !shard->has_value()) {
+      return shards;
+    }
+    shards.push_back(std::move(**shard));
+  }
+}
+
+void ExpectSameTable(const Table& want, const Table& got, const std::string& context) {
+  ASSERT_EQ(got.NumRows(), want.NumRows()) << context;
+  ASSERT_EQ(got.NumColumns(), want.NumColumns()) << context;
+  for (size_t r = 0; r < want.NumRows(); ++r) {
+    ExpectSameRow(want, r, got, r, context);
+  }
+}
+
+Result<Table> ReadRangeAlone(const std::string& path, const ShardReaderOptions& options,
+                             const ShardReader& reader, const ShardRange& range) {
+  SCODED_ASSIGN_OR_RETURN(ShardRangeReader alone,
+                          ShardRangeReader::Open(path, options, reader.column_names(),
+                                                 reader.numeric(), range));
+  SCODED_ASSIGN_OR_RETURN(std::optional<Table> shard, alone.Next());
+  if (!shard.has_value()) {
+    return InternalError("range yielded no shard");
+  }
+  SCODED_ASSIGN_OR_RETURN(std::optional<Table> after, alone.Next());
+  if (after.has_value()) {
+    return InternalError("range yielded a second shard");
+  }
+  return std::move(*shard);
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
 }  // namespace
+
+TEST(ShardIndexTest, EveryRangeReadAloneEqualsItsShard) {
+  std::string path = ::testing::TempDir() + "/shard_index_ranges.csv";
+  for (const std::string eol : {"\n", "\r\n"}) {
+    for (bool header : {true, false}) {
+      for (bool final_newline : {true, false}) {
+        const std::string text = IndexCorpus(eol, header, final_newline);
+        WriteText(path, text);
+        for (size_t shard_rows : {size_t{1}, size_t{7}, size_t{64}}) {
+          for (size_t buffer_bytes : {size_t{1}, size_t{7}, size_t{4096}}) {
+            std::string context = std::string(eol == "\n" ? "LF" : "CRLF") + " header " +
+                                  std::to_string(header) + " final_newline " +
+                                  std::to_string(final_newline) + " shard_rows " +
+                                  std::to_string(shard_rows) + " buffer_bytes " +
+                                  std::to_string(buffer_bytes);
+            ShardReaderOptions options;
+            options.csv.has_header = header;
+            options.shard_rows = shard_rows;
+            options.buffer_bytes = buffer_bytes;
+            Result<ShardReader> reader = ShardReader::Open(path, options);
+            ASSERT_TRUE(reader.ok()) << context << ": " << reader.status().ToString();
+            const ShardIndex& index = reader->index();
+            EXPECT_EQ(index.file_bytes, text.size()) << context;
+            EXPECT_EQ(index.num_shards(), (40 + shard_rows - 1) / shard_rows) << context;
+            std::vector<Table> shards = ReadAllShards(*reader, context);
+            ASSERT_EQ(shards.size(), index.num_shards()) << context;
+            // Last range first: no range depends on another having been read.
+            for (uint64_t s = index.num_shards(); s-- > 0;) {
+              std::string where = context + " shard " + std::to_string(s);
+              ShardRange range = index.Range(s, s + 1);
+              EXPECT_EQ(range.first_row, s * shard_rows) << where;
+              EXPECT_EQ(range.rows, shards[s].NumRows()) << where;
+              Result<Table> alone = ReadRangeAlone(path, options, *reader, range);
+              ASSERT_TRUE(alone.ok()) << where << ": " << alone.status().ToString();
+              ExpectSameTable(shards[s], *alone, where);
+            }
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ShardIndexTest, BytesBeforeARangeAreNeverRead) {
+  // Overwriting bytes of shard 0 after the first pass, keeping the length:
+  // every later range still reads exactly as before, which it could not if
+  // it parsed anything before its own first byte; shard 0 itself fails.
+  std::string path = ::testing::TempDir() + "/shard_index_overwrite.csv";
+  std::string text = IndexCorpus("\r\n", true, true);
+  WriteText(path, text);
+  ShardReaderOptions options;
+  options.shard_rows = 7;
+  options.buffer_bytes = 16;
+  ShardReader reader = ShardReader::Open(path, options).value();
+  std::vector<Table> shards = ReadAllShards(reader, "before");
+  const ShardIndex& index = reader.index();
+  ASSERT_GE(index.num_shards(), 3u);
+  // Every byte of shard 0 becomes ';', terminators included, so its range
+  // no longer parses into its rows and its end.
+  for (uint64_t b = index.offsets[0]; b < index.offsets[1]; ++b) {
+    text[b] = ';';
+  }
+  WriteText(path, text);
+  for (uint64_t s = 1; s < index.num_shards(); ++s) {
+    Result<Table> alone = ReadRangeAlone(path, options, reader, index.Range(s, s + 1));
+    ASSERT_TRUE(alone.ok()) << "shard " << s << ": " << alone.status().ToString();
+    ExpectSameTable(shards[s], *alone, "shard " + std::to_string(s));
+  }
+  Result<Table> damaged = ReadRangeAlone(path, options, reader, index.Range(0, 1));
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kDataLoss) << damaged.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(ShardIndexTest, TruncationAndMovedBoundariesAreDataLoss) {
+  std::string path = ::testing::TempDir() + "/shard_index_moved.csv";
+  std::string text = "name,score\n";
+  for (int i = 0; i < 30; ++i) {
+    text += "r" + std::to_string(i) + "," + std::to_string(10 + i) + "\n";
+  }
+  WriteText(path, text);
+  ShardReaderOptions options;
+  options.shard_rows = 10;
+  ShardReader reader = ShardReader::Open(path, options).value();
+  const ShardIndex& index = reader.index();
+  ASSERT_EQ(index.num_shards(), 3u);
+  auto expect_data_loss = [&](uint64_t begin, uint64_t end, const std::string& what) {
+    Result<Table> table = ReadRangeAlone(path, options, reader, index.Range(begin, end));
+    ASSERT_FALSE(table.ok()) << what;
+    EXPECT_EQ(table.status().code(), StatusCode::kDataLoss) << what << ": "
+                                                            << table.status().ToString();
+  };
+
+  // Truncated into the last shard: the last range runs out of rows, and
+  // one cut before a middle range's end fails before it reads anything.
+  WriteText(path, text.substr(0, text.size() - 5));
+  expect_data_loss(2, 3, "truncated last range");
+  WriteText(path, text.substr(0, index.offsets[2] - 1));
+  expect_data_loss(1, 2, "range past the truncated end");
+  expect_data_loss(0, 3, "whole file after truncation");
+
+  // Same length, but record 9 (shard 0's last) gains two bytes that record
+  // 10 (shard 1's first) loses: the indexed boundary now lies inside a record.
+  std::string moved = text;
+  const size_t at = moved.find("r9,19\nr10,20\n");
+  ASSERT_NE(at, std::string::npos);
+  moved.replace(at, 13, "r9,1900\nr1,2\n");
+  ASSERT_EQ(moved.size(), text.size());
+  WriteText(path, moved);
+  expect_data_loss(0, 1, "range whose last record now ends past the index");
+  expect_data_loss(1, 2, "range that now starts inside a record");
+  // The third shard's bytes did not change.
+  Result<Table> last = ReadRangeAlone(path, options, reader, index.Range(2, 3));
+  EXPECT_TRUE(last.ok()) << last.status().ToString();
+  std::remove(path.c_str());
+}
+
 }  // namespace scoded::csv

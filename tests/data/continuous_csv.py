@@ -8,6 +8,10 @@ own joint cell: the shape that stresses the out-of-core summaries.
                                          conditioned on) and a categorical G
   continuous_csv.py boston ROWS OUT.csv  D,N,C,B,R,TX: Boston-like columns
                                          written with %.6f
+  continuous_csv.py messy ROWS OUT.csv   K,Q,N,M: CRLF records, categories
+                                         quoted around commas, quotes and
+                                         embedded LF / CRLF line breaks, blank
+                                         lines, empty cells, no final newline
 """
 import random
 import sys
@@ -40,11 +44,29 @@ def boston(rows, out):
         out.write("%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n" % (d, n, c, b, r, tx))
 
 
+def messy(rows, out):
+    rng = random.Random(23)
+    keys = ["plain", '"comma, inside"', '"line\nbreak"', '"crlf\r\nbreak"', '"say ""hi"""']
+    out.write("K,Q,N,M\r\n")
+    for i in range(rows):
+        k = rng.randrange(len(keys))
+        q = k % 3 if rng.random() < 0.4 else rng.randrange(3)
+        n = rng.uniform(-5.0, 5.0)
+        m = 0.3 * n + rng.uniform(-4.0, 4.0)
+        k_text = "" if rng.randrange(50) == 0 else keys[k]
+        m_text = "" if rng.randrange(50) == 1 else "%.5f" % m
+        out.write("%s,%s,%.4f,%s" % (k_text, "pqr"[q], n, m_text))
+        if i + 1 < rows:
+            out.write("\r\n")
+            if rng.randrange(20) == 0:
+                out.write("\r\n" * rng.randint(1, 2))
+
+
 def main():
-    shapes = {"mixed": mixed, "boston": boston}
+    shapes = {"mixed": mixed, "boston": boston, "messy": messy}
     if len(sys.argv) != 4 or sys.argv[1] not in shapes:
         sys.exit(__doc__)
-    with open(sys.argv[3], "w") as out:
+    with open(sys.argv[3], "w", newline="") as out:
         shapes[sys.argv[1]](int(sys.argv[2]), out)
 
 

@@ -15,9 +15,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -34,7 +36,9 @@
 #include "common/rng.h"
 #include "core/sharded_check.h"
 #include "distributed/substrate.h"
+#include "serve/wire.h"
 #include "table/csv.h"
+#include "table/csv_stream.h"
 
 namespace scoded {
 namespace {
@@ -352,33 +356,248 @@ TEST_F(DistributedCheckTest, FileGrowingDuringTheRunIsDataLoss) {
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << result.status().ToString();
 }
 
+// A summarize request as ordered (member, raw JSON value) pairs, so a test
+// can replace or drop one member.
+using RequestMembers = std::vector<std::pair<std::string, std::string>>;
+
+std::string RenderRequest(const RequestMembers& members) {
+  std::string out = "{";
+  for (const auto& [key, value] : members) {
+    out += (out.size() > 1 ? ",\"" : "\"") + key + "\":" + value;
+  }
+  return out + "}";
+}
+
+void SetMember(RequestMembers& members, const std::string& key, const std::string& value) {
+  for (auto& member : members) {
+    if (member.first == key) {
+      member.second = value;
+      return;
+    }
+  }
+  members.emplace_back(key, value);
+}
+
+// Sends one request on a fresh in-process worker and returns its parsed
+// reply head. A summary body after an ok head is decoded against `specs`
+// when given, and otherwise left unread.
+JsonValue Exchange(const std::string& request,
+                   const std::vector<PairwiseShardSummary::Spec>* specs = nullptr,
+                   uint64_t max_rows = 0) {
+  dist::InProcessSubstrate substrate;
+  std::unique_ptr<dist::WorkerChannel> channel = substrate.Spawn(0).value();
+  EXPECT_TRUE(channel->Send(request).ok());
+  Result<std::string> reply = channel->Receive(10000);
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString() << " for " << request;
+  if (!reply.ok()) {
+    return JsonValue();
+  }
+  Result<JsonValue> head = ParseJson(*reply);
+  EXPECT_TRUE(head.ok()) << *reply;
+  if (!head.ok()) {
+    return JsonValue();
+  }
+  const JsonValue* ok = head->Find("ok");
+  if (ok != nullptr && ok->is_bool() && ok->bool_value && specs != nullptr) {
+    Result<serve::ShardSummaryFrames> body = serve::ReadShardSummaryFrames(
+        [&]() { return channel->Receive(10000); }, *specs, max_rows);
+    EXPECT_TRUE(body.ok()) << body.status().ToString() << " for " << request;
+  }
+  return std::move(*head);
+}
+
+// The error code of a reply head, "" for an ok reply; fails the test when
+// the head is neither an ok reply nor a typed error envelope.
+std::string ReplyCode(const JsonValue& head, const std::string& request) {
+  const JsonValue* ok = head.Find("ok");
+  if (ok == nullptr || !ok->is_bool()) {
+    ADD_FAILURE() << "reply has no ok field for " << request;
+    return "?";
+  }
+  if (ok->bool_value) {
+    return "";
+  }
+  const JsonValue* code = head.Find("code");
+  const JsonValue* message = head.Find("message");
+  if (code == nullptr || !code->is_string() || message == nullptr || !message->is_string()) {
+    ADD_FAILURE() << "error envelope without code and message for " << request;
+    return "?";
+  }
+  return code->string_value;
+}
+
+RequestMembers ValidShapedRequest() {
+  return {{"op", R"("summarize")"},
+          {"path", R"("/nonexistent.csv")"},
+          {"reader", R"({"shard_rows":64,"buffer_bytes":4096,"delimiter":","})"},
+          {"types", R"(["categorical","categorical"])"},
+          {"file_bytes", "1000"},
+          {"specs", R"([{"x":0,"y":1,"z":[]}])"},
+          {"begin_byte", "10"},
+          {"end_byte", "100"},
+          {"first_row", "0"},
+          {"rows", "5"}};
+}
+
 TEST(DistributedWorkerTest, NonIntegralOrHugeRequestNumbersAreInvalidArgument) {
   // JSON numbers are doubles; a worker must reject 1.5 as a column and
-  // 1e300 as a shard index instead of casting them.
-  const std::string head =
-      R"({"op":"summarize","path":"/nonexistent.csv","reader":{"shard_rows":64,)"
-      R"("buffer_bytes":4096,"delimiter":",","has_header":true,"infer_types":true},)";
-  const std::vector<std::string> requests = {
-      head + R"("specs":[{"x":1.5,"y":0,"z":[]}],"begin":0,"end":1})",
-      head + R"("specs":[{"x":0,"y":1,"z":[2.5]}],"begin":0,"end":1})",
-      head + R"("specs":[{"x":0,"y":1,"z":[]}],"begin":1e300,"end":1e300})",
-      head + R"("specs":[{"x":0,"y":1,"z":[]}],"begin":0,"end":-1})",
+  // 1e300 as a byte offset instead of casting them. Each request is valid
+  // but for one member, and fails before the (missing) file is opened.
+  const std::vector<std::pair<std::string, std::string>> breaks = {
+      {"specs", R"([{"x":1.5,"y":0,"z":[]}])"},
+      {"specs", R"([{"x":0,"y":1,"z":[2.5]}])"},
+      {"begin_byte", "1e300"},
+      {"end_byte", "-1"},
+      {"first_row", "2.5"},
+      {"rows", "1e19"},
+      {"file_bytes", "-3"},
+      {"reader", R"({"shard_rows":0.5,"buffer_bytes":4096,"delimiter":","})"},
+      {"reader", R"({"shard_rows":64,"buffer_bytes":1e300,"delimiter":","})"},
+      {"types", R"(["categorical","text"])"},
+      {"types", "[]"},
+      {"rows", "0"},
   };
-  dist::InProcessSubstrate substrate;
-  Result<std::unique_ptr<dist::WorkerChannel>> channel = substrate.Spawn(0);
-  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
-  for (const std::string& request : requests) {
-    ASSERT_TRUE((*channel)->Send(request).ok());
-    Result<std::string> reply = (*channel)->Receive(10000);
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    Result<JsonValue> parsed = ParseJson(*reply);
-    ASSERT_TRUE(parsed.ok()) << *reply;
-    const JsonValue* ok = parsed->Find("ok");
-    const JsonValue* code = parsed->Find("code");
-    ASSERT_TRUE(ok != nullptr && ok->is_bool() && code != nullptr && code->is_string()) << *reply;
-    EXPECT_FALSE(ok->bool_value) << request;
-    EXPECT_EQ(code->string_value, "InvalidArgument") << request << " -> " << *reply;
+  for (const auto& [key, value] : breaks) {
+    RequestMembers members = ValidShapedRequest();
+    SetMember(members, key, value);
+    std::string request = RenderRequest(members);
+    EXPECT_EQ(ReplyCode(Exchange(request), request), "InvalidArgument") << request;
   }
+}
+
+TEST(DistributedWorkerTest, RangesThatCannotBeAreInvalidArgument) {
+  // More columns than 90 bytes of records can delimit.
+  std::string wide = "[\"numeric\"";
+  for (int i = 1; i < 100; ++i) {
+    wide += ",\"numeric\"";
+  }
+  const std::vector<std::vector<std::pair<std::string, std::string>>> breaks = {
+      {{"begin_byte", "100"}, {"end_byte", "10"}},  // inverted
+      {{"end_byte", "2000"}},                       // past the file's byte count
+      {{"rows", "91"}},                             // more rows than bytes
+      {{"first_row", "9223372036854775807"}},       // row indices past int64
+      {{"types", wide + "]"}},
+  };
+  for (const auto& members_break : breaks) {
+    RequestMembers members = ValidShapedRequest();
+    for (const auto& [key, value] : members_break) {
+      SetMember(members, key, value);
+    }
+    std::string request = RenderRequest(members);
+    EXPECT_EQ(ReplyCode(Exchange(request), request), "InvalidArgument") << request;
+  }
+}
+
+class DistributedWorkerFileTest : public DistributedCheckTest {
+ protected:
+  // A valid request for shards [begin, end) of the fixture at 64 rows per
+  // shard, with two components.
+  RequestMembers ValidRequest(uint64_t begin, uint64_t end) {
+    csv::ShardReaderOptions options;
+    options.shard_rows = 64;
+    csv::ShardReader reader = csv::ShardReader::Open(path_, options).value();
+    csv::ShardRange range = reader.index().Range(begin, end);
+    std::string types = "[";
+    for (bool numeric : reader.numeric()) {
+      types += std::string(types.size() > 1 ? "," : "") + (numeric ? "\"numeric\"" : "\"categorical\"");
+    }
+    return {{"op", R"("summarize")"},
+            {"path", "\"" + path_ + "\""},
+            {"reader", R"({"shard_rows":64,"buffer_bytes":4096,"delimiter":","})"},
+            {"types", types + "]"},
+            {"file_bytes", std::to_string(range.file_bytes)},
+            {"specs", R"([{"x":0,"y":1,"z":[]},{"x":2,"y":3,"z":[0]}])"},
+            {"begin_byte", std::to_string(range.begin_byte)},
+            {"end_byte", std::to_string(range.end_byte)},
+            {"first_row", std::to_string(range.first_row)},
+            {"rows", std::to_string(range.rows)}};
+  }
+
+  const std::vector<PairwiseShardSummary::Spec> specs_ = {{0, 1, {}}, {2, 3, {0}}};
+};
+
+TEST_F(DistributedWorkerFileTest, RangesThatDoNotMatchTheFileAreDataLoss) {
+  auto member = [](const RequestMembers& members, const std::string& key) {
+    for (const auto& [k, v] : members) {
+      if (k == key) {
+        return std::stoull(v);
+      }
+    }
+    return 0ull;
+  };
+  for (auto [begin, end] : {std::pair<uint64_t, uint64_t>{0, 3}, {5, 8}, {10, 15}}) {
+    RequestMembers valid = ValidRequest(begin, end);
+    std::string request = RenderRequest(valid);
+    EXPECT_EQ(ReplyCode(Exchange(request, &specs_, 900), request), "") << request;
+    const uint64_t end_byte = member(valid, "end_byte");
+    const uint64_t rows = member(valid, "rows");
+    const uint64_t file_bytes = member(valid, "file_bytes");
+    const std::vector<std::pair<std::string, std::string>> breaks = {
+        {"end_byte", std::to_string(end_byte - 1)},  // stops short of its last terminator
+        {"rows", std::to_string(rows - 1)},          // fewer rows than its bytes hold
+        {"rows", std::to_string(rows + 1)},          // more rows than its bytes hold
+        // one column wider than the records
+        {"types", R"(["categorical","categorical","numeric","numeric","numeric"])"},
+        // Past the real end of file, though within the byte count it claims.
+        {"file_bytes", std::to_string(file_bytes + 5000)},
+    };
+    for (const auto& [key, value] : breaks) {
+      RequestMembers members = valid;
+      SetMember(members, key, value);
+      if (key == "file_bytes") {
+        SetMember(members, "begin_byte", std::to_string(file_bytes + 10));
+        SetMember(members, "end_byte", std::to_string(file_bytes + 4000));
+      }
+      std::string broken = RenderRequest(members);
+      EXPECT_EQ(ReplyCode(Exchange(broken), broken), "DataLoss") << broken;
+    }
+  }
+}
+
+TEST_F(DistributedWorkerFileTest, MutatedSummarizeRequestsGetOkOrATypedError) {
+  // A coordinator's request is untrusted input to a worker: every mutation
+  // of a valid request is answered, with a summary or an error envelope,
+  // and never crashes the worker or sizes anything past what the file holds
+  // (the sanitizer job runs this loop too).
+  const RequestMembers valid = ValidRequest(3, 9);
+  const char* extremes[] = {"0",    "1",      "-1",   "1.5",  "1e300", "-1e300",
+                            "9007199254740993",   "9223372036854775807",
+                            "18446744073709551616", "null", "\"x\"", "[]", "{}", "true"};
+  Rng rng(20261018);
+  int answered_ok = 0;
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    RequestMembers members = valid;
+    size_t which = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(members.size()) - 1));
+    std::string& value = members[which].second;
+    int64_t kind = rng.UniformInt(0, 4);
+    if (kind == 0) {  // an extreme or ill-typed value
+      value = extremes[rng.UniformInt(0, static_cast<int64_t>(std::size(extremes)) - 1)];
+    } else if (kind == 1 && !value.empty() && std::isdigit(static_cast<unsigned char>(value[0]))) {
+      // a nearby integer: boundaries off by a little
+      int64_t delta = rng.UniformInt(-64, 64);
+      value = std::to_string(static_cast<int64_t>(std::stoull(value)) + delta);
+    } else if (kind == 2 && !value.empty()) {  // a flipped bit
+      size_t at = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(value.size()) - 1));
+      value[at] = static_cast<char>(value[at] ^ (1 << rng.UniformInt(0, 6)));
+    } else if (kind == 3) {  // a missing member
+      members.erase(members.begin() + static_cast<std::ptrdiff_t>(which));
+    } else {  // a types array one column short or long
+      SetMember(members, "types",
+                rng.UniformInt(0, 1) == 0 ? R"(["categorical","categorical","numeric"])"
+                                          : R"(["categorical","categorical","numeric","numeric","numeric"])");
+    }
+    bool specs_intact = false;
+    for (const auto& [key, v] : members) {
+      specs_intact = specs_intact || (key == "specs" && v == valid[5].second);
+    }
+    std::string request = RenderRequest(members);
+    std::string code = ReplyCode(Exchange(request, specs_intact ? &specs_ : nullptr, 900), request);
+    EXPECT_NE(code, "?") << request;
+    answered_ok += code.empty() ? 1 : 0;
+  }
+  // Some mutations (a buffer size, say) leave the request valid; most do not.
+  EXPECT_GT(answered_ok, 0);
+  EXPECT_LT(answered_ok, 300);
 }
 
 // ---------------------------------------------------------------------------

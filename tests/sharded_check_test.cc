@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -197,9 +198,9 @@ TEST_F(ShardedCheckTest, EveryPathRecordsOneSampleSizePerComponentTest) {
 }
 
 // ---------------------------------------------------------------------------
-// The shared shard-range summariser: where a range is split, and whether
-// its start is reached on an open reader or by skipping on a fresh one,
-// must not change a single summary field.
+// The shared shard-range summariser: where the indexed shards are cut into
+// ranges, and in which grouping their summaries fold, must not change a
+// single summary field.
 // ---------------------------------------------------------------------------
 
 void ExpectSameSnapshot(const PairwiseShardSummary::Snapshot& want,
@@ -226,63 +227,103 @@ std::vector<PairwiseShardSummary::Spec> PlanSpecs(const std::string& path,
   return specs;
 }
 
-TEST_F(ShardedCheckTest, SummarizeShardRangeSplitsAndSkipsExactly) {
+ShardSource SourceOf(const std::string& path, const csv::ShardReader& reader,
+                     const csv::ShardReaderOptions& options) {
+  return ShardSource{path, options, reader.column_names(), reader.numeric()};
+}
+
+TEST_F(ShardedCheckTest, SummarizeShardRangeSplitsExactly) {
   const std::vector<PairwiseShardSummary::Spec> specs = PlanSpecs(path_, constraints_);
   ASSERT_EQ(specs.size(), 5u);
   for (size_t shard_rows : {1, 7, 64, 1300}) {
     csv::ShardReaderOptions options;
     options.shard_rows = shard_rows;
+    csv::ShardReader reader = csv::ShardReader::Open(path_, options).value();
+    const ShardSource source = SourceOf(path_, reader, options);
+    const csv::ShardIndex& index = reader.index();
     const uint64_t num_shards = (1300 + shard_rows - 1) / shard_rows;
-    ShardCursor whole_cursor{path_, options};
-    Result<ShardRangeSummary> whole = SummarizeShardRange(whole_cursor, specs, 0, num_shards);
+    ASSERT_EQ(index.num_shards(), num_shards);
+    Result<ShardRangeSummary> whole =
+        SummarizeShardRange(source, specs, index.Range(0, num_shards));
     ASSERT_TRUE(whole.ok()) << whole.status().ToString();
     EXPECT_EQ(whole->rows, uint64_t{1300});
-    EXPECT_FALSE(whole_cursor.reader.has_value()) << "the end-of-file drain closes the reader";
-    for (uint64_t k : {uint64_t{0}, uint64_t{1}, num_shards / 2, num_shards - 1, num_shards}) {
-      std::string label = "shard_rows=" + std::to_string(shard_rows) + " k=" + std::to_string(k);
-      ShardCursor cursor{path_, options};
-      Result<ShardRangeSummary> head = SummarizeShardRange(cursor, specs, 0, k);
-      ASSERT_TRUE(head.ok()) << label << ": " << head.status().ToString();
-      if (k < num_shards) {
-        // The tail below continues on this reader rather than reopening.
-        ASSERT_TRUE(cursor.reader.has_value()) << label;
-        EXPECT_EQ(cursor.next_shard, k) << label;
+    for (uint64_t k : {uint64_t{1}, num_shards / 2, num_shards - 1}) {
+      if (k == 0 || k >= num_shards) {
+        continue;
       }
-      Result<ShardRangeSummary> tail = SummarizeShardRange(cursor, specs, k, num_shards);
+      std::string label = "shard_rows=" + std::to_string(shard_rows) + " k=" + std::to_string(k);
+      // The tail is read first: neither range needs the other's bytes.
+      Result<ShardRangeSummary> tail = SummarizeShardRange(source, specs, index.Range(k, num_shards));
       ASSERT_TRUE(tail.ok()) << label << ": " << tail.status().ToString();
-      ShardCursor fresh{path_, options};
-      Result<ShardRangeSummary> skipped = SummarizeShardRange(fresh, specs, k, num_shards);
-      ASSERT_TRUE(skipped.ok()) << label << ": " << skipped.status().ToString();
+      Result<ShardRangeSummary> head = SummarizeShardRange(source, specs, index.Range(0, k));
+      ASSERT_TRUE(head.ok()) << label << ": " << head.status().ToString();
+      EXPECT_EQ(head->rows, std::min<uint64_t>(k * shard_rows, 1300)) << label;
       EXPECT_EQ(head->rows + tail->rows, uint64_t{1300}) << label;
-      EXPECT_EQ(skipped->rows, tail->rows) << label;
       for (size_t c = 0; c < specs.size(); ++c) {
         std::string part = label + " component=" + std::to_string(c);
         PairwiseShardSummary joined = head->summaries[c];
         joined.Merge(tail->summaries[c]);
         ExpectSameSnapshot(whole->summaries[c].ToSnapshot(), joined.ToSnapshot(), part);
-        ExpectSameSnapshot(tail->summaries[c].ToSnapshot(), skipped->summaries[c].ToSnapshot(),
-                           part);
       }
     }
   }
 }
 
-TEST_F(ShardedCheckTest, SummarizeShardRangeDrainCatchesAnAppend) {
+TEST_F(ShardedCheckTest, SummaryFoldEqualsTheLeftFoldAtAnyTaskCount) {
   const std::vector<PairwiseShardSummary::Spec> specs = PlanSpecs(path_, constraints_);
   csv::ShardReaderOptions options;
   options.shard_rows = 64;
-  options.buffer_bytes = 1024;  // the tail of the file is still unread below
-  const uint64_t num_shards = (1300 + 63) / 64;
-  ShardCursor cursor{path_, options};
-  ASSERT_TRUE(SummarizeShardRange(cursor, specs, 0, 10).ok());
+  csv::ShardReader reader = csv::ShardReader::Open(path_, options).value();
+  const ShardSource source = SourceOf(path_, reader, options);
+  const uint64_t num_shards = reader.index().num_shards();
+  ASSERT_GE(num_shards, uint64_t{17});
+  for (uint64_t tasks = 1; tasks <= 17; ++tasks) {
+    std::vector<ShardRangeSummary> parts;
+    for (uint64_t t = 0; t < tasks; ++t) {
+      Result<ShardRangeSummary> part = SummarizeShardRange(
+          source, specs,
+          reader.index().Range(t * num_shards / tasks, (t + 1) * num_shards / tasks));
+      ASSERT_TRUE(part.ok()) << part.status().ToString();
+      parts.push_back(std::move(*part));
+    }
+    for (size_t c = 0; c < specs.size(); ++c) {
+      std::string label = "tasks=" + std::to_string(tasks) + " component=" + std::to_string(c);
+      PairwiseShardSummary left = parts[0].summaries[c];
+      SummaryFold fold;
+      fold.Add(parts[0].summaries[c]);
+      for (uint64_t t = 1; t < tasks; ++t) {
+        left.Merge(parts[t].summaries[c]);
+        fold.Add(parts[t].summaries[c]);
+      }
+      std::optional<PairwiseShardSummary> folded = std::move(fold).Take();
+      ASSERT_TRUE(folded.has_value()) << label;
+      ExpectSameSnapshot(left.ToSnapshot(), folded->ToSnapshot(), label);
+    }
+  }
+  EXPECT_FALSE(SummaryFold().Take().has_value());
+}
+
+TEST_F(ShardedCheckTest, LastRangeCatchesAnAppend) {
+  const std::vector<PairwiseShardSummary::Spec> specs = PlanSpecs(path_, constraints_);
+  csv::ShardReaderOptions options;
+  options.shard_rows = 64;
+  options.buffer_bytes = 1024;
+  csv::ShardReader reader = csv::ShardReader::Open(path_, options).value();
+  const ShardSource source = SourceOf(path_, reader, options);
+  const uint64_t num_shards = reader.index().num_shards();
   {
     std::ofstream out(path_, std::ios::app);
     out << "golf,red,1600,5000\n";
   }
-  Result<ShardRangeSummary> rest = SummarizeShardRange(cursor, specs, 10, num_shards);
+  // A range that stops before the end never sees the appended row...
+  Result<ShardRangeSummary> head = SummarizeShardRange(source, specs, reader.index().Range(0, 10));
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(head->rows, uint64_t{640});
+  // ...and the last range must meet end of file where the first pass did.
+  Result<ShardRangeSummary> rest =
+      SummarizeShardRange(source, specs, reader.index().Range(10, num_shards));
   ASSERT_FALSE(rest.ok());
   EXPECT_EQ(rest.status().code(), StatusCode::kDataLoss) << rest.status().ToString();
-  EXPECT_FALSE(cursor.reader.has_value()) << "a failed range resets the cursor";
 }
 
 // ---------------------------------------------------------------------------
