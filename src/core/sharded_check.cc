@@ -509,11 +509,6 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
       pumps.emplace_back([&, w] {
         while (pump_one(w)) {
         }
-        // No task is left for this lane: dismiss it now, so every lane's
-        // teardown (a worker's exit) overlaps the others' and the last folds.
-        std::unique_ptr<ShardLane> done;
-        std::lock_guard<std::mutex> lock(mu);
-        done = std::move(lanes[w]);
       });
     }
   }
@@ -559,11 +554,8 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
     cv.notify_all();
   }
   if (failed) {
-    std::lock_guard<std::mutex> lock(mu);
     for (std::unique_ptr<ShardLane>& lane : lanes) {
-      if (lane != nullptr) {
-        lane->Kill();  // unblocks pumps waiting on a response
-      }
+      lane->Kill();  // unblocks pumps waiting on a response
     }
   }
   for (std::thread& pump : pumps) {

@@ -153,9 +153,7 @@ struct LaneResult {
 /// Summarises shard-range tasks for RunShardedCheck, one at a time, on a
 /// pump thread of its own, or on the calling thread when it is the run's
 /// only lane. Kill() comes from another thread when the lane is lost or
-/// the run aborts and must unblock a Summarize in flight. A pump destroys
-/// its lane as soon as no task is left for it, so lanes whose destructor
-/// waits (a worker process's exit) are dismissed all at once.
+/// the run aborts and must unblock a Summarize in flight.
 class ShardLane {
  public:
   virtual ~ShardLane() = default;

@@ -18,12 +18,13 @@ namespace scoded::dist {
 ///    SummarizeShardRange (core/sharded_check.h): no first pass of its
 ///    own, a seek, and a parse of only the range's bytes, checked against
 ///    its rows, its end and the record width. Replies with the frame
-///    {"ok":true, "shards":N, "summaries":K} followed by the K summaries
-///    as binary frames (serve::WriteShardSummaryFrames).
+///    {"ok":true, "summaries":K} followed by the K summaries as binary
+///    frames (serve::WriteShardSummaryFrames).
 ///
-/// Every number is range-checked (JsonInteger), and a range that cannot
-/// be — inverted, past file_bytes, more rows than bytes, more columns than
-/// its bytes could delimit — is refused before anything is opened or
+/// Every number is range-checked (JsonInteger), and a range of no rows or
+/// one that cannot be — inverted, past file_bytes, more rows of the
+/// types' width than its bytes could delimit
+/// (csv::ShardRangeReader::Open) — is refused before anything is opened or
 /// sized. Per-request failures reply {"ok":false, "code", "message"} and
 /// keep serving; only transport errors and EOF end the loop. The worker
 /// holds one wave of shards plus its range's summaries at a time, so its

@@ -45,17 +45,26 @@ Result<ShardRangeReader> ShardRangeReader::Open(const std::string& path,
   if (options.shard_rows == 0) {
     return InvalidArgumentError("shard_rows must be positive");
   }
+  if (numeric.empty()) {
+    return InvalidArgumentError("shard range needs at least one column");
+  }
   if (range.begin_byte > range.end_byte || range.end_byte > range.file_bytes) {
     return InvalidArgumentError("shard range [" + std::to_string(range.begin_byte) + ", " +
                                 std::to_string(range.end_byte) + ") is not within a " +
                                 std::to_string(range.file_bytes) + "-byte file");
   }
-  // Every record takes at least one byte, so the byte count bounds the rows
-  // (and with them every allocation the range can ask for).
-  if (range.rows > range.end_byte - range.begin_byte ||
-      range.first_row > static_cast<uint64_t>(INT64_MAX) - range.rows) {
-    return InvalidArgumentError("shard range cannot hold " + std::to_string(range.rows) +
-                                " rows from row " + std::to_string(range.first_row));
+  // A record of n fields holds n - 1 delimiters, and every record but the
+  // last ends in a terminator, so `rows` records need rows * n - 1 bytes.
+  // That bounds rows * n, and with it every column Next() reserves, by the
+  // range's bytes. (bytes + 1 wraps only for a 2^64 - 1-byte range, which
+  // is then refused.)
+  const uint64_t width = numeric.size();
+  const uint64_t bytes = range.end_byte - range.begin_byte;
+  const uint64_t max_rows = (bytes + 1) / width;
+  if (range.rows > max_rows || range.first_row > static_cast<uint64_t>(INT64_MAX) - range.rows) {
+    return InvalidArgumentError("a " + std::to_string(bytes) + "-byte shard range cannot hold " +
+                                std::to_string(range.rows) + " rows of " + std::to_string(width) +
+                                " fields from row " + std::to_string(range.first_row));
   }
   SCODED_ASSIGN_OR_RETURN(InputFile file, InputFile::Open(path));
   SCODED_ASSIGN_OR_RETURN(uint64_t size, file.Seek(range.begin_byte));

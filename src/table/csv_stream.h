@@ -65,9 +65,11 @@ Result<Table> SchemaTable(const std::vector<std::string>& names, const std::vect
 class ShardRangeReader {
  public:
   /// `names` and `numeric` are the file's columns, one name per type.
-  /// Fails kInvalidArgument on a range that cannot be (inverted, past
-  /// file_bytes, more rows than bytes) or a zero shard_rows, and kDataLoss
-  /// when the file is now shorter than the range.
+  /// Fails kInvalidArgument, before the file is opened or anything is
+  /// sized, on a range that cannot be (inverted, past file_bytes, more
+  /// rows of numeric.size() fields than its bytes could delimit), no
+  /// columns or a zero shard_rows, and kDataLoss when the file is now
+  /// shorter than the range.
   static Result<ShardRangeReader> Open(const std::string& path,
                                        const ShardReaderOptions& options,
                                        std::vector<std::string> names, std::vector<bool> numeric,

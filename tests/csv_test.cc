@@ -801,4 +801,46 @@ TEST(ShardIndexTest, TruncationAndMovedBoundariesAreDataLoss) {
   std::remove(path.c_str());
 }
 
+TEST(ShardIndexTest, TheRecordWidthBoundsARangeExactly) {
+  // Three records of two empty fields, the last without a terminator: 5
+  // bytes hold 3 rows of 2 fields, as many as rows * width <= bytes + 1
+  // allows.
+  std::string path = ::testing::TempDir() + "/shard_index_width.csv";
+  WriteText(path, "a,b\n,\n,\n,");
+  ShardReaderOptions options;
+  ShardReader reader = ShardReader::Open(path, options).value();
+  ShardRange range = reader.index().Range(0, 1);
+  ASSERT_EQ(range.end_byte - range.begin_byte, 5u);
+  ASSERT_EQ(range.rows, 3u);
+  Result<Table> table = ReadRangeAlone(path, options, reader, range);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->NumRows(), 3u);
+
+  // One more row or one more column cannot fit, and is refused before the
+  // file is opened.
+  auto open_code = [&](const ShardRange& bad, const std::vector<bool>& numeric) {
+    std::vector<std::string> names(numeric.size(), "c");
+    return ShardRangeReader::Open("/nonexistent.csv", options, names, numeric, bad)
+        .status()
+        .code();
+  };
+  ShardRange more_rows = range;
+  more_rows.rows = 4;
+  EXPECT_EQ(open_code(more_rows, reader.numeric()), StatusCode::kInvalidArgument);
+  EXPECT_EQ(open_code(range, {false, false, false}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(open_code(range, {}), StatusCode::kInvalidArgument);
+
+  // Empty ranges, before the first record and at end of file, read as
+  // nothing once their boundary checks pass.
+  for (uint64_t at : {uint64_t{0}, uint64_t{1}}) {
+    Result<ShardRangeReader> empty = ShardRangeReader::Open(
+        path, options, reader.column_names(), reader.numeric(), reader.index().Range(at, at));
+    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+    Result<std::optional<Table>> none = empty->Next();
+    ASSERT_TRUE(none.ok()) << "at " << at << ": " << none.status().ToString();
+    EXPECT_FALSE(none->has_value()) << "at " << at;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace scoded::csv

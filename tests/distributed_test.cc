@@ -466,17 +466,24 @@ TEST(DistributedWorkerTest, NonIntegralOrHugeRequestNumbersAreInvalidArgument) {
 }
 
 TEST(DistributedWorkerTest, RangesThatCannotBeAreInvalidArgument) {
-  // More columns than 90 bytes of records can delimit.
-  std::string wide = "[\"numeric\"";
-  for (int i = 1; i < 100; ++i) {
-    wide += ",\"numeric\"";
-  }
+  auto numeric_types = [](int columns) {
+    std::string types = "[\"numeric\"";
+    for (int i = 1; i < columns; ++i) {
+      types += ",\"numeric\"";
+    }
+    return types + "]";
+  };
+  // The valid-shaped range is 90 bytes, which hold at most 91 / width
+  // records of a width.
   const std::vector<std::vector<std::pair<std::string, std::string>>> breaks = {
       {{"begin_byte", "100"}, {"end_byte", "10"}},  // inverted
       {{"end_byte", "2000"}},                       // past the file's byte count
-      {{"rows", "91"}},                             // more rows than bytes
+      {{"rows", "46"}},                             // 46 two-field rows need 91 bytes
       {{"first_row", "9223372036854775807"}},       // row indices past int64
-      {{"types", wide + "]"}},
+      {{"types", numeric_types(100)}},              // 5 rows of 100 fields
+      // Neither alone is too big for 90 bytes, their product is: a worker
+      // that sized columns by both would reserve rows * width cells.
+      {{"rows", "90"}, {"types", numeric_types(50)}},
   };
   for (const auto& members_break : breaks) {
     RequestMembers members = ValidShapedRequest();

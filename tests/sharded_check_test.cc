@@ -247,10 +247,9 @@ TEST_F(ShardedCheckTest, SummarizeShardRangeSplitsExactly) {
         SummarizeShardRange(source, specs, index.Range(0, num_shards));
     ASSERT_TRUE(whole.ok()) << whole.status().ToString();
     EXPECT_EQ(whole->rows, uint64_t{1300});
-    for (uint64_t k : {uint64_t{1}, num_shards / 2, num_shards - 1}) {
-      if (k == 0 || k >= num_shards) {
-        continue;
-      }
+    // k = 0 and k = num_shards make one side an empty range, which must
+    // summarise to nothing.
+    for (uint64_t k : {uint64_t{0}, uint64_t{1}, num_shards / 2, num_shards - 1, num_shards}) {
       std::string label = "shard_rows=" + std::to_string(shard_rows) + " k=" + std::to_string(k);
       // The tail is read first: neither range needs the other's bytes.
       Result<ShardRangeSummary> tail = SummarizeShardRange(source, specs, index.Range(k, num_shards));
