@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "common/math.h"
@@ -36,50 +38,92 @@ struct BestCandidate {
   size_t index = SIZE_MAX;
 };
 
+// benefit[j] -= PairWeight(xr, yr, x[j], y[j]) for j in [0, n), two lanes
+// per step. A lane compare yields all-ones (−1) where it holds; x > and <
+// exclude each other, as do y's, so at most one of the concordant and
+// discordant masks is set, and adding concordant − discordant subtracts
+// the pair's weight.
+// NaN and ±0 compare exactly as in PairWeight, so the result is
+// bit-identical to the scalar loop.
+void SubtractPairWeights(double xr, double yr, const double* x, const double* y,
+                         int64_t* benefit, size_t n) {
+  typedef double Pair __attribute__((vector_size(16)));
+  using Mask = decltype(Pair{} < Pair{});
+  static_assert(sizeof(Mask) == 2 * sizeof(int64_t), "two int64 lanes");
+  const Pair xv = {xr, xr};
+  const Pair yv = {yr, yr};
+  size_t j = 0;
+  for (; j + 2 <= n; j += 2) {
+    Pair xj = {};
+    Pair yj = {};
+    Mask b = {};
+    std::memcpy(&xj, x + j, sizeof(xj));
+    std::memcpy(&yj, y + j, sizeof(yj));
+    std::memcpy(&b, benefit + j, sizeof(b));
+    Mask x_gt = xv > xj;
+    Mask x_lt = xv < xj;
+    Mask y_gt = yv > yj;
+    Mask y_lt = yv < yj;
+    b += ((x_gt & y_gt) | (x_lt & y_lt)) - ((x_gt & y_lt) | (x_lt & y_gt));
+    std::memcpy(benefit + j, &b, sizeof(b));
+  }
+  for (; j < n; ++j) {
+    benefit[j] -= PairWeight(xr, yr, x[j], y[j]);
+  }
+}
+
 // --------------------------------------------------------------------------
 // τ engine: benefits initialised by two segment-tree passes (Algorithm 2),
-// then maintained exactly under removals (each update is linear in the
-// stratum size, matching the paper's efficiency analysis).
+// then maintained exactly under removals. Records are packed per stratum
+// into flat slot arrays: stratum s owns
+// [begin_[s], begin_[s] + stratum_alive_[s]), and a removal moves the
+// stratum's last alive slot into the hole. Each SelectAndRemove is one
+// chunked pass over the alive slots: a chunk first applies the previous
+// removal's pair weights to its slots of that removal's stratum (linear in
+// the stratum, as in the paper's analysis), then scores its slots for this
+// call's goal.
 // --------------------------------------------------------------------------
 class TauEngine : public DrilldownEngine {
  public:
-  TauEngine(std::vector<double> x, std::vector<double> y, std::vector<size_t> strata,
-            std::vector<size_t> row_ids, size_t num_strata)
-      : x_(std::move(x)),
-        y_(std::move(y)),
-        stratum_(std::move(strata)),
-        row_(std::move(row_ids)),
-        alive_(x_.size(), true),
-        benefit_(x_.size(), 0),
-        members_(num_strata),
-        stratum_s_(num_strata, 0),
-        stratum_alive_(num_strata, 0) {
-    size_t n = x_.size();
-    for (size_t i = 0; i < n; ++i) {
-      members_[stratum_[i]].push_back(i);
-      ++stratum_alive_[stratum_[i]];
+  TauEngine(const std::vector<double>& x, const std::vector<double>& y,
+            const std::vector<size_t>& strata, const std::vector<size_t>& row_ids,
+            size_t num_strata)
+      : x_(x.size()),
+        y_(y.size()),
+        benefit_(x.size()),
+        row_(x.size()),
+        begin_(num_strata + 1, 0),
+        stratum_alive_(num_strata, 0),
+        alive_end_(num_strata, 0) {
+    // Slots in input order within each stratum.
+    for (size_t s : strata) {
+      ++stratum_alive_[s];
     }
-    for (size_t s = 0; s < members_.size(); ++s) {
-      const std::vector<size_t>& member = members_[s];
-      std::vector<double> xs;
-      std::vector<double> ys;
-      xs.reserve(member.size());
-      ys.reserve(member.size());
-      for (size_t i : member) {
-        xs.push_back(x_[i]);
-        ys.push_back(y_[i]);
-      }
+    for (size_t s = 0; s < num_strata; ++s) {
+      begin_[s + 1] = begin_[s] + stratum_alive_[s];
+    }
+    std::vector<size_t> next(begin_.begin(), begin_.end() - 1);
+    for (size_t i = 0; i < x.size(); ++i) {
+      size_t slot = next[strata[i]]++;
+      x_[slot] = x[i];
+      y_[slot] = y[i];
+      row_[slot] = row_ids[i];
+    }
+    parallel::ParallelFor(0, num_strata, 1, [&](size_t s) {
+      std::vector<double> xs(x_.begin() + begin_[s], x_.begin() + begin_[s + 1]);
+      std::vector<double> ys(y_.begin() + begin_[s], y_.begin() + begin_[s + 1]);
       std::vector<int64_t> benefits = ComputeTauBenefits(xs, ys);
+      std::copy(benefits.begin(), benefits.end(), benefit_.begin() + begin_[s]);
+    });
+    for (size_t s = 0; s < num_strata; ++s) {
       int64_t sum = 0;
-      for (size_t j = 0; j < member.size(); ++j) {
-        benefit_[member[j]] = benefits[j];
-        sum += benefits[j];
+      for (size_t i = begin_[s]; i < begin_[s + 1]; ++i) {
+        sum += benefit_[i];
       }
       // Each pair's weight is counted once in each endpoint's benefit.
-      stratum_s_[s] = sum / 2;
-      total_s_ += stratum_s_[s];
+      total_s_ += sum / 2;
     }
-    alive_count_ = n;
+    alive_count_ = x.size();
   }
 
   size_t AliveCount() const override { return alive_count_; }
@@ -88,28 +132,42 @@ class TauEngine : public DrilldownEngine {
     if (alive_count_ == 0) {
       return false;
     }
+    // The pass walks the alive slots as one index space [0, alive_count_):
+    // stratum s holds [alive_end_[s] − stratum_alive_[s], alive_end_[s]).
+    size_t end = 0;
+    for (size_t s = 0; s < stratum_alive_.size(); ++s) {
+      end += stratum_alive_[s];
+      alive_end_[s] = end;
+    }
     double current_abs = std::fabs(static_cast<double>(total_s_));
-    // Chunked argmax: each chunk reports its best candidate under the
-    // serial rule — max improvement, ties broken by the smaller row id —
-    // and the winners fold in chunk order. The rule is a total order over
-    // (improvement, row id), so the fold reproduces the serial pick
-    // exactly at any thread count.
+    // Each chunk reports its best candidate under the serial rule — max
+    // improvement, ties broken by the smaller row id — and the winners
+    // fold in chunk order. The rule is a total order over (improvement,
+    // row id), so the pick is the same for any chunk grid or slot order,
+    // at any thread count.
     std::vector<BestCandidate> partials = parallel::ParallelChunks<BestCandidate>(
-        x_.size(), kScanGrain, [&](size_t lo, size_t hi) {
+        alive_count_, kScanGrain, [&](size_t lo, size_t hi) {
+          if (pending_stratum_ != SIZE_MAX) {
+            auto [first, last] = SlotsIn(pending_stratum_, lo, hi);
+            SubtractPairWeights(pending_x_, pending_y_, x_.data() + first, y_.data() + first,
+                                benefit_.data() + first, last - first);
+          }
           BestCandidate best;
-          for (size_t i = lo; i < hi; ++i) {
-            if (!alive_[i]) {
-              continue;
-            }
-            double after_abs = std::fabs(static_cast<double>(total_s_ - benefit_[i]));
-            double improvement = goal == RemovalGoal::kReduceDependence
-                                     ? current_abs - after_abs
-                                     : after_abs - current_abs;
-            if (improvement > best.improvement ||
-                (improvement == best.improvement && best.index != SIZE_MAX &&
-                 row_[i] < row_[best.index])) {
-              best.improvement = improvement;
-              best.index = i;
+          size_t s = static_cast<size_t>(
+              std::upper_bound(alive_end_.begin(), alive_end_.end(), lo) - alive_end_.begin());
+          for (; s < stratum_alive_.size() && alive_end_[s] - stratum_alive_[s] < hi; ++s) {
+            auto [first, last] = SlotsIn(s, lo, hi);
+            for (size_t i = first; i < last; ++i) {
+              double after_abs = std::fabs(static_cast<double>(total_s_ - benefit_[i]));
+              double improvement = goal == RemovalGoal::kReduceDependence
+                                       ? current_abs - after_abs
+                                       : after_abs - current_abs;
+              if (improvement > best.improvement ||
+                  (improvement == best.improvement && best.index != SIZE_MAX &&
+                   row_[i] < row_[best.index])) {
+                best.improvement = improvement;
+                best.index = i;
+              }
             }
           }
           return best;
@@ -128,8 +186,20 @@ class TauEngine : public DrilldownEngine {
       }
     }
     SCODED_CHECK(best != SIZE_MAX);
-    Remove(best);
+    size_t s = static_cast<size_t>(std::upper_bound(begin_.begin(), begin_.end(), best) -
+                                   begin_.begin()) - 1;
+    total_s_ -= benefit_[best];
     *removed_row = row_[best];
+    pending_stratum_ = s;
+    pending_x_ = x_[best];
+    pending_y_ = y_[best];
+    size_t last = begin_[s] + stratum_alive_[s] - 1;
+    x_[best] = x_[last];
+    y_[best] = y_[last];
+    benefit_[best] = benefit_[last];
+    row_[best] = row_[last];
+    --stratum_alive_[s];
+    --alive_count_;
     return true;
   }
 
@@ -142,8 +212,8 @@ class TauEngine : public DrilldownEngine {
     // greedy loop only needs a monotone surrogate, and callers re-test the
     // final subset exactly via DetectViolation.
     double var = 0.0;
-    for (size_t s = 0; s < stratum_alive_.size(); ++s) {
-      double ns = static_cast<double>(stratum_alive_[s]);
+    for (size_t alive : stratum_alive_) {
+      double ns = static_cast<double>(alive);
       if (ns >= 2.0) {
         var += ns * (ns - 1.0) * (2.0 * ns + 5.0) / 18.0;
       }
@@ -156,34 +226,28 @@ class TauEngine : public DrilldownEngine {
   }
 
  private:
-  void Remove(size_t i) {
-    size_t s = stratum_[i];
-    stratum_s_[s] -= benefit_[i];
-    total_s_ -= benefit_[i];
-    alive_[i] = false;
-    --alive_count_;
-    --stratum_alive_[s];
-    // Each member's benefit slot is written by exactly one iteration and
-    // alive_/x_/y_ are read-only here, so the updates parallelise freely.
-    const std::vector<size_t>& member = members_[s];
-    parallel::ParallelFor(0, member.size(), kScanGrain, [&](size_t m) {
-      size_t j = member[m];
-      if (!alive_[j]) {
-        return;
-      }
-      benefit_[j] -= PairWeight(x_[i], y_[i], x_[j], y_[j]);
-    });
+  // The slots of stratum s's alive run that fall in [lo, hi) of the
+  // pass's index space.
+  std::pair<size_t, size_t> SlotsIn(size_t s, size_t lo, size_t hi) const {
+    size_t run = alive_end_[s] - stratum_alive_[s];
+    size_t a = std::max(lo, run);
+    size_t b = std::max(a, std::min(hi, alive_end_[s]));
+    return {begin_[s] + (a - run), begin_[s] + (b - run)};
   }
 
+  // Slot arrays, packed per stratum.
   std::vector<double> x_;
   std::vector<double> y_;
-  std::vector<size_t> stratum_;
-  std::vector<size_t> row_;
-  std::vector<bool> alive_;
   std::vector<int64_t> benefit_;
-  std::vector<std::vector<size_t>> members_;
-  std::vector<int64_t> stratum_s_;
-  std::vector<int64_t> stratum_alive_;
+  std::vector<size_t> row_;
+  std::vector<size_t> begin_;          // first slot of each stratum, plus the end
+  std::vector<size_t> stratum_alive_;  // alive slots per stratum
+  std::vector<size_t> alive_end_;      // running sum of stratum_alive_, set per pass
+  // The last removal, whose pair weights the next pass subtracts from its
+  // stratum's benefits; SIZE_MAX before the first removal.
+  size_t pending_stratum_ = SIZE_MAX;
+  double pending_x_ = 0.0;
+  double pending_y_ = 0.0;
   int64_t total_s_ = 0;
   size_t alive_count_ = 0;
 };
@@ -208,12 +272,11 @@ class GEngine : public DrilldownEngine {
       st.row_marginal.assign(cx_, 0);
       st.col_marginal.assign(cy_, 0);
     }
-    std::unordered_map<uint64_t, size_t> cell_index;
+    std::unordered_map<CellKey, size_t, CellKeyHash> cell_index;
     for (size_t i = 0; i < x_codes.size(); ++i) {
-      uint64_t key = (static_cast<uint64_t>(strata[i]) << 40) |
-                     (static_cast<uint64_t>(static_cast<uint32_t>(x_codes[i])) << 20) |
-                     static_cast<uint64_t>(static_cast<uint32_t>(y_codes[i]));
-      auto [it, inserted] = cell_index.emplace(key, cells_.size());
+      CellKey key{strata[i], (static_cast<uint64_t>(static_cast<uint32_t>(x_codes[i])) << 32) |
+                                 static_cast<uint64_t>(static_cast<uint32_t>(y_codes[i]))};
+      auto [it, inserted] = cell_index.try_emplace(key, cells_.size());
       if (inserted) {
         Cell cell;
         cell.stratum = strata[i];
@@ -340,6 +403,21 @@ class GEngine : public DrilldownEngine {
   }
 
  private:
+  // A cell's (stratum, x, y): the two 32-bit codes fill one word exactly,
+  // so distinct cells never share a key.
+  struct CellKey {
+    size_t stratum;
+    uint64_t xy;
+    bool operator==(const CellKey& other) const {
+      return stratum == other.stratum && xy == other.xy;
+    }
+  };
+  struct CellKeyHash {
+    size_t operator()(const CellKey& key) const {
+      return static_cast<size_t>((key.xy ^ (static_cast<uint64_t>(key.stratum) << 17)) *
+                                 0x9E3779B97F4A7C15ull);
+    }
+  };
   struct Cell {
     size_t stratum = 0;
     size_t x = 0;
@@ -436,8 +514,7 @@ Result<std::unique_ptr<DrilldownEngine>> MakeEngine(const Table& table, int x_co
       st.push_back(strata[i]);
       ids.push_back(rows[i]);
     }
-    return std::unique_ptr<DrilldownEngine>(
-        new TauEngine(std::move(x), std::move(y), std::move(st), std::move(ids), num_strata));
+    return std::unique_ptr<DrilldownEngine>(new TauEngine(x, y, st, ids, num_strata));
   }
 
   // G engine: encode both columns as categorical codes via the shared

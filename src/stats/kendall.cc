@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/ranks.h"
@@ -411,6 +412,41 @@ double KendallExactPValue(int64_t s, int64_t n) {
   return std::min(1.0, p);
 }
 
+namespace {
+
+// Inputs below this size run both benefit passes inline: a pool fork
+// would cost more than the pass it saves.
+constexpr size_t kParallelBenefitRows = 4096;
+
+// One segment-tree pass of Algorithm 2 over the records in x order
+// [first, last): each record is scored against the records of strictly
+// earlier x-tie runs, and a run is inserted only after the whole run is
+// queried (the tie-correct refinement of Algorithm 2). `sign` is +1 when
+// the earlier records have smaller x (a smaller y is then concordant) and
+// −1 when they have larger x.
+template <typename It>
+void BenefitPass(const std::vector<double>& x, const std::vector<size_t>& y_rank,
+                 size_t num_ranks, It first, It last, int64_t sign,
+                 std::vector<int64_t>& benefits) {
+  SegmentTree tree(num_ranks);
+  It i = first;
+  while (i != last) {
+    It j = i;
+    while (j != last && x[*j] == x[*i]) {
+      size_t rank = y_rank[*j];
+      int64_t below = rank > 0 ? tree.Sum(0, rank - 1) : 0;
+      int64_t above = tree.SuffixSum(rank + 1);
+      benefits[*j] += sign * (below - above);
+      ++j;
+    }
+    for (; i != j; ++i) {
+      tree.Add(y_rank[*i], 1);
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<int64_t> ComputeTauBenefits(const std::vector<double>& x,
                                         const std::vector<double>& y) {
   SCODED_CHECK(x.size() == y.size());
@@ -436,55 +472,27 @@ std::vector<int64_t> ComputeTauBenefits(const std::vector<double>& x,
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) { return x[a] < x[b]; });
 
-  // Pass 1 (tree T1, ascending x): for record i the inserted points are
-  // exactly the records with strictly smaller x, so
-  //   concordant(i, ·) += #{y_j < y_i},  discordant(i, ·) += #{y_j > y_i}.
-  // X-tied runs are inserted only after the whole run is queried, which is
-  // the tie-correct refinement of Algorithm 2.
-  {
-    SegmentTree tree(num_ranks);
-    size_t i = 0;
-    while (i < n) {
-      size_t j = i;
-      while (j + 1 < n && x[order[j + 1]] == x[order[i]]) {
-        ++j;
-      }
-      for (size_t k = i; k <= j; ++k) {
-        size_t r = order[k];
-        size_t rank = y_rank[r];
-        int64_t below = rank > 0 ? tree.Sum(0, rank - 1) : 0;
-        int64_t above = tree.SuffixSum(rank + 1);
-        benefits[r] += below - above;
-      }
-      for (size_t k = i; k <= j; ++k) {
-        tree.Add(y_rank[order[k]], 1);
-      }
-      i = j + 1;
+  // Ascending x (tree T1): record i meets the records with strictly
+  // smaller x, concordant when their y is smaller. Descending x (tree T2):
+  // it meets those with strictly larger x, concordant when their y is
+  // larger. The passes share only read-only inputs and each fills its own
+  // array, so they run as two pool tasks; the integer sum is exact.
+  std::vector<int64_t> descending(n, 0);
+  auto pass = [&](size_t which) {
+    if (which == 0) {
+      BenefitPass(x, y_rank, num_ranks, order.begin(), order.end(), 1, benefits);
+    } else {
+      BenefitPass(x, y_rank, num_ranks, order.rbegin(), order.rend(), -1, descending);
     }
+  };
+  if (n >= kParallelBenefitRows) {
+    parallel::ParallelFor(0, 2, 1, pass);
+  } else {
+    pass(0);
+    pass(1);
   }
-  // Pass 2 (tree T2, descending x): inserted points have strictly larger x:
-  //   concordant(i, ·) += #{y_j > y_i},  discordant(i, ·) += #{y_j < y_i}.
-  {
-    std::vector<size_t> desc(order.rbegin(), order.rend());
-    SegmentTree tree(num_ranks);
-    size_t i = 0;
-    while (i < n) {
-      size_t j = i;
-      while (j + 1 < n && x[desc[j + 1]] == x[desc[i]]) {
-        ++j;
-      }
-      for (size_t k = i; k <= j; ++k) {
-        size_t r = desc[k];
-        size_t rank = y_rank[r];
-        int64_t below = rank > 0 ? tree.Sum(0, rank - 1) : 0;
-        int64_t above = tree.SuffixSum(rank + 1);
-        benefits[r] += above - below;
-      }
-      for (size_t k = i; k <= j; ++k) {
-        tree.Add(y_rank[desc[k]], 1);
-      }
-      i = j + 1;
-    }
+  for (size_t i = 0; i < n; ++i) {
+    benefits[i] += descending[i];
   }
   return benefits;
 }

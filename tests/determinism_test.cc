@@ -10,17 +10,22 @@
 // bit for bit — for in-memory CheckAll, out-of-core ShardedCheckAll, and
 // the streaming monitors in both unbounded and windowed modes.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/drilldown.h"
 #include "core/scoded.h"
 #include "core/sharded_check.h"
 #include "core/stream_monitor.h"
@@ -151,6 +156,75 @@ TEST(DeterminismTest, DrillDownIsThreadCountInvariant) {
       ThreadsGuard guard(threads);
       Scoded system(MakeTable());
       DrillDownResult result = system.DrillDown(targets[t], 25).value();
+      EXPECT_EQ(result.rows, baseline.rows) << "threads=" << threads << " target=" << t;
+      EXPECT_EQ(result.initial_statistic, baseline.initial_statistic)
+          << "threads=" << threads << " target=" << t;
+      EXPECT_EQ(result.final_statistic, baseline.final_statistic)
+          << "threads=" << threads << " target=" << t;
+      EXPECT_EQ(result.final_p, baseline.final_p) << "threads=" << threads << " target=" << t;
+    }
+  }
+}
+
+// Drill targets big enough that every greedy pass splits into several
+// kScanGrain (4096) chunks: a 12k-row τ pair, unconditional and
+// stratified, and a categorical pair with over 4096 live cells.
+Table MakeChunkedDrillTable() {
+  Rng rng(4321);
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<std::string> z;
+  std::vector<std::string> a;
+  std::vector<std::string> b;
+  for (int i = 0; i < 12000; ++i) {
+    double v = rng.Normal();
+    x.push_back(v);
+    // Rounded to a coarse grid so ties (and the row-id tie-break) occur.
+    y.push_back(std::round(4.0 * (0.3 * v + rng.Normal())) / 4.0);
+    z.push_back(i % 3 == 0 ? "p" : "q");
+    int64_t ca = rng.UniformInt(0, 99);
+    a.push_back("a" + std::to_string(ca));
+    b.push_back("b" + std::to_string(rng.Bernoulli(0.2) ? ca : rng.UniformInt(0, 99)));
+  }
+  TableBuilder builder;
+  builder.AddNumeric("x", x);
+  builder.AddNumeric("y", y);
+  builder.AddCategorical("z", z);
+  builder.AddCategorical("a", a);
+  builder.AddCategorical("b", b);
+  return std::move(builder).Build().value();
+}
+
+TEST(DeterminismTest, ChunkedDrillDownIsThreadCountInvariant) {
+  struct Target {
+    ApproximateSc asc;
+    Strategy strategy;
+    size_t k;
+  };
+  const Target targets[] = {
+      {{Dependence({"x"}, {"y"}), 0.05}, Strategy::kDirect, 60},
+      {{Independence({"x"}, {"y"}), 0.05}, Strategy::kComplement, 60},
+      {{Independence({"x"}, {"y"}, {"z"}), 0.05}, Strategy::kComplement, 60},
+      {{Independence({"a"}, {"b"}), 0.05}, Strategy::kDirect, 60},
+  };
+  Table table = MakeChunkedDrillTable();
+  std::set<std::pair<int32_t, int32_t>> cells;
+  for (size_t row = 0; row < table.NumRows(); ++row) {
+    cells.emplace(table.ColumnByName("a").CodeAt(row), table.ColumnByName("b").CodeAt(row));
+  }
+  ASSERT_GT(cells.size(), 4096u);
+  for (size_t t = 0; t < std::size(targets); ++t) {
+    DrillDownOptions options;
+    options.strategy = targets[t].strategy;
+    DrillDownResult baseline;
+    {
+      ThreadsGuard guard(1);
+      baseline = DrillDown(table, targets[t].asc, targets[t].k, options).value();
+    }
+    ASSERT_EQ(baseline.rows.size(), targets[t].k) << "target=" << t;
+    for (int threads : ThreadCounts()) {
+      ThreadsGuard guard(threads);
+      DrillDownResult result = DrillDown(table, targets[t].asc, targets[t].k, options).value();
       EXPECT_EQ(result.rows, baseline.rows) << "threads=" << threads << " target=" << t;
       EXPECT_EQ(result.initial_statistic, baseline.initial_statistic)
           << "threads=" << threads << " target=" << t;
