@@ -1,13 +1,15 @@
 // Micro-benchmarks of the statistical kernels that determine SCODED's
 // throughput, in two parts:
 //
-//  1. Width-specialised SIMD kernel sections (always run, recorded into
-//     BENCH_stat_micro.json for the benchdiff gate): compressed-columnar
-//     contingency accumulate at u8/u16/u32 lane widths, the τ rank/merge
-//     passes (dense ranks + inversion count), and word-level wavelet
-//     popcounts vs the per-bit descent baseline — each timed under
-//     SCODED_SIMD=off and under the best CPU-supported path, with the
-//     speedup recorded per kernel family.
+//  1. Kernel sections (always run, recorded into BENCH_stat_micro.json
+//     for the benchdiff gate): the int32 contingency count and the τ
+//     rank/merge passes (dense ranks + inversion count), each timed by
+//     direct calls to its per-row reference (`*_scalar_ms`) and to the
+//     production kernel (`*_simd_ms`) with the speedup recorded, and
+//     wavelet-matrix prefix counts on the production matrix. The
+//     contingency labels keep the u8/u16/u32 lane names of the packed
+//     format they were first recorded on (≤256, ≤65536 and more
+//     categories), so the values line up with the committed baseline.
 //  2. The google-benchmark suite (skipped under --kernels-only): Kendall
 //     τ (naive vs O(n log n)), the Algorithm 2 segment-tree benefit
 //     initialisation, the G-test, raw segment-tree index operations, and
@@ -21,12 +23,10 @@
 #include <string>
 
 #include "bench_util.h"
-#include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/flightrec.h"
 #include "obs/timeseries.h"
-#include "stats/colcodec.h"
 #include "stats/contingency.h"
 #include "stats/hypothesis.h"
 #include "stats/kendall.h"
@@ -274,11 +274,9 @@ BENCHMARK(BM_StratifiedGJournal)
 #endif  // !SCODED_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
-// SIMD kernel sections. Each family is timed twice through bench::BestOf
-// (one discarded cold-cache warm-up, then best of kKernelReps): once with
-// the dispatch forced to the scalar reference (the SCODED_SIMD=off
-// behaviour) and once on the best path this CPU supports. The recorded
-// `*_speedup` values are what the perf acceptance bar reads; the section
+// Kernel sections. Each timing goes through bench::BestOf (one discarded
+// cold-cache warm-up, then best of kKernelReps). The recorded `*_speedup`
+// values compare each production kernel with its reference; the section
 // wall-clocks feed the benchdiff regression gate.
 // ---------------------------------------------------------------------------
 
@@ -298,41 +296,33 @@ std::vector<int32_t> RandomCategorical(size_t n, size_t cardinality, uint64_t se
   return codes;
 }
 
-// Times one full contingency accumulate over pre-encoded columns under
-// the currently forced dispatch path.
-double ContingencyMs(const CompressedCodes& x, const CompressedCodes& y) {
-  std::vector<int64_t> counts(x.cardinality() * y.cardinality());
+using ContingencyFn = void (*)(const int32_t*, const int32_t*, size_t, size_t, size_t, int64_t*);
+
+// Times one full contingency count of two code columns with `count`.
+double ContingencyMs(ContingencyFn count, const std::vector<int32_t>& x,
+                     const std::vector<int32_t>& y, size_t cx, size_t cy) {
+  std::vector<int64_t> counts(cx * cy);
   auto start = std::chrono::steady_clock::now();
-  simd::Active().contingency(x, y, counts.data());
+  count(x.data(), y.data(), x.size(), cx, cy, counts.data());
   double ms = MsSince(start);
   if (counts[0] == -1) {
-    std::printf("impossible\n");  // keep the accumulate observable
+    std::printf("impossible\n");  // keep the count observable
   }
   return ms;
 }
 
-// Runs `measure` under the forced path and returns its best-of timing.
-template <typename Fn>
-double ForcedMs(simd::Path path, Fn&& measure) {
-  SCODED_CHECK(simd::ForcePath(path));
-  return bench::BestOf(kKernelReps, measure);
-}
-
-// Records the off/fast pair plus their ratio under `label`.
-double RecordSpeedup(const std::string& label, double off_ms, double fast_ms) {
-  double speedup = fast_ms > 0.0 ? off_ms / fast_ms : 0.0;
-  std::printf("%-32s scalar %8.2f ms   simd %8.2f ms   speedup %.2fx\n", label.c_str(), off_ms,
-              fast_ms, speedup);
-  bench::RecordValue(label + "_scalar_ms", off_ms);
-  bench::RecordValue(label + "_simd_ms", fast_ms);
+// Records the reference/production pair plus their ratio under `label`.
+double RecordSpeedup(const std::string& label, double reference_ms, double production_ms) {
+  double speedup = production_ms > 0.0 ? reference_ms / production_ms : 0.0;
+  std::printf("%-32s reference %8.2f ms   kernel %8.2f ms   speedup %.2fx\n", label.c_str(),
+              reference_ms, production_ms, speedup);
+  bench::RecordValue(label + "_scalar_ms", reference_ms);
+  bench::RecordValue(label + "_simd_ms", production_ms);
   bench::RecordValue(label + "_speedup", speedup);
   return speedup;
 }
 
 void RunKernelBenchmarks() {
-  const simd::Path best = simd::BestSupportedPath();
-  std::printf("dispatch: scalar baseline vs best supported path '%s'\n", simd::PathName(best));
-
   bench::PrintTitle("kernels: contingency accumulate by lane width");
   {
     struct Config {
@@ -341,8 +331,6 @@ void RunKernelBenchmarks() {
       size_t cx;
       size_t cy;
     };
-    // Widths follow the cardinalities: <=256 -> u8, <=65536 -> u16, else
-    // u32 (mixed-width pairs exercise the portable blocked fallback).
     const Config configs[] = {
         {"contingency_u8_10x10", 1u << 20, 10, 10},
         {"contingency_u8_256x256", 1u << 20, 256, 256},
@@ -351,13 +339,15 @@ void RunKernelBenchmarks() {
     };
     double family = 0.0;
     for (const Config& config : configs) {
-      CompressedCodes x =
-          CompressedCodes::Encode(RandomCategorical(config.n, config.cx, 21), config.cx);
-      CompressedCodes y =
-          CompressedCodes::Encode(RandomCategorical(config.n, config.cy, 22), config.cy);
-      double off = ForcedMs(simd::Path::kScalar, [&] { return ContingencyMs(x, y); });
-      double fast = ForcedMs(best, [&] { return ContingencyMs(x, y); });
-      family = std::max(family, RecordSpeedup(config.label, off, fast));
+      std::vector<int32_t> x = RandomCategorical(config.n, config.cx, 21);
+      std::vector<int32_t> y = RandomCategorical(config.n, config.cy, 22);
+      double reference = bench::BestOf(kKernelReps, [&] {
+        return ContingencyMs(simd::ContingencyReference, x, y, config.cx, config.cy);
+      });
+      double production = bench::BestOf(kKernelReps, [&] {
+        return ContingencyMs(simd::Contingency, x, y, config.cx, config.cy);
+      });
+      family = std::max(family, RecordSpeedup(config.label, reference, production));
     }
     bench::RecordValue("family_contingency_speedup", family);
   }
@@ -374,18 +364,19 @@ void RunKernelBenchmarks() {
                                       : rng.Normal();
     }
     std::vector<size_t> ranks(n);
-    auto rank_ms = [&] {
+    auto rank_ms = [&](size_t (*dense_ranks)(const double*, size_t, size_t*)) {
       auto start = std::chrono::steady_clock::now();
-      size_t distinct = simd::Active().dense_ranks(values.data(), n, ranks.data());
+      size_t distinct = dense_ranks(values.data(), n, ranks.data());
       double ms = MsSince(start);
       if (distinct == 0) {
         std::printf("impossible\n");
       }
       return ms;
     };
-    double rank_off = ForcedMs(simd::Path::kScalar, rank_ms);
-    double rank_fast = ForcedMs(best, rank_ms);
-    double rank_speedup = RecordSpeedup("tau_dense_ranks_1m", rank_off, rank_fast);
+    double rank_reference =
+        bench::BestOf(kKernelReps, [&] { return rank_ms(simd::DenseRanksReference); });
+    double rank_production = bench::BestOf(kKernelReps, [&] { return rank_ms(simd::DenseRanks); });
+    RecordSpeedup("tau_dense_ranks_1m", rank_reference, rank_production);
 
     std::vector<uint32_t> sequence(n);
     for (size_t i = 0; i < n; ++i) {
@@ -393,34 +384,32 @@ void RunKernelBenchmarks() {
     }
     std::vector<uint32_t> work(n);
     std::vector<uint32_t> scratch(n);
-    auto merge_ms = [&] {
+    auto merge_ms = [&](int64_t (*count_inversions)(uint32_t*, uint32_t*, size_t)) {
       work = sequence;  // the kernel permutes its input in place
       auto start = std::chrono::steady_clock::now();
-      int64_t inversions = simd::Active().count_inversions(work.data(), scratch.data(), n);
+      int64_t inversions = count_inversions(work.data(), scratch.data(), n);
       double ms = MsSince(start);
       if (inversions == -1) {
         std::printf("impossible\n");
       }
       return ms;
     };
-    double merge_off = ForcedMs(simd::Path::kScalar, merge_ms);
-    double merge_fast = ForcedMs(best, merge_ms);
-    double merge_speedup = RecordSpeedup("tau_count_inversions_1m", merge_off, merge_fast);
+    double merge_reference =
+        bench::BestOf(kKernelReps, [&] { return merge_ms(simd::CountInversionsReference); });
+    double merge_production =
+        bench::BestOf(kKernelReps, [&] { return merge_ms(simd::CountInversions); });
+    RecordSpeedup("tau_count_inversions_1m", merge_reference, merge_production);
     // The family headline weighs the passes as τ runs them: one rank pass
     // plus one merge pass per tested pair.
-    bench::RecordValue("family_tau_rank_merge_speedup",
-                       (rank_off + merge_off) / (rank_fast + merge_fast));
-    (void)rank_speedup;
-    (void)merge_speedup;
+    bench::RecordValue("family_tau_rank_merge_speedup", (rank_reference + merge_reference) /
+                                                            (rank_production + merge_production));
   }
 
   bench::PrintTitle("kernels: wavelet quadrant popcounts");
   {
     // The ConcordanceIndex workload: PrefixCounts probes against a
-    // bit-packed wavelet matrix. Rank directories devolve to popcounts
-    // over word runs — word-level popcount vs the scalar per-bit descent
-    // is the whole difference. The matrix captures its popcount fn at
-    // construction, so each path gets its own build.
+    // bit-packed wavelet matrix, whose rank directories devolve to
+    // whole-word popcounts.
     const size_t m = 65536;
     const size_t probes = 200000;
     Rng rng(29);
@@ -433,8 +422,8 @@ void RunKernelBenchmarks() {
       qp.first = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(m)));
       qp.second = static_cast<uint32_t>(rng.UniformInt(0, static_cast<int64_t>(m) - 1));
     }
-    auto probe_ms = [&] {
-      WaveletMatrix wm(codes, m);
+    WaveletMatrix wm(codes, m);
+    double ms = bench::BestOf(kKernelReps, [&] {
       int64_t sink = 0;
       auto start = std::chrono::steady_clock::now();
       for (const auto& qp : queries) {
@@ -443,20 +432,15 @@ void RunKernelBenchmarks() {
         wm.PrefixCounts(qp.first, qp.second, &lt, &eq);
         sink += lt + eq;
       }
-      double ms = MsSince(start);
+      double elapsed = MsSince(start);
       if (sink == -1) {
         std::printf("impossible\n");
       }
-      return ms;
-    };
-    double off = ForcedMs(simd::Path::kScalar, probe_ms);
-    double fast = ForcedMs(best, probe_ms);
-    double speedup = RecordSpeedup("wavelet_prefix_counts_200k", off, fast);
-    bench::RecordValue("family_wavelet_popcount_speedup", speedup);
+      return elapsed;
+    });
+    std::printf("%-32s kernel %8.2f ms\n", "wavelet_prefix_counts_200k", ms);
+    bench::RecordValue("wavelet_prefix_counts_200k_simd_ms", ms);
   }
-
-  // Hand the dispatch back to the environment for anything that follows.
-  simd::ResetPathFromEnvironment();
 }
 
 }  // namespace

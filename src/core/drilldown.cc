@@ -706,45 +706,8 @@ Result<std::vector<size_t>> RankSuspiciousRecords(const Table& table, const Appr
   if (span.active()) {
     span.Arg("max_rank", static_cast<int64_t>(max_rank));
   }
-  std::vector<size_t> rows = AllRows(table);
-  ColumnEncodingCache local_cache;
-  TestOptions test_options = options.test;
-  if (test_options.encoding_cache == nullptr) {
-    test_options.encoding_cache = &local_cache;
-  }
-  SCODED_ASSIGN_OR_RETURN(BoundConstraint bound, ChooseComponent(table, asc, rows, test_options));
-  SCODED_ASSIGN_OR_RETURN(
-      std::unique_ptr<DrilldownEngine> engine,
-      internal::MakeEngine(table, bound.x[0], bound.y[0], bound.z, rows, test_options,
-                           options.g_objective));
-  Strategy strategy = ResolveStrategy(asc, options.strategy);
-  RemovalGoal direct = DirectGoal(asc);
-  size_t alive = engine->AliveCount();
-  max_rank = std::min(max_rank, alive);
-
-  std::vector<size_t> order;
-  order.reserve(alive);
-  if (strategy == Strategy::kDirect) {
-    for (size_t i = 0; i < max_rank; ++i) {
-      size_t removed = 0;
-      if (!engine->SelectAndRemove(direct, &removed)) {
-        break;
-      }
-      order.push_back(removed);
-    }
-    return order;
-  }
-  RemovalGoal complement_goal = Opposite(direct);
-  while (engine->AliveCount() > 0) {
-    size_t removed = 0;
-    if (!engine->SelectAndRemove(complement_goal, &removed)) {
-      break;
-    }
-    order.push_back(removed);
-  }
-  std::vector<size_t> ranking(order.rbegin(), order.rend());
-  ranking.resize(std::min(max_rank, ranking.size()));
-  return ranking;
+  SCODED_ASSIGN_OR_RETURN(DrillDownResult result, DrillDown(table, asc, max_rank, options));
+  return std::move(result.rows);
 }
 
 }  // namespace scoded

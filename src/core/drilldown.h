@@ -70,9 +70,10 @@ Result<DrillDownResult> DrillDown(const Table& table, const ApproximateSc& asc, 
                                   const DrillDownOptions& options = {});
 
 /// Produces a full suspicion ranking (most suspicious first) of up to
-/// `max_rank` records. Prefixes of the ranking equal DrillDown results for
-/// the corresponding k, which is how the Sec. 6 precision/recall@K sweeps
-/// are computed without re-running the greedy search per k.
+/// `max_rank` records: DrillDown(table, asc, max_rank, options).rows.
+/// Prefixes of the ranking equal DrillDown results for the corresponding
+/// k, which is how the Sec. 6 precision/recall@K sweeps are computed
+/// without re-running the greedy search per k.
 Result<std::vector<size_t>> RankSuspiciousRecords(const Table& table, const ApproximateSc& asc,
                                                   size_t max_rank,
                                                   const DrillDownOptions& options = {});

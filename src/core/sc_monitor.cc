@@ -213,12 +213,12 @@ void ScMonitor::AddNumericPair(Stratum& stratum, double x, double y) {
     // indexed give the S increment in amortised O(log^2 n_stratum).
     stratum.s += stratum.index.InsertAndScore(x, y);
   } else {
-    // Bounded-memory mode: exact pair scan against the live window via
-    // the dispatched kernel (the signed sum is exactly Σ PairWeight).
+    // Bounded-memory mode: exact pair scan against the live window (the
+    // signed sum is exactly Σ PairWeight).
     int64_t s = 0;
     int64_t nonzero = 0;
-    simd::Active().pair_sign_scan(stratum.window.x_data(), stratum.window.y_data(),
-                                  stratum.window.size(), x, y, &s, &nonzero);
+    simd::PairSignScan(stratum.window.x_data(), stratum.window.y_data(), stratum.window.size(), x,
+                       y, &s, &nonzero);
     stratum.s += s;
     stratum.window.push_back(x, y);
   }
@@ -256,8 +256,8 @@ void ScMonitor::EvictOldest() {
     stratum.window.pop_front();
     int64_t s = 0;
     int64_t nonzero = 0;
-    simd::Active().pair_sign_scan(stratum.window.x_data(), stratum.window.y_data(),
-                                  stratum.window.size(), entry.x, entry.y, &s, &nonzero);
+    simd::PairSignScan(stratum.window.x_data(), stratum.window.y_data(), stratum.window.size(),
+                       entry.x, entry.y, &s, &nonzero);
     stratum.s -= s;
     BumpTieGroup(stratum.x_counts, entry.x, -1, &stratum.x_t1, &stratum.x_t2, &stratum.x_t3);
     BumpTieGroup(stratum.y_counts, entry.y, -1, &stratum.y_t1, &stratum.y_t2, &stratum.y_t3);

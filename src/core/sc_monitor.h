@@ -99,8 +99,8 @@ class ScMonitor {
 
   // Bounded-memory pair window as two parallel contiguous arrays with a
   // lazily compacted head, so the per-append Kendall scan runs through the
-  // dispatched pair_sign_scan kernel over flat doubles instead of walking
-  // a deque's chunked storage.
+  // simd::PairSignScan kernel over flat doubles instead of walking a
+  // deque's chunked storage.
   struct PairWindow {
     std::vector<double> xs;
     std::vector<double> ys;

@@ -431,16 +431,11 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
       if (completed == num_tasks || aborted) {
         return false;
       }
-      // Prefer this lane's own contiguous block of tasks, so each lane
-      // reads one stretch of the file front to back. Falling back to the
-      // queue head (stealing) keeps retries and stragglers moving.
-      auto it = std::find_if(queue.begin(), queue.end(),
-                             [&](uint64_t t) { return t * num_lanes / num_tasks == w; });
-      if (it == queue.end()) {
-        it = queue.begin();
-      }
-      task = *it;
-      queue.erase(it);
+      // The queue head: every task seeks to its own bytes, so any lane runs
+      // any task at the same cost, and taking them in order lets the fold
+      // below keep pace with the replies.
+      task = queue.front();
+      queue.pop_front();
     }
     const auto [begin, end] = tasks[task];
     tally.assigned += end - begin;
@@ -519,7 +514,7 @@ Result<ShardedCheckResult> RunShardedCheck(const std::string& path,
   uint64_t folded_rows = 0;
   for (uint64_t t = 0; t < num_tasks; ++t) {
     if (inline_lane) {
-      pump_one(0);  // the queue head is task t, the lane's own
+      pump_one(0);  // the queue head is task t
     }
     std::optional<LaneResult> result;
     {

@@ -172,9 +172,9 @@ using ShardLaneFactory = std::function<Result<ShardLanes>(
 /// dist::DistributedCheckAll: first pass (which indexes the shards),
 /// `progress.*` gauges and plan, and only then the lanes. [0, num_shards)
 /// is cut into about 4 contiguous tasks per lane, each handed over as the
-/// indexed byte range of its shards; a lane's pump prefers its own stripe
-/// of tasks and steals when idle, and a single lane runs on the calling
-/// thread, one task before each fold. Results fold strictly in task order
+/// indexed byte range of its shards; each lane's pump takes the queue
+/// head, so tasks finish roughly in the order they fold, and a single
+/// lane runs on the calling thread, one task before each fold. Results fold strictly in task order
 /// through one SummaryFold per component, so every report bit is the same
 /// at any lane count. A lost lane's task is retried on the survivors
 /// (kUnavailable once none is left); a fatal result aborts.

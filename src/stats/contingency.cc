@@ -19,15 +19,7 @@ ContingencyTable::ContingencyTable(const std::vector<int32_t>& x_codes,
                                    size_t y_cardinality)
     : ContingencyTable(x_cardinality, y_cardinality) {
   SCODED_CHECK(x_codes.size() == y_codes.size());
-  simd::Active().contingency(CompressedCodes::Encode(x_codes, x_cardinality),
-                             CompressedCodes::Encode(y_codes, y_cardinality), counts_.data());
-  DeriveMarginalsFromCounts();
-}
-
-ContingencyTable::ContingencyTable(const CompressedCodes& x_codes, const CompressedCodes& y_codes)
-    : ContingencyTable(x_codes.cardinality(), y_codes.cardinality()) {
-  SCODED_CHECK(x_codes.size() == y_codes.size());
-  simd::Active().contingency(x_codes, y_codes, counts_.data());
+  simd::Contingency(x_codes.data(), y_codes.data(), x_codes.size(), nx_, ny_, counts_.data());
   DeriveMarginalsFromCounts();
 }
 

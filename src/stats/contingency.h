@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "stats/colcodec.h"
 #include "table/table.h"
 
 namespace scoded {
@@ -14,16 +13,12 @@ namespace scoded {
 /// G-test (Sec. 4.3) and the grouped categorical drill-down (Sec. 5.3).
 class ContingencyTable {
  public:
-  /// Builds a table from two code vectors (parallel arrays). Codes must be
-  /// non-negative and < the respective cardinality; rows where either code
-  /// is negative (null) are skipped.
+  /// Builds a table from two code vectors (parallel arrays) with the
+  /// blocked count kernel (simd::Contingency). Codes must be < the
+  /// respective cardinality; rows where either code is negative (null) are
+  /// skipped.
   ContingencyTable(const std::vector<int32_t>& x_codes, const std::vector<int32_t>& y_codes,
                    size_t x_cardinality, size_t y_cardinality);
-
-  /// Builds from two compressed code columns (row-aligned) via the
-  /// dispatched accumulate kernel — the hot path for the G-test when the
-  /// encodings come packed out of the ColumnEncodingCache.
-  ContingencyTable(const CompressedCodes& x_codes, const CompressedCodes& y_codes);
 
   /// Builds from two categorical columns of `table`, restricted to `rows`.
   static ContingencyTable FromColumns(const Column& x, const Column& y,
@@ -78,8 +73,8 @@ class ContingencyTable {
  private:
   ContingencyTable(size_t nx, size_t ny);
 
-  /// Rebuilds marginals and total from counts_ (kernel paths fill the
-  /// joint counts only).
+  /// Rebuilds marginals and total from counts_ (the count kernel fills
+  /// the joint counts only).
   void DeriveMarginalsFromCounts();
 
   size_t nx_;

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "stats/colcodec.h"
 #include "table/column.h"
 
 namespace scoded {
@@ -53,10 +52,6 @@ class ColumnEncodingCache {
   struct Encoding {
     std::vector<int32_t> codes;
     size_t cardinality = 0;
-    /// The same codes packed into the narrowest lane + bit-packed null
-    /// mask (stats/colcodec.h), built once per cache entry so every
-    /// G-test over a shared encoding feeds the SIMD kernels directly.
-    CompressedCodes packed;
   };
 
   explicit ColumnEncodingCache(size_t max_entries = 1 << 16)

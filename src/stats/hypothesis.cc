@@ -174,7 +174,6 @@ std::shared_ptr<const ColumnEncodingCache::Encoding> EncodeAsCategoricalCached(
   auto compute = [&] {
     ColumnEncodingCache::Encoding encoding;
     encoding.codes = EncodeAsCategorical(column, rows, bins, &encoding.cardinality);
-    encoding.packed = CompressedCodes::Encode(encoding.codes, encoding.cardinality);
     return encoding;
   };
   if (cache == nullptr) {
@@ -206,7 +205,7 @@ TestResult GTestIndependence(const Column& x, const Column& y, const std::vector
   uint64_t rows_sig = cache != nullptr ? ColumnEncodingCache::RowsSignature(rows) : 0;
   auto x_enc = EncodeAsCategoricalCached(x, rows, options.discretize_bins, cache, rows_sig);
   auto y_enc = EncodeAsCategoricalCached(y, rows, options.discretize_bins, cache, rows_sig);
-  ContingencyTable ct(x_enc->packed, y_enc->packed);
+  ContingencyTable ct(x_enc->codes, y_enc->codes, x_enc->cardinality, y_enc->cardinality);
   StratifiedAccumulator acc;
   acc.is_tau = false;
   acc.AddG(PiecesOf(ct));
@@ -517,7 +516,7 @@ Result<TestResult> IndependenceTestImpl(const Table& table, int x_col, int y_col
     auto y_enc = EncodeAsCategoricalCached(yc, stratum, options.discretize_bins, cache, sig);
     e.cx = x_enc->cardinality;
     e.cy = y_enc->cardinality;
-    e.pieces = PiecesOf(ContingencyTable(x_enc->packed, y_enc->packed));
+    e.pieces = PiecesOf(ContingencyTable(x_enc->codes, y_enc->codes, e.cx, e.cy));
     // Keep only complete pairs: the permutation below shuffles Y within the
     // stratum and must preserve the marginals, which nulls would break.
     for (size_t i = 0; i < x_enc->codes.size(); ++i) {

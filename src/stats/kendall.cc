@@ -187,8 +187,6 @@ KendallResult KendallTau(const std::vector<double>& x, const std::vector<double>
     return y[a] < y[b];
   });
 
-  const simd::Kernels& kernels = simd::Active();
-
   // Pairs tied on x and on (x, y) jointly, plus the x tie-group sizes for
   // the variance correction. The runs of the (x, y) sort visit equal x
   // values in ascending-x order — the same order a sort of x alone would —
@@ -224,10 +222,10 @@ KendallResult KendallTau(const std::vector<double>& x, const std::vector<double>
     }
   }
 
-  // Y marginal via the dispatched rank kernel: dense ranks index the y tie
+  // Y marginal via the dense-rank kernel: dense ranks index the y tie
   // counts in ascending-y order (again matching TieGroupSizes(y)).
   std::vector<size_t> y_rank(n);
-  size_t y_distinct = kernels.dense_ranks(y.data(), n, y_rank.data());
+  size_t y_distinct = simd::DenseRanks(y.data(), n, y_rank.data());
   std::vector<int64_t> y_counts(y_distinct, 0);
   for (size_t i = 0; i < n; ++i) {
     y_counts[y_rank[i]] += 1;
@@ -251,7 +249,7 @@ KendallResult KendallTau(const std::vector<double>& x, const std::vector<double>
     y_seq[i] = static_cast<uint32_t>(y_rank[order[i]]);
   }
   std::vector<uint32_t> scratch(n);
-  int64_t discordant = kernels.count_inversions(y_seq.data(), scratch.data(), n);
+  int64_t discordant = simd::CountInversions(y_seq.data(), scratch.data(), n);
 
   int64_t n0 = static_cast<int64_t>(n) * (static_cast<int64_t>(n) - 1) / 2;
   result.discordant = discordant;

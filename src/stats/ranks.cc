@@ -18,12 +18,8 @@ bool ContainsNan(const std::vector<double>& values) {
 }  // namespace
 
 std::vector<size_t> DenseRanks(const std::vector<double>& values, size_t* num_distinct) {
-  // Dispatched: the scalar kernel is the historical sort + unique +
-  // lower_bound formulation, the vector tiers use a radix rank pass. All
-  // tiers produce the identical rank vector (ranks depend only on the
-  // order/equality structure of the values).
   std::vector<size_t> ranks(values.size());
-  size_t distinct = simd::Active().dense_ranks(values.data(), values.size(), ranks.data());
+  size_t distinct = simd::DenseRanks(values.data(), values.size(), ranks.data());
   if (num_distinct != nullptr) {
     *num_distinct = distinct;
   }

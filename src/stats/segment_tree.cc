@@ -1,6 +1,7 @@
 #include "stats/segment_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/check.h"
@@ -56,7 +57,7 @@ int64_t SegmentTree::Sum(size_t lo, size_t hi) const {
 void SegmentTree::Clear() { tree_.assign(tree_.size(), 0); }
 
 WaveletMatrix::WaveletMatrix(const std::vector<uint32_t>& codes, size_t domain)
-    : size_(codes.size()), domain_(domain), popcount_(simd::Active().popcount_word) {
+    : size_(codes.size()), domain_(domain) {
   level_count_ = 0;
   while ((size_t{1} << level_count_) < domain_) {
     ++level_count_;
@@ -85,7 +86,7 @@ WaveletMatrix::WaveletMatrix(const std::vector<uint32_t>& codes, size_t domain)
     uint32_t ones_before = 0;
     for (size_t w = 0; w < words; ++w) {
       level.rank[w] = ones_before;
-      ones_before += static_cast<uint32_t>(popcount_(level.bits[w]));
+      ones_before += static_cast<uint32_t>(std::popcount(level.bits[w]));
     }
     level.rank[words] = ones_before;
     size_t zero_at = 0;
@@ -106,7 +107,7 @@ int64_t WaveletMatrix::Rank1(const Level& level, size_t pos) const {
   size_t r = pos & 63;
   int64_t count = level.rank[w];
   if (r != 0) {
-    count += popcount_(level.bits[w] & (~uint64_t{0} >> (64 - r)));
+    count += std::popcount(level.bits[w] & (~uint64_t{0} >> (64 - r)));
   }
   return count;
 }
@@ -240,13 +241,11 @@ void ConcordanceIndex::ScoreBlock(const Block& block, double x, double y, Quadra
 
 ConcordanceIndex::Quadrants ConcordanceIndex::Score(double x, double y) const {
   Quadrants q;
-  // Dispatched buffer scan: sign(dx)*sign(dy) is +1 concordant, -1
-  // discordant, 0 for ties on either axis. Both sums are exact integers,
-  // so every kernel tier returns the same quadrants.
+  // Buffer scan: sign(dx)*sign(dy) is +1 concordant, -1 discordant, 0 for
+  // ties on either axis.
   int64_t s = 0;
   int64_t nonzero = 0;
-  simd::Active().pair_sign_scan(buffer_x_.data(), buffer_y_.data(), buffer_x_.size(), x, y, &s,
-                                &nonzero);
+  simd::PairSignScan(buffer_x_.data(), buffer_y_.data(), buffer_x_.size(), x, y, &s, &nonzero);
   q.concordant = (nonzero + s) / 2;
   q.discordant = (nonzero - s) / 2;
   for (const Block& block : blocks_) {

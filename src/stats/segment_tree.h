@@ -89,10 +89,6 @@ class WaveletMatrix {
   size_t size_ = 0;
   size_t domain_ = 0;
   int level_count_ = 0;
-  // Dispatched popcount, captured at construction so a matrix stays on one
-  // kernel path for its whole lifetime (scalar = per-bit descent, vector
-  // tiers = the whole-word instruction).
-  int (*popcount_)(uint64_t) = nullptr;
   std::vector<Level> levels_;  // most-significant bit first
 };
 

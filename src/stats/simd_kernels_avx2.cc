@@ -1,27 +1,23 @@
-// AVX2 intrinsic kernels, isolated in their own TU so only these
-// functions carry the target("avx2") attribute; the dispatch in simd.cc
-// installs this table only after CPUID confirms AVX2. Only pair_sign_scan
-// earns an intrinsic path: GCC compiles the portable loop to one scalar
-// compare per element, and windowed monitor appends run about 4.5x slower
-// without it. Contingency intrinsics measured no faster than the portable
-// blocked kernels, so every other entry is the portable tier's.
+// The AVX2 body of PairSignScan, in its own TU so only this function
+// carries the target("avx2") attribute; PairSignScan calls it only after
+// CPUID reports AVX2. GCC compiles the portable loop to one scalar
+// compare per element, and windowed monitor appends run about 4.5x
+// slower without this body.
 
-#include "stats/simd_internal.h"
+#include "stats/simd.h"
 
-#if defined(SCODED_SIMD_X86)
+#if defined(SCODED_X86)
 
 #include <immintrin.h>
 
-namespace scoded::simd::internal {
-
-namespace {
+namespace scoded::simd {
 
 // Kendall pair scan, 4 double pairs per iteration. dx = (x>a)-(x<a) is
 // built from the two comparison masks; the product over {-1,0,1} is
 // sign-equality under a both-nonzero mask. Sums are exact integers, so
 // the lane order never affects the result.
-__attribute__((target("avx2"))) void PairSignScanAvx2(const double* xs, const double* ys,
-                                                      size_t n, double x, double y, int64_t* s,
+__attribute__((target("avx2"))) void PairSignScanAvx2(const double* xs, const double* ys, size_t n,
+                                                      double x, double y, int64_t* s,
                                                       int64_t* nonzero) {
   const __m256d vx = _mm256_set1_pd(x);
   const __m256d vy = _mm256_set1_pd(y);
@@ -61,23 +57,6 @@ __attribute__((target("avx2"))) void PairSignScanAvx2(const double* xs, const do
   *nonzero = nz_acc;
 }
 
-const Kernels kAvx2Kernels = {
-    ContingencyBlocked, DenseRanksRadix,  CountInversionsBottomUp,
-    PopcountBuiltin,    PairSignScanAvx2,
-};
+}  // namespace scoded::simd
 
-}  // namespace
-
-const Kernels* Avx2KernelsOrNull() { return &kAvx2Kernels; }
-
-}  // namespace scoded::simd::internal
-
-#else  // !SCODED_SIMD_X86
-
-namespace scoded::simd::internal {
-
-const Kernels* Avx2KernelsOrNull() { return nullptr; }
-
-}  // namespace scoded::simd::internal
-
-#endif  // SCODED_SIMD_X86
+#endif  // SCODED_X86

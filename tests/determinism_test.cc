@@ -2,17 +2,12 @@
 // count. Batch checking, drill-down, ranking and PC discovery are each run
 // at threads = 1 (fully serial: the pre-parallel code path), 4, and the
 // hardware concurrency, and every output — p-values, statistics, removal
-// orders, skeleton adjacency, separating sets — must match exactly.
-//
-// The SIMD kernel dispatch extends the same contract along a second axis:
-// every SCODED_SIMD value this host supports (off, sse2, avx2), crossed
-// with thread counts 1 and 4, must reproduce the scalar/serial baseline
-// bit for bit — for in-memory CheckAll, out-of-core ShardedCheckAll, and
-// the streaming monitors in both unbounded and windowed modes.
+// orders, skeleton adjacency, separating sets — must match exactly. The
+// same holds for out-of-core ShardedCheckAll and for the streaming
+// monitors in both unbounded and windowed modes.
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -33,7 +28,6 @@
 #include "distributed/coordinator.h"
 #include "distributed/substrate.h"
 #include "obs/metrics.h"
-#include "stats/simd.h"
 #include "table/table.h"
 
 namespace scoded {
@@ -282,75 +276,8 @@ TEST(DeterminismTest, PcSkeletonIsThreadCountInvariant) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// SIMD-path determinism. Paths are selected the way deployments select
-// them — through the SCODED_SIMD environment variable — so these also
-// cover the env-var parsing and re-resolution plumbing.
-// ---------------------------------------------------------------------------
-
-// SCODED_SIMD values this host can honour (unsupported tiers are clamped
-// by the dispatcher, which would silently re-test the same path).
-std::vector<const char*> SimdEnvValues() {
-  std::vector<const char*> values = {"off"};
-  if (simd::Path::kSse2 <= simd::BestSupportedPath()) {
-    values.push_back("sse2");
-  }
-  if (simd::Path::kAvx2 <= simd::BestSupportedPath()) {
-    values.push_back("avx2");
-  }
-  return values;
-}
-
-// Applies one SCODED_SIMD value for the current scope, restoring the
-// ambient environment (and dispatch) on destruction.
-struct SimdEnvGuard {
-  explicit SimdEnvGuard(const char* value) {
-    ::setenv("SCODED_SIMD", value, 1);
-    simd::ResetPathFromEnvironment();
-  }
-  ~SimdEnvGuard() {
-    ::unsetenv("SCODED_SIMD");
-    simd::ResetPathFromEnvironment();
-  }
-};
-
-TEST(SimdDeterminismTest, CheckAllIsPathAndThreadInvariant) {
-  std::vector<ApproximateSc> constraints = {
-      {Independence({"model"}, {"color"}), 0.05},
-      {Dependence({"model"}, {"price"}), 0.05},
-      {Dependence({"price"}, {"mileage"}), 0.05},
-      {Independence({"model"}, {"mileage"}, {"price"}), 0.01},
-  };
-  Scoded::BatchCheckResult baseline;
-  {
-    SimdEnvGuard simd_guard("off");
-    ThreadsGuard threads_guard(1);
-    Scoded system(MakeTable());
-    baseline = system.CheckAll(constraints).value();
-  }
-  for (const char* simd_value : SimdEnvValues()) {
-    for (int threads : {1, 4}) {
-      SimdEnvGuard simd_guard(simd_value);
-      ThreadsGuard threads_guard(threads);
-      Scoded system(MakeTable());
-      Scoded::BatchCheckResult result = system.CheckAll(constraints).value();
-      ASSERT_EQ(result.reports.size(), baseline.reports.size());
-      EXPECT_EQ(result.violations, baseline.violations)
-          << "simd=" << simd_value << " threads=" << threads;
-      for (size_t i = 0; i < result.reports.size(); ++i) {
-        EXPECT_EQ(result.reports[i].violated, baseline.reports[i].violated)
-            << "simd=" << simd_value << " threads=" << threads << " sc=" << i;
-        EXPECT_EQ(result.reports[i].p_value, baseline.reports[i].p_value)
-            << "simd=" << simd_value << " threads=" << threads << " sc=" << i;
-        EXPECT_EQ(result.reports[i].test.statistic, baseline.reports[i].test.statistic)
-            << "simd=" << simd_value << " threads=" << threads << " sc=" << i;
-      }
-    }
-  }
-}
-
-TEST(SimdDeterminismTest, ShardedCheckAllIsPathAndThreadInvariant) {
-  std::string path = ::testing::TempDir() + "/simd_determinism_sharded.csv";
+TEST(DeterminismTest, ShardedCheckAllIsThreadCountInvariant) {
+  std::string path = ::testing::TempDir() + "/determinism_sharded.csv";
   {
     Rng rng(4321);
     std::ofstream out(path);
@@ -379,29 +306,24 @@ TEST(SimdDeterminismTest, ShardedCheckAllIsPathAndThreadInvariant) {
   options.reader.shard_rows = 64;
   ShardedCheckResult baseline;
   {
-    SimdEnvGuard simd_guard("off");
     ThreadsGuard threads_guard(1);
     baseline = ShardedCheckAll(path, constraints, options).value();
   }
   ASSERT_EQ(baseline.reports.size(), constraints.size());
-  for (const char* simd_value : SimdEnvValues()) {
-    for (int threads : {1, 4}) {
-      SimdEnvGuard simd_guard(simd_value);
-      ThreadsGuard threads_guard(threads);
-      ShardedCheckResult result = ShardedCheckAll(path, constraints, options).value();
-      EXPECT_EQ(result.violations, baseline.violations)
-          << "simd=" << simd_value << " threads=" << threads;
-      EXPECT_EQ(result.shards, baseline.shards);
-      EXPECT_EQ(result.rows, baseline.rows);
-      ASSERT_EQ(result.reports.size(), baseline.reports.size());
-      for (size_t i = 0; i < result.reports.size(); ++i) {
-        EXPECT_EQ(result.reports[i].violated, baseline.reports[i].violated)
-            << "simd=" << simd_value << " threads=" << threads << " sc=" << i;
-        EXPECT_EQ(result.reports[i].p_value, baseline.reports[i].p_value)
-            << "simd=" << simd_value << " threads=" << threads << " sc=" << i;
-        EXPECT_EQ(result.reports[i].test.statistic, baseline.reports[i].test.statistic)
-            << "simd=" << simd_value << " threads=" << threads << " sc=" << i;
-      }
+  for (int threads : ThreadCounts()) {
+    ThreadsGuard threads_guard(threads);
+    ShardedCheckResult result = ShardedCheckAll(path, constraints, options).value();
+    EXPECT_EQ(result.violations, baseline.violations) << "threads=" << threads;
+    EXPECT_EQ(result.shards, baseline.shards);
+    EXPECT_EQ(result.rows, baseline.rows);
+    ASSERT_EQ(result.reports.size(), baseline.reports.size());
+    for (size_t i = 0; i < result.reports.size(); ++i) {
+      EXPECT_EQ(result.reports[i].violated, baseline.reports[i].violated)
+          << "threads=" << threads << " sc=" << i;
+      EXPECT_EQ(result.reports[i].p_value, baseline.reports[i].p_value)
+          << "threads=" << threads << " sc=" << i;
+      EXPECT_EQ(result.reports[i].test.statistic, baseline.reports[i].test.statistic)
+          << "threads=" << threads << " sc=" << i;
     }
   }
   std::remove(path.c_str());
@@ -487,7 +409,7 @@ TEST(DistributedDeterminismTest, WorkerCountAndTransportInvariant) {
   std::remove(path.c_str());
 }
 
-TEST(SimdDeterminismTest, StreamMonitorIsPathAndThreadInvariant) {
+TEST(DeterminismTest, StreamMonitorIsThreadCountInvariant) {
   // 6 batches of 70 rows against a numeric and a categorical constraint,
   // in unbounded (window 0) and windowed (window 64: evictions exercise
   // the pair-scan kernel on both sides) modes.
@@ -529,7 +451,6 @@ TEST(SimdDeterminismTest, StreamMonitorIsPathAndThreadInvariant) {
     };
     std::vector<MonitorState> baseline;
     {
-      SimdEnvGuard simd_guard("off");
       ThreadsGuard threads_guard(1);
       StreamMonitor stream = StreamMonitor::Create(make_batch(1), constraints, options).value();
       for (uint64_t seed = 1; seed <= 6; ++seed) {
@@ -541,30 +462,22 @@ TEST(SimdDeterminismTest, StreamMonitorIsPathAndThreadInvariant) {
                             stream.monitor(i).WindowOccupancy()});
       }
     }
-    for (const char* simd_value : SimdEnvValues()) {
-      for (int threads : {1, 4}) {
-        SimdEnvGuard simd_guard(simd_value);
-        ThreadsGuard threads_guard(threads);
-        StreamMonitor stream =
-            StreamMonitor::Create(make_batch(1), constraints, options).value();
-        for (uint64_t seed = 1; seed <= 6; ++seed) {
-          ASSERT_TRUE(stream.Append(make_batch(seed)).ok());
-        }
-        ASSERT_EQ(stream.NumMonitors(), baseline.size());
-        for (size_t i = 0; i < baseline.size(); ++i) {
-          EXPECT_EQ(stream.monitor(i).CurrentStatistic(), baseline[i].statistic)
-              << "simd=" << simd_value << " threads=" << threads << " window=" << window
-              << " monitor=" << i;
-          EXPECT_EQ(stream.monitor(i).CurrentPValue(), baseline[i].p_value)
-              << "simd=" << simd_value << " threads=" << threads << " window=" << window
-              << " monitor=" << i;
-          EXPECT_EQ(stream.monitor(i).Violated(), baseline[i].violated)
-              << "simd=" << simd_value << " threads=" << threads << " window=" << window
-              << " monitor=" << i;
-          EXPECT_EQ(stream.monitor(i).WindowOccupancy(), baseline[i].occupancy)
-              << "simd=" << simd_value << " threads=" << threads << " window=" << window
-              << " monitor=" << i;
-        }
+    for (int threads : ThreadCounts()) {
+      ThreadsGuard threads_guard(threads);
+      StreamMonitor stream = StreamMonitor::Create(make_batch(1), constraints, options).value();
+      for (uint64_t seed = 1; seed <= 6; ++seed) {
+        ASSERT_TRUE(stream.Append(make_batch(seed)).ok());
+      }
+      ASSERT_EQ(stream.NumMonitors(), baseline.size());
+      for (size_t i = 0; i < baseline.size(); ++i) {
+        EXPECT_EQ(stream.monitor(i).CurrentStatistic(), baseline[i].statistic)
+            << "threads=" << threads << " window=" << window << " monitor=" << i;
+        EXPECT_EQ(stream.monitor(i).CurrentPValue(), baseline[i].p_value)
+            << "threads=" << threads << " window=" << window << " monitor=" << i;
+        EXPECT_EQ(stream.monitor(i).Violated(), baseline[i].violated)
+            << "threads=" << threads << " window=" << window << " monitor=" << i;
+        EXPECT_EQ(stream.monitor(i).WindowOccupancy(), baseline[i].occupancy)
+            << "threads=" << threads << " window=" << window << " monitor=" << i;
       }
     }
   }

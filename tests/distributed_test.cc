@@ -854,15 +854,28 @@ TEST(ProcessChannelTest, KilledWorkersLeaveNoUnwrittenReports) {
 #endif  // SCODED_OBS_DISABLED
 
 // Parsed /proc/<pid>/stat: the state letter and the parent pid, or
-// state '\0' when the process is gone.
+// state '\0' when the process is gone. Read with open/read, since a
+// process that exits between the /proc scan and the read fails the read
+// with ESRCH, which any failure here treats as "gone".
 struct ProcStat {
   char state = '\0';
   pid_t ppid = 0;
 };
 
 ProcStat ReadProcStat(pid_t pid) {
-  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::string text;
+  int fd = ::open(("/proc/" + std::to_string(pid) + "/stat").c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd >= 0) {
+    char buf[512];
+    ssize_t got = 0;
+    while ((got = ::read(fd, buf, sizeof(buf))) > 0) {
+      text.append(buf, static_cast<size_t>(got));
+    }
+    ::close(fd);
+    if (got < 0) {
+      text.clear();
+    }
+  }
   ProcStat stat;
   size_t paren = text.rfind(')');  // the command name may hold spaces
   if (paren != std::string::npos) {
