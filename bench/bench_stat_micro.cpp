@@ -137,8 +137,8 @@ Table StratifiedTable(size_t n, uint64_t seed) {
     double signal = rng.Normal();
     x[i] = signal + rng.Normal(0.0, 0.5);
     y[i] = signal + rng.Normal(0.0, 0.5);
-    z[i] = "z" + std::to_string(rng.UniformInt(0, 63));
-    w[i] = "w" + std::to_string(rng.UniformInt(0, 7));
+    z[i] = std::string("z").append(std::to_string(rng.UniformInt(0, 63)));
+    w[i] = std::string("w").append(std::to_string(rng.UniformInt(0, 7)));
   }
   TableBuilder builder;
   builder.AddNumeric("X", std::move(x));

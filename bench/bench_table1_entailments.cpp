@@ -27,11 +27,11 @@ Table RandomRelation(Rng& rng, bool force_fd) {
   std::vector<std::string> w(n);
   for (size_t i = 0; i < n; ++i) {
     int xv = static_cast<int>(rng.UniformInt(0, 3));
-    x[i] = "x" + std::to_string(xv);
-    y[i] = force_fd ? "y" + std::to_string(xv % 3)
-                    : "y" + std::to_string(rng.UniformInt(0, 2));
-    z[i] = "z" + std::to_string(rng.UniformInt(0, 2));
-    w[i] = "w" + std::to_string(rng.UniformInt(0, 1));
+    x[i] = std::string("x").append(std::to_string(xv));
+    y[i] = std::string("y").append(
+        std::to_string(force_fd ? xv % 3 : rng.UniformInt(0, 2)));
+    z[i] = std::string("z").append(std::to_string(rng.UniformInt(0, 2)));
+    w[i] = std::string("w").append(std::to_string(rng.UniformInt(0, 1)));
   }
   TableBuilder builder;
   builder.AddCategorical("X", x);

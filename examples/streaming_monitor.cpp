@@ -48,7 +48,7 @@ int main() {
       }
       double wind = data.table.ColumnByName("Wind").NumericAt(i);
       int level = static_cast<int>(wind / 2.0);  // 2 m/s gauge buckets
-      Status s = monitor.AppendCategorical("L" + std::to_string(level),
+      Status s = monitor.AppendCategorical(std::string("L").append(std::to_string(level)),
                                            data.table.ColumnByName("Weather").CategoryAt(i));
       if (!s.ok()) {
         std::fprintf(stderr, "append failed: %s\n", s.ToString().c_str());

@@ -105,9 +105,16 @@ std::string DenialConstraint::ToString() const {
       out += " and ";
     }
     const DcPredicate& p = predicates[i];
-    out += "t" + std::to_string(p.left_tuple) + "." + p.left_column + " " +
-           std::string(CompareOpToString(p.op)) + " t" + std::to_string(p.right_tuple) + "." +
-           p.right_column;
+    out.append("t")
+        .append(std::to_string(p.left_tuple))
+        .append(".")
+        .append(p.left_column)
+        .append(" ")
+        .append(CompareOpToString(p.op))
+        .append(" t")
+        .append(std::to_string(p.right_tuple))
+        .append(".")
+        .append(p.right_column);
   }
   out += ")";
   return out;

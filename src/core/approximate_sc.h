@@ -22,7 +22,12 @@ struct ApproximateSc {
   double alpha = 0.05;
 
   std::string ToString() const {
-    return "<" + sc.ToString() + ", alpha=" + std::to_string(alpha) + ">";
+    std::string out = "<";
+    out += sc.ToString();
+    out += ", alpha=";
+    out += std::to_string(alpha);
+    out += '>';
+    return out;
   }
 };
 

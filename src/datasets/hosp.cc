@@ -22,7 +22,8 @@ std::string StateName(size_t index) { return "ST" + std::to_string(index); }
 // clearly off-dictionary, like a digit swap or stray character would be.
 std::string Typo(const std::string& value, size_t salt) {
   std::string out = value;
-  out += "~" + std::to_string(salt % 97);
+  out += '~';
+  out += std::to_string(salt % 97);
   return out;
 }
 

@@ -66,12 +66,12 @@ Result<Table> GenerateSensorData(const SensorOptions& options) {
   TableBuilder builder;
   builder.AddNumeric("Epoch", std::move(epoch));
   for (int s = 0; s < sensors; ++s) {
-    builder.AddNumeric("T" + std::to_string(options.first_sensor + s),
+    builder.AddNumeric(std::string("T").append(std::to_string(options.first_sensor + s)),
                        std::move(readings[static_cast<size_t>(s)]));
   }
   if (options.include_humidity) {
     for (int s = 0; s < sensors; ++s) {
-      builder.AddNumeric("H" + std::to_string(options.first_sensor + s),
+      builder.AddNumeric(std::string("H").append(std::to_string(options.first_sensor + s)),
                          std::move(humidity[static_cast<size_t>(s)]));
     }
   }

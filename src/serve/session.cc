@@ -37,7 +37,8 @@ Result<std::string> SessionTable::Open(const Schema& schema,
                                   std::to_string(limits_.max_sessions) +
                                   " open sessions); close one or retry later");
   }
-  std::string id = "s" + std::to_string(next_id_++);
+  std::string id = "s";
+  id += std::to_string(next_id_++);
   sessions_.emplace(id, std::make_shared<Session>(std::move(monitor)));
   PublishGauges();
   return id;

@@ -1,16 +1,31 @@
 #include "table/csv.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "table/csv_scan.h"
 
 namespace scoded::csv {
 
 namespace {
+
+// The byte grain a read cuts its input at. A megabyte makes four chunks,
+// enough to keep a few cores busy and few enough that their merge stays
+// small, and an input below 256 KiB stays one chunk.
+constexpr size_t kReadGrainBytes = size_t{1} << 18;
+
+// One chunk of a read: its bytes, its scanner's verdict and its typed rows.
+struct Chunk {
+  std::string_view text;
+  Status status;
+  RowFeed feed;
+};
 
 bool NeedsQuoting(std::string_view value, char delimiter) {
   if (value.empty()) {
@@ -25,52 +40,136 @@ bool NeedsQuoting(std::string_view value, char delimiter) {
          value.find('\r') != std::string_view::npos;
 }
 
-std::string QuoteField(std::string_view value) {
-  std::string out = "\"";
-  for (char c : value) {
-    if (c == '"') {
-      out += "\"\"";
-    } else {
-      out.push_back(c);
-    }
+void AppendField(std::string& out, std::string_view value, char delimiter) {
+  if (!NeedsQuoting(value, delimiter)) {
+    out.append(value);
+    return;
   }
   out.push_back('"');
-  return out;
+  for (char c : value) {
+    if (c == '"') {
+      out.push_back('"');
+    }
+    out.push_back(c);
+  }
+  out.push_back('"');
+}
+
+// Appends a numeric cell as Column::ValueToString renders it: an integer
+// below 1e15 in magnitude without a decimal point, anything else as
+// `os << v` prints it (%g at precision 6).
+void AppendNumber(std::string& out, double v, char delimiter) {
+  char buffer[32];
+  std::to_chars_result written =
+      v == std::floor(v) && std::fabs(v) < 1e15
+          ? std::to_chars(buffer, buffer + sizeof buffer, static_cast<int64_t>(v))
+          : std::to_chars(buffer, buffer + sizeof buffer, v, std::chars_format::general, 6);
+  AppendField(out, std::string_view(buffer, static_cast<size_t>(written.ptr - buffer)), delimiter);
 }
 
 }  // namespace
 
 Result<Table> ReadString(std::string_view text, const ReadOptions& options) {
-  RecordScanner scanner(text, options.delimiter);
-  SCODED_ASSIGN_OR_RETURN(TableScan scan, ScanTable(scanner, options, /*keep_values=*/true));
-  // A column that turned out categorical after keeping numeric values is
-  // re-encoded from a second scan of the text.
-  std::vector<size_t> rebuild;
-  for (size_t c = 0; c < scan.columns.size(); ++c) {
-    if (scan.columns[c].needs_rebuild()) {
-      scan.columns[c] = ColumnBuilder::Typed(/*numeric=*/false);
-      rebuild.push_back(c);
-    }
-  }
-  if (!rebuild.empty()) {
-    RecordScanner again(text, options.delimiter);
-    bool header = options.has_header;
-    while (true) {
-      SCODED_ASSIGN_OR_RETURN(bool more, again.Next());
-      if (!more) {
-        break;
-      }
-      if (header) {
-        header = false;
-        continue;
-      }
-      for (size_t c : rebuild) {
-        scan.columns[c].Add(again.fields()[c]);
-      }
-    }
-  }
-  return BuildTable(scan.names, std::move(scan.columns));
+  return internal::ReadString(text, options, kReadGrainBytes);
 }
+
+namespace internal {
+
+Result<Table> ReadString(std::string_view text, const ReadOptions& options, size_t grain_bytes) {
+  // The first record names the columns and fixes the width.
+  RecordScanner first(text, options.delimiter);
+  SCODED_ASSIGN_OR_RETURN(bool any, first.Next());
+  if (!any) {
+    return InvalidArgumentError("CSV input is empty");
+  }
+  const std::vector<std::string> names = ColumnNames(first.fields(), options.has_header);
+  const size_t width = names.size();
+  // The data records start past the header, or with the first record.
+  const size_t first_record = options.has_header ? 1 : 0;
+  const std::string_view data = text.substr(options.has_header ? first.consumed() : 0);
+  const std::vector<size_t> starts = ChunkStarts(data, options.delimiter, grain_bytes);
+
+  std::vector<Chunk> chunks(starts.size());
+  parallel::ParallelFor(0, chunks.size(), 1, [&](size_t k) {
+    Chunk& chunk = chunks[k];
+    size_t end = k + 1 < starts.size() ? starts[k + 1] : data.size();
+    chunk.text = data.substr(starts[k], end - starts[k]);
+    chunk.feed = RowFeed(width, options, /*keep_values=*/true);
+    RecordScanner scanner(chunk.text, options.delimiter);
+    while (true) {
+      Result<bool> more = scanner.Next();
+      if (!more.ok() || !*more) {
+        chunk.status = more.status();
+        return;
+      }
+      chunk.feed.Add(scanner.fields());
+    }
+  });
+  // Every chunk but the last ends at a record terminator outside quotes, so
+  // only the last can end inside a quoted field; that outranks a ragged row.
+  for (const Chunk& chunk : chunks) {
+    SCODED_RETURN_IF_ERROR(chunk.status);
+  }
+  size_t record = first_record;
+  for (const Chunk& chunk : chunks) {
+    SCODED_RETURN_IF_ERROR(chunk.feed.RaggedRow(record));
+    record += chunk.feed.rows();
+  }
+
+  // A column is numeric when no chunk saw a cell that is not a number and
+  // some chunk saw a number. Otherwise each chunk encodes its cells as
+  // categories, and a chunk that kept numbers re-encodes its own rows.
+  std::vector<std::vector<size_t>> rebuild(chunks.size());
+  for (size_t c = 0; c < width; ++c) {
+    bool numeric = false;
+    bool categorical = false;
+    for (const Chunk& chunk : chunks) {
+      numeric = numeric || chunk.feed.columns[c].numeric();
+      categorical = categorical || chunk.feed.columns[c].categorical();
+    }
+    if (numeric && !categorical) {
+      continue;
+    }
+    for (size_t k = 0; k < chunks.size(); ++k) {
+      if (!chunks[k].feed.columns[c].MakeCategorical()) {
+        rebuild[k].push_back(c);
+      }
+    }
+  }
+  parallel::ParallelFor(0, chunks.size(), 1, [&](size_t k) {
+    if (rebuild[k].empty()) {
+      return;
+    }
+    std::vector<ColumnBuilder>& columns = chunks[k].feed.columns;
+    for (size_t c : rebuild[k]) {
+      columns[c] = ColumnBuilder::Typed(/*numeric=*/false);
+    }
+    RecordScanner again(chunks[k].text, options.delimiter);
+    while (again.Next().value()) {  // the chunk scanned cleanly the first time
+      for (size_t c : rebuild[k]) {
+        columns[c].Add(again.fields()[c]);
+      }
+    }
+  });
+
+  // Each column appends the later chunks' cells to the first chunk's. The
+  // columns are sized here, so the table is allocated by the calling
+  // thread as a serial read would allocate it, not in the pool workers'
+  // malloc arenas, where it would stay behind for whatever runs next.
+  if (chunks.size() > 1) {
+    for (ColumnBuilder& column : chunks[0].feed.columns) {
+      column.Reserve(record - first_record);
+    }
+    parallel::ParallelFor(0, width, 1, [&](size_t c) {
+      for (size_t k = 1; k < chunks.size(); ++k) {
+        chunks[0].feed.columns[c].Append(std::move(chunks[k].feed.columns[c]));
+      }
+    });
+  }
+  return BuildTable(names, std::move(chunks[0].feed.columns));
+}
+
+}  // namespace internal
 
 Result<Table> ReadFile(const std::string& path, const ReadOptions& options) {
   SCODED_ASSIGN_OR_RETURN(InputFile file, InputFile::Open(path));
@@ -79,26 +178,41 @@ Result<Table> ReadFile(const std::string& path, const ReadOptions& options) {
 }
 
 std::string WriteString(const Table& table, char delimiter) {
-  std::ostringstream os;
+  std::string out;
   for (size_t c = 0; c < table.NumColumns(); ++c) {
     if (c > 0) {
-      os << delimiter;
+      out.push_back(delimiter);
     }
-    const std::string& name = table.schema().field(c).name;
-    os << (NeedsQuoting(name, delimiter) ? QuoteField(name) : name);
+    AppendField(out, table.schema().field(c).name, delimiter);
   }
-  os << "\n";
+  out.push_back('\n');
+  // A category renders the same in every row, so each is quoted once.
+  std::vector<std::vector<std::string>> categories(table.NumColumns());
+  for (size_t c = 0; c < table.NumColumns(); ++c) {
+    if (table.column(c).type() == ColumnType::kCategorical) {
+      for (const std::string& category : table.column(c).dictionary()) {
+        AppendField(categories[c].emplace_back(), category, delimiter);
+      }
+    }
+  }
   for (size_t r = 0; r < table.NumRows(); ++r) {
     for (size_t c = 0; c < table.NumColumns(); ++c) {
       if (c > 0) {
-        os << delimiter;
+        out.push_back(delimiter);
       }
-      std::string value = table.column(c).ValueToString(r);
-      os << (NeedsQuoting(value, delimiter) ? QuoteField(value) : value);
+      const Column& column = table.column(c);
+      if (column.IsNull(r)) {
+        continue;
+      }
+      if (column.type() == ColumnType::kCategorical) {
+        out += categories[c][static_cast<size_t>(column.CodeAt(r))];
+      } else {
+        AppendNumber(out, column.NumericAt(r), delimiter);
+      }
     }
-    os << "\n";
+    out.push_back('\n');
   }
-  return os.str();
+  return out;
 }
 
 Status WriteFile(const Table& table, const std::string& path, char delimiter) {
@@ -106,7 +220,8 @@ Status WriteFile(const Table& table, const std::string& path, char delimiter) {
   if (!out) {
     return InvalidArgumentError("cannot open '" + path + "' for writing");
   }
-  out << WriteString(table, delimiter);
+  const std::string text = WriteString(table, delimiter);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!out) {
     return DataLossError("failed while writing '" + path + "'");
   }

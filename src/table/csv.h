@@ -24,17 +24,33 @@ struct ReadOptions {
 
 /// Parses a CSV document held in memory. Rows with a different field count
 /// than the header produce an error.
+///
+/// The read runs on the worker pool (common/parallel.h): after the first
+/// record names the columns, the rest is cut into chunks of about 256 KiB
+/// that start at record boundaries (ChunkStarts in csv_scan.h), each chunk
+/// is scanned and typed on its own, and the chunks are merged in order.
+/// The table, and any error, is the same at every thread count and equals
+/// a one-chunk scan of the whole text.
 Result<Table> ReadString(std::string_view text, const ReadOptions& options = {});
 
-/// Reads and parses a CSV file from disk.
+/// Reads a CSV file from disk into memory and parses it with ReadString.
 Result<Table> ReadFile(const std::string& path, const ReadOptions& options = {});
 
-/// Serialises a table as CSV (header + rows). Values containing the
-/// delimiter, quotes, or newlines are quoted.
+/// Serialises a table as CSV (header + rows), one field per cell as
+/// Column::ValueToString renders it. Values containing the delimiter,
+/// quotes, newlines or edge whitespace are quoted.
 std::string WriteString(const Table& table, char delimiter = ',');
 
 /// Writes a table to `path`; returns an error if the file cannot be opened.
 Status WriteFile(const Table& table, const std::string& path, char delimiter = ',');
+
+namespace internal {
+
+/// ReadString cutting its input at `grain_bytes` instead of the fixed grain,
+/// so tests can put chunk edges anywhere. Every grain reads the same table.
+Result<Table> ReadString(std::string_view text, const ReadOptions& options, size_t grain_bytes);
+
+}  // namespace internal
 
 }  // namespace scoded::csv
 

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 
 namespace scoded::csv {
@@ -304,10 +305,13 @@ ColumnBuilder ColumnBuilder::Typed(bool numeric) {
 }
 
 void ColumnBuilder::Reserve(size_t rows) {
-  if (state_ == State::kNumeric) {
-    values_.reserve(rows);
-  } else if (state_ == State::kCategorical) {
+  if (state_ == State::kCategorical) {
     codes_.reserve(rows);
+  } else if (state_ != State::kIgnored) {
+    values_.reserve(rows);
+    if (has_null_) {
+      valid_.reserve(rows);
+    }
   }
 }
 
@@ -334,18 +338,60 @@ void ColumnBuilder::Add(std::string_view cell) {
     return;
   }
   // The first non-numeric cell makes the column categorical.
-  size_t rows = values_.size();
+  if (keep_ && MakeCategorical()) {
+    Add(cell);
+    return;
+  }
   values_ = {};
   valid_ = {};
-  if (!keep_ || any_value_) {
-    needs_rebuild_ = keep_;
-    state_ = State::kIgnored;
-    return;
+  state_ = State::kIgnored;
+}
+
+bool ColumnBuilder::MakeCategorical() {
+  if (state_ == State::kCategorical) {
+    return true;
+  }
+  if (state_ != State::kUndecided || any_value_) {
+    return false;
   }
   // Only nulls so far, and those encode the same either way.
   state_ = State::kCategorical;
-  codes_.assign(rows, -1);
-  Add(cell);
+  codes_.assign(values_.size(), -1);
+  values_ = {};
+  valid_ = {};
+  has_null_ = false;
+  return true;
+}
+
+void ColumnBuilder::Append(ColumnBuilder next) {
+  SCODED_CHECK(keep_ && next.keep_ && !categorical() == !next.categorical());
+  SCODED_CHECK(state_ != State::kIgnored && next.state_ != State::kIgnored);
+  if (state_ == State::kCategorical) {
+    // remap[code + 1] is next's code `code` in this dictionary; null stays -1.
+    std::vector<int32_t> remap = {-1};
+    remap.reserve(next.dictionary_.entries().size() + 1);
+    for (const std::string& entry : next.dictionary_.entries()) {
+      remap.push_back(dictionary_.Encode(entry));
+    }
+    codes_.reserve(codes_.size() + next.codes_.size());
+    for (int32_t code : next.codes_) {
+      codes_.push_back(remap[static_cast<size_t>(code + 1)]);
+    }
+    return;
+  }
+  any_value_ = any_value_ || next.any_value_;
+  if (next.has_null_ && !has_null_) {
+    has_null_ = true;
+    valid_.assign(values_.size(), true);
+  }
+  if (has_null_) {
+    if (next.has_null_) {
+      valid_.insert(valid_.end(), next.valid_.begin(), next.valid_.end());
+    } else {
+      valid_.resize(valid_.size() + next.values_.size(), true);
+    }
+  }
+  values_.insert(values_.end(), next.values_.begin(), next.values_.end());
 }
 
 void ColumnBuilder::AddNumber(std::optional<double> value) {
@@ -389,15 +435,90 @@ int32_t ColumnBuilder::Dictionary::Encode(std::string_view value) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-input pass and table assembly
+// Whole-input passes and table assembly
+
+void RowFeed::Add(const std::vector<std::string_view>& fields) {
+  if (ragged_fields_.has_value()) {
+    return;
+  }
+  if (fields.size() != columns.size()) {
+    ragged_fields_ = fields.size();
+    return;
+  }
+  ++rows_;
+  for (size_t c = 0; c < fields.size(); ++c) {
+    columns[c].Add(fields[c]);
+  }
+}
+
+Status RowFeed::RaggedRow(size_t first_record) const {
+  if (!ragged_fields_.has_value()) {
+    return OkStatus();
+  }
+  std::string message = "CSV row ";
+  message += std::to_string(first_record + rows_ + 1);
+  message += " has ";
+  message += std::to_string(*ragged_fields_);
+  message += " fields, expected ";
+  message += std::to_string(columns.size());
+  return InvalidArgumentError(message);
+}
+
+std::vector<std::string> ColumnNames(const std::vector<std::string_view>& first, bool has_header) {
+  std::vector<std::string> names;
+  names.reserve(first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    if (has_header) {
+      names.emplace_back(first[i]);
+    } else {
+      names.emplace_back("c").append(std::to_string(i));
+    }
+  }
+  return names;
+}
+
+std::vector<size_t> ChunkStarts(std::string_view text, char delimiter, size_t grain_bytes) {
+  uint8_t classes[256];
+  FillClasses(classes, delimiter);
+  const size_t grain = std::max<size_t>(1, grain_bytes);
+  const size_t stretches = parallel::internal::NumChunks(text.size(), grain);
+  std::vector<size_t> starts = {0};
+  if (stretches <= 1 || std::count(classes, classes + 256, kNewline) == 0) {
+    return starts;
+  }
+  // Every '"' opens or closes quotes (an escaped "" does both), so the
+  // parity of the quotes before a byte says whether it is quoted.
+  std::vector<uint8_t> odd = parallel::ParallelMap<uint8_t>(stretches, 1, [&](size_t s) {
+    uint8_t parity = 0;
+    for (char c : text.substr(s * grain, grain)) {
+      parity ^= static_cast<uint8_t>(c == '"');
+    }
+    return parity;
+  });
+  bool quoted = odd[0] != 0;
+  for (size_t s = 1; s < stretches; ++s) {
+    const size_t end = std::min(text.size(), (s + 1) * grain);
+    bool inside = quoted;
+    for (size_t p = s * grain; p < end; ++p) {
+      uint8_t cls = classes[static_cast<unsigned char>(text[p])];
+      if (cls == kQuote) {
+        inside = !inside;
+      } else if (cls == kNewline && !inside) {
+        if (p + 1 < text.size()) {
+          starts.push_back(p + 1);
+        }
+        break;
+      }
+    }
+    quoted = quoted != (odd[s] != 0);
+  }
+  return starts;
+}
 
 Result<TableScan> ScanTable(RecordScanner& scanner, const ReadOptions& options,
-                            bool keep_values, size_t shard_rows) {
+                            size_t shard_rows) {
   TableScan scan;
-  size_t records = 0;
-  // The first ragged row; reported only once the scan has shown that every
-  // quote closes, since an open quote wins.
-  Status ragged;
+  bool first = true;
   size_t next_shard_row = 0;
   while (true) {
     const uint64_t record_offset = scanner.consumed();
@@ -405,41 +526,24 @@ Result<TableScan> ScanTable(RecordScanner& scanner, const ReadOptions& options,
     if (!more) {
       break;
     }
-    const std::vector<std::string_view>& fields = scanner.fields();
-    size_t index = records++;
-    if (index == 0) {
-      for (size_t i = 0; i < fields.size(); ++i) {
-        scan.names.push_back(options.has_header ? std::string(fields[i])
-                                                : "c" + std::to_string(i));
-      }
-      scan.columns.assign(scan.names.size(),
-                          ColumnBuilder::Inferring(options.infer_types, keep_values));
+    if (first) {
+      first = false;
+      scan.names = ColumnNames(scanner.fields(), options.has_header);
+      scan.feed = RowFeed(scan.names.size(), options, /*keep_values=*/false);
       if (options.has_header) {
         continue;
       }
     }
-    if (!ragged.ok()) {
-      continue;
-    }
-    if (fields.size() != scan.names.size()) {
-      ragged = InvalidArgumentError("CSV row " + std::to_string(index + 1) + " has " +
-                                    std::to_string(fields.size()) + " fields, expected " +
-                                    std::to_string(scan.names.size()));
-      continue;
-    }
-    if (shard_rows > 0 && scan.data_rows == next_shard_row) {
+    if (shard_rows > 0 && !scan.feed.ragged() && scan.feed.rows() == next_shard_row) {
       scan.shard_offsets.push_back(record_offset);
       next_shard_row += shard_rows;
     }
-    ++scan.data_rows;
-    for (size_t c = 0; c < fields.size(); ++c) {
-      scan.columns[c].Add(fields[c]);
-    }
+    scan.feed.Add(scanner.fields());
   }
-  if (records == 0) {
+  if (first) {
     return InvalidArgumentError("CSV input is empty");
   }
-  SCODED_RETURN_IF_ERROR(ragged);
+  SCODED_RETURN_IF_ERROR(scan.feed.RaggedRow(options.has_header ? 1 : 0));
   return scan;
 }
 

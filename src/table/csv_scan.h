@@ -137,6 +137,10 @@ class RecordScanner {
 /// cell parses as a double (ParseDouble); otherwise it is categorical with
 /// a first-appearance dictionary. Empty cells are nulls either way, and
 /// each numeric cell is parsed exactly once.
+///
+/// A chunked read gives every chunk of rows its own builder and appends
+/// them in row order (MakeCategorical, Append), which builds the column
+/// one builder over all the rows would.
 class ColumnBuilder {
  public:
   /// A column of unknown type. With `keep_values` false only the type
@@ -150,24 +154,39 @@ class ColumnBuilder {
 
   void Add(std::string_view cell);
 
-  /// Makes room for `rows` cells of a typed column, so filling it does
-  /// not regrow its storage.
+  /// Makes room for `rows` cells, so filling or appending to the column
+  /// does not regrow its storage.
   void Reserve(size_t rows);
 
-  /// The type verdict over the cells added so far.
+  /// The type verdict over the cells added so far: numeric, categorical
+  /// (a cell that does not parse, or inference off), or neither while
+  /// every cell was empty.
   bool numeric() const;
+  bool categorical() const { return state_ == State::kCategorical || state_ == State::kIgnored; }
 
-  /// True when an inferring column met its first non-numeric cell after
-  /// keeping numeric values. It then drops them and ignores later cells:
-  /// the caller rebuilds it as Typed(false) from its first row, which is
-  /// cheaper than keeping every cell's text in case this happens.
-  bool needs_rebuild() const { return needs_rebuild_; }
+  /// Encodes the cells added so far as categories, as if a non-numeric
+  /// cell had come first. Requires a column that stores values. Returns
+  /// false, changing nothing, when the column kept numbers: their text is
+  /// gone, so the caller rebuilds it as Typed(false) from its rows. An
+  /// inferring column that meets its first non-numeric cell after numbers
+  /// also drops them and ignores the cells after it, which is cheaper than
+  /// keeping every cell's text in case this happens; it too needs the
+  /// rebuild.
+  bool MakeCategorical();
+
+  /// Appends the column of the rows that follow, freeing it. Both must
+  /// store values and agree on the type: categorical, or numeric-or-empty.
+  /// A categorical `next` adds its new categories in its own
+  /// first-appearance order and has its codes remapped.
+  void Append(ColumnBuilder next);
 
   /// The finished column. Requires a column that stores values and does
   /// not need a rebuild.
   Column Build() &&;
 
  private:
+  // kIgnored is categorical with nothing stored: a verdict-only builder,
+  // or one that dropped its numbers and needs a rebuild.
   enum class State { kUndecided, kNumeric, kCategorical, kIgnored };
 
   // First-appearance dictionary. Its index is searched by the cell's view
@@ -175,6 +194,7 @@ class ColumnBuilder {
   class Dictionary {
    public:
     int32_t Encode(std::string_view value);
+    const std::vector<std::string>& entries() const { return entries_; }
     std::vector<std::string> Release() && { return std::move(entries_); }
 
    private:
@@ -196,7 +216,6 @@ class ColumnBuilder {
   State state_;
   bool keep_;
   bool any_value_ = false;  // kUndecided: a non-empty cell was seen
-  bool needs_rebuild_ = false;
   bool has_null_ = false;
   std::vector<double> values_;
   std::vector<bool> valid_;  // materialised at the first null
@@ -204,25 +223,67 @@ class ColumnBuilder {
   Dictionary dictionary_;
 };
 
-/// What one pass over a whole CSV input learns.
+/// The per-record step of every whole-input scan: checks each data
+/// record's field count and feeds its cells to one inferring ColumnBuilder
+/// per column. From the first record of the wrong width on it feeds
+/// nothing, since the scan is then bound to fail.
+class RowFeed {
+ public:
+  RowFeed() = default;
+  RowFeed(size_t width, const ReadOptions& options, bool keep_values)
+      : columns(width, ColumnBuilder::Inferring(options.infer_types, keep_values)) {}
+
+  void Add(const std::vector<std::string_view>& fields);
+
+  /// Data records fed; a ragged record and those after it are not counted.
+  size_t rows() const { return rows_; }
+  bool ragged() const { return ragged_fields_.has_value(); }
+
+  /// OK, or the error for the first ragged record, counting this feed's
+  /// first record as record `first_record` of the input (0 is its first
+  /// record, header included).
+  Status RaggedRow(size_t first_record) const;
+
+  std::vector<ColumnBuilder> columns;
+
+ private:
+  size_t rows_ = 0;
+  std::optional<size_t> ragged_fields_;  // field count of record rows_, if ragged
+};
+
+/// The column names the first record gives: its fields with a header,
+/// otherwise "c0", "c1", ... for as many fields.
+std::vector<std::string> ColumnNames(const std::vector<std::string_view>& first, bool has_header);
+
+/// Where a chunked read may cut `text`, which starts at a record boundary:
+/// 0, then for each `grain_bytes` stretch after the first, just past the
+/// first byte in it that the scanner's byte classes call a newline and
+/// that has an even number of '"' bytes before it. Each such newline ends
+/// a record outside quotes, so no cut lands inside a quoted field or
+/// between '\r' and '\n', and each chunk scans on its own to the records
+/// the whole text holds there. A stretch without such a byte adds no cut;
+/// with a '\n' delimiter no byte is a newline and the text stays whole.
+/// The quote counts run on the pool.
+std::vector<size_t> ChunkStarts(std::string_view text, char delimiter, size_t grain_bytes);
+
+/// What the first pass of ShardReader::Open learns about a whole input.
 struct TableScan {
   std::vector<std::string> names;
-  std::vector<ColumnBuilder> columns;  // inferring builders, one per column
-  size_t data_rows = 0;
+  RowFeed feed;  // verdicts only: the builders keep no values
   /// With shard_rows > 0: for data rows 0, shard_rows, 2 * shard_rows, ...
   /// the scanner's consumed() offset just before that row was scanned.
   std::vector<uint64_t> shard_offsets;
 };
 
-/// Runs `scanner` to the end of its input: names the columns from the first
-/// record (or "c0", "c1", ... without a header), checks every data record's
-/// field count, and feeds each cell to an inferring column builder. This is
-/// the pass csv::ReadString and ShardReader::Open share, so they fail with
-/// the same errors in the same precedence: a quote left open at end of
-/// input, then "CSV input is empty", then the first ragged row. A positive
-/// `shard_rows` also records where every shard of that many rows starts.
+/// ShardReader's streaming first pass: runs `scanner` to the end of its
+/// input, names the columns from the first record (or "c0", "c1", ...
+/// without a header), and feeds every data record to a RowFeed that keeps
+/// only the type verdicts. It fails with the errors csv::ReadString gives,
+/// in the same precedence: a quote left open at end of input, then "CSV
+/// input is empty", then the first ragged row. A positive `shard_rows`
+/// also records where every shard of that many rows starts.
 Result<TableScan> ScanTable(RecordScanner& scanner, const ReadOptions& options,
-                            bool keep_values, size_t shard_rows = 0);
+                            size_t shard_rows = 0);
 
 /// Builds the columns into a table.
 Result<Table> BuildTable(const std::vector<std::string>& names,

@@ -165,13 +165,12 @@ Result<ShardReader> ShardReader::Open(const std::string& path, const ShardReader
   }
   SCODED_ASSIGN_OR_RETURN(InputFile file, InputFile::Open(path));
   RecordScanner scanner(std::move(file), options.buffer_bytes, options.csv.delimiter);
-  SCODED_ASSIGN_OR_RETURN(
-      TableScan scan, ScanTable(scanner, options.csv, /*keep_values=*/false, options.shard_rows));
+  SCODED_ASSIGN_OR_RETURN(TableScan scan, ScanTable(scanner, options.csv, options.shard_rows));
   std::vector<bool> numeric;
-  for (const ColumnBuilder& column : scan.columns) {
+  for (const ColumnBuilder& column : scan.feed.columns) {
     numeric.push_back(column.numeric());
   }
-  ShardIndex index{std::move(scan.shard_offsets), scanner.bytes_read(), scan.data_rows,
+  ShardIndex index{std::move(scan.shard_offsets), scanner.bytes_read(), scan.feed.rows(),
                    options.shard_rows};
   return ShardReader(path, options, std::move(scan.names), std::move(numeric), std::move(index));
 }

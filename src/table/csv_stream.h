@@ -100,12 +100,13 @@ class ShardRangeReader {
 ///
 /// Open() makes a first streaming pass over the file that validates the
 /// record structure (field counts, quoting), infers the column types from
-/// *all* rows and records the shard index. It is the same scan and the
-/// same type inference csv::ReadString runs (ScanTable in csv_scan.h, with
-/// nothing kept but the verdicts), so the types, and any error, are exactly
-/// the ones csv::ReadFile would produce, and every shard uses the same
-/// schema regardless of which values it happens to contain. Next() then
-/// makes a second pass, a ShardRangeReader over every shard, typing and
+/// *all* rows and records the shard index. It is ScanTable (csv_scan.h):
+/// the scanner, per-record step and type inference csv::ReadString runs
+/// on each of its chunks, streamed and keeping nothing but the verdicts,
+/// so the types, and any error, are exactly the ones csv::ReadFile would
+/// produce, and every shard uses the same schema regardless of which
+/// values it happens to contain. Next() then makes a second pass, a
+/// ShardRangeReader over every shard, typing and
 /// dictionary-encoding each field straight from the read buffer into at
 /// most shard_rows rows of columns. Categorical dictionaries are
 /// shard-local (first-appearance order within the shard); callers that

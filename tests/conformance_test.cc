@@ -67,8 +67,8 @@ Table IndependentCodes(Rng& rng, int n, int x_levels, int y_levels) {
   std::vector<std::string> x;
   std::vector<std::string> y;
   for (int i = 0; i < n; ++i) {
-    x.push_back("x" + std::to_string(rng.UniformInt(0, x_levels - 1)));
-    y.push_back("y" + std::to_string(rng.UniformInt(0, y_levels - 1)));
+    x.emplace_back("x").append(std::to_string(rng.UniformInt(0, x_levels - 1)));
+    y.emplace_back("y").append(std::to_string(rng.UniformInt(0, y_levels - 1)));
   }
   TableBuilder builder;
   builder.AddCategorical("x", x);

@@ -3,16 +3,20 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
+#include "table/csv_scan.h"
 #include "table/csv_stream.h"
 
 #include <gtest/gtest.h>
@@ -215,7 +219,7 @@ TEST(CsvWriteTest, RandomizedRoundTripProperty) {
     // An empty or all-whitespace unquoted value reads back as null, which
     // is by design; normalise those to a sentinel for exact comparison.
     if (a.empty()) {
-      a = "x";
+      a.push_back('x');
     }
     col_a.push_back(a);
     col_b.push_back(b);
@@ -240,6 +244,63 @@ TEST(CsvWriteTest, RandomizedRoundTripProperty) {
     }
   }
   EXPECT_EQ(WriteString(back), text);
+}
+
+TEST(CsvWriteTest, FieldsAreValueToStringQuotedWhereNeeded) {
+  // Numbers at every edge of the integer and %g renderings, NaN kept as a
+  // value, nulls, and categories that need quoting, written with delimiters
+  // that also occur inside numbers.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> numbers = {
+      0.0,      -0.0,      1e15 - 1, -(1e15 - 1), 1e15, -1e15,  0.1, 1e-05,
+      123456.5, 1234567.0, inf,      -inf,        nan,  -nan,   2.5, 0.0};
+  std::vector<bool> valid(numbers.size(), true);
+  valid.back() = false;
+  const std::vector<std::string> dictionary = {"plain", "with,comma", "say \"hi\"", " padded",
+                                               "line\nbreak", "cr\r", "1.5", "a-b", ""};
+  std::vector<int32_t> codes;
+  for (size_t r = 0; r < numbers.size(); ++r) {
+    codes.push_back(r % 4 == 3 ? -1 : static_cast<int32_t>(r % dictionary.size()));
+  }
+  TableBuilder builder;
+  builder.AddNumericWithNulls("x", numbers, valid);
+  builder.AddNumeric("y", {1.5, 0.0, 7.0, -2.0, nan, 1e20, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0,
+                           10.0, 11.0, 12.0});
+  builder.AddColumn("c", Column::CategoricalFromCodes(codes, dictionary));
+  builder.AddColumn("all null", Column::CategoricalFromCodes(
+                                    std::vector<int32_t>(numbers.size(), -1), {}));
+  Table table = std::move(builder).Build().value();
+  auto quoted = [](const std::string& value, char delimiter) {
+    bool needs = !value.empty() && (std::isspace(static_cast<unsigned char>(value.front())) ||
+                                    std::isspace(static_cast<unsigned char>(value.back())) ||
+                                    value.find_first_of(std::string("\"\n\r") + delimiter) !=
+                                        std::string::npos);
+    if (!needs) {
+      return value;
+    }
+    std::string out = "\"";
+    for (char c : value) {
+      out += c == '"' ? std::string("\"\"") : std::string(1, c);
+    }
+    return out + "\"";
+  };
+  for (char delimiter : {',', ';', '.', '-'}) {
+    std::string want;
+    for (size_t c = 0; c < table.NumColumns(); ++c) {
+      want += c > 0 ? std::string(1, delimiter) : std::string();
+      want += quoted(table.schema().field(c).name, delimiter);
+    }
+    want += '\n';
+    for (size_t r = 0; r < table.NumRows(); ++r) {
+      for (size_t c = 0; c < table.NumColumns(); ++c) {
+        want += c > 0 ? std::string(1, delimiter) : std::string();
+        want += quoted(table.column(c).ValueToString(r), delimiter);
+      }
+      want += '\n';
+    }
+    EXPECT_EQ(WriteString(table, delimiter), want) << "delimiter " << delimiter;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -481,7 +542,158 @@ void ExpectSameRow(const Table& whole, size_t row, const Table& shard, size_t sh
   }
 }
 
+// Everything a read yields, spelled out so that two reads compare with one
+// EXPECT_EQ and a mismatch shows where: the error, or every column's name,
+// type, null mask, value bits, codes and dictionary in order.
+std::string Describe(const Result<Table>& read) {
+  if (!read.ok()) {
+    return "error " + read.status().ToString();
+  }
+  std::string out;
+  for (size_t c = 0; c < read->NumColumns(); ++c) {
+    const Column& column = read->column(c);
+    out += "column " + read->schema().field(c).name + " " +
+           std::string(ColumnTypeToString(column.type())) + "\n";
+    for (size_t r = 0; r < column.size(); ++r) {
+      out += column.IsNull(r) ? "null " : "";
+      out += column.type() == ColumnType::kNumeric ? std::to_string(Bits(column.NumericAt(r)))
+                                                    : std::to_string(column.CodeAt(r));
+      out += "\n";
+    }
+    for (const std::string& category : column.type() == ColumnType::kCategorical
+                                           ? column.dictionary()
+                                           : std::vector<std::string>()) {
+      out += "category [" + category + "]\n";
+    }
+  }
+  return out;
+}
+
+struct ThreadsGuard {
+  explicit ThreadsGuard(int n) { parallel::SetThreads(n); }
+  ~ThreadsGuard() { parallel::SetThreads(0); }
+};
+
+// Reads `text` at every grain and thread count and expects what the
+// one-chunk read gives; returns that.
+std::string ExpectSameAtEveryGrain(const std::string& text, const ReadOptions& options,
+                                   const std::string& context) {
+  const size_t whole = std::max<size_t>(1, text.size());
+  const std::string want = Describe(internal::ReadString(text, options, whole));
+  for (int threads : {1, 4}) {
+    ThreadsGuard guard(threads);
+    for (size_t grain : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64}, whole}) {
+      EXPECT_EQ(Describe(internal::ReadString(text, options, grain)), want)
+          << context << " grain " << grain << " threads " << threads;
+    }
+  }
+  return want;
+}
+
 }  // namespace
+
+TEST(CsvChunkedReadTest, ChunkStartsFallJustPastUnquotedNewlines) {
+  // Cut candidates at every byte: the quoted '\n' (byte 4) and the last '\n'
+  // (end of input) are skipped, and a CRLF is cut after its '\n'.
+  EXPECT_EQ(ChunkStarts("a\n\"b\nc\"\nd\n", ',', 1), (std::vector<size_t>{0, 2, 8}));
+  EXPECT_EQ(ChunkStarts("a\r\nb\r\nc", ',', 1), (std::vector<size_t>{0, 3, 6}));
+  EXPECT_EQ(ChunkStarts("a\r\nb\r\nc", '\r', 1), (std::vector<size_t>{0, 3, 6}));
+  // A stretch whose newlines are all quoted adds no cut.
+  EXPECT_EQ(ChunkStarts("x\n\"a\nb\nc\"\ny\n", ',', 4), (std::vector<size_t>{0, 10}));
+  // A '\n' delimiter leaves no newline byte, so the input stays whole.
+  EXPECT_EQ(ChunkStarts("a\nb\nc\n", '\n', 1), (std::vector<size_t>{0}));
+  EXPECT_EQ(ChunkStarts("", ',', 1), (std::vector<size_t>{0}));
+}
+
+TEST(CsvChunkedReadTest, EveryGrainReadsTheOneChunkTable) {
+  std::vector<std::string> corpus = ChunkInvarianceCorpus();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    for (bool has_header : {true, false}) {
+      for (char delimiter : {',', ';', '"', '\n', '\r'}) {
+        ReadOptions options;
+        options.has_header = has_header;
+        options.delimiter = delimiter;
+        ExpectSameAtEveryGrain(corpus[i], options,
+                               "input " + std::to_string(i) + " header " +
+                                   std::to_string(has_header) + " delimiter " +
+                                   std::to_string(static_cast<int>(delimiter)));
+      }
+    }
+  }
+}
+
+TEST(CsvChunkedReadTest, ColumnTurnsCategoricalInALaterChunk) {
+  std::string text = "n,m\n";
+  for (int i = 0; i < 40; ++i) {
+    text += std::to_string(i % 5) + ",1\n";
+  }
+  text += "word,2\n 3 ,3\n,4\n";
+  std::string got = ExpectSameAtEveryGrain(text, {}, "late categorical");
+  Table table = ReadString(text).value();
+  ASSERT_EQ(table.column(0).type(), ColumnType::kCategorical) << got;
+  EXPECT_EQ(table.column(0).dictionary(),
+            (std::vector<std::string>{"0", "1", "2", "3", "4", "word"}));
+  EXPECT_EQ(table.column(0).CodeAt(41), 3);
+  EXPECT_TRUE(table.column(0).IsNull(42));
+  EXPECT_EQ(table.column(1).type(), ColumnType::kNumeric);
+}
+
+TEST(CsvChunkedReadTest, DictionaryIsFirstAppearanceAcrossChunks) {
+  std::string text = "c\n";
+  for (const char* order : {"xyz", "zyxw", "wvx", "", "uv"}) {
+    for (const char* c = order; *c != '\0'; ++c) {
+      text += std::string(8, *c) + "\n\n";
+    }
+    text += "\n";  // blank lines between records are skipped
+  }
+  ExpectSameAtEveryGrain(text, {}, "dictionary order");
+  Table table = ReadString(text).value();
+  std::vector<std::string> want;
+  for (char c : std::string("xyzwvu")) {
+    want.push_back(std::string(8, c));
+  }
+  EXPECT_EQ(table.column(0).dictionary(), want);
+}
+
+TEST(CsvChunkedReadTest, AllNullChunkInANumericColumn) {
+  std::string text = "n,m\n1.5,a\n";
+  for (int i = 0; i < 30; ++i) {
+    text += ",b\n";
+  }
+  text += "2,c\n";
+  ExpectSameAtEveryGrain(text, {}, "all-null chunk");
+  Table table = ReadString(text).value();
+  ASSERT_EQ(table.column(0).type(), ColumnType::kNumeric);
+  EXPECT_EQ(table.column(0).NullCount(), 30u);
+  EXPECT_EQ(table.column(0).NumericAt(0), 1.5);
+  EXPECT_EQ(table.column(0).NumericAt(31), 2.0);
+}
+
+TEST(CsvChunkedReadTest, LowestRaggedRowIsReported) {
+  std::string text = "x,y\n";
+  for (int i = 0; i < 20; ++i) {
+    text += "1,a\n";
+  }
+  text += "2\n";  // record 21 after the header: CSV row 22
+  for (int i = 0; i < 20; ++i) {
+    text += "3,b\n\n";
+  }
+  text += "4,c,extra\n5,d\n";
+  std::string got = ExpectSameAtEveryGrain(text, {}, "two ragged rows");
+  EXPECT_NE(got.find("CSV row 22 has 1 fields, expected 2"), std::string::npos) << got;
+}
+
+TEST(CsvChunkedReadTest, OpenQuoteAcrossCutsOutranksARaggedRow) {
+  std::string rows;
+  for (int i = 0; i < 20; ++i) {
+    rows += "1,a\n";
+  }
+  for (const std::string& text : {"x,y\n" + rows + "\"open\n" + rows,
+                                  "x,y\n1,a\n2\n" + rows + "\"open,\n\n" + rows}) {
+    std::string got = ExpectSameAtEveryGrain(text, {}, "open quote");
+    EXPECT_EQ(got, "error InvalidArgument: CSV input ends inside a quoted field");
+  }
+}
 
 TEST(ShardReaderChunkInvarianceTest, ShardsMatchReadStringAtEveryCut) {
   std::string path = ::testing::TempDir() + "/shard_reader_chunk_invariance.csv";
@@ -495,7 +707,8 @@ TEST(ShardReaderChunkInvarianceTest, ShardsMatchReadStringAtEveryCut) {
     for (bool has_header : {true, false}) {
       ReadOptions csv_options;
       csv_options.has_header = has_header;
-      Result<Table> whole = ReadString(text, csv_options);
+      // A read cut at every third byte, which every grain matches.
+      Result<Table> whole = internal::ReadString(text, csv_options, 3);
       for (size_t buffer_bytes : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64},
                                   size_t{1} << 18}) {
         for (size_t shard_rows : {size_t{1}, size_t{3}, size_t{1000}}) {
@@ -616,7 +829,7 @@ std::string IndexCorpus(const std::string& eol, bool header, bool final_newline)
     text += std::to_string(i) + ",";
     switch (i % 5) {
       case 0:
-        text += "w" + std::to_string(i);
+        text.append("w").append(std::to_string(i));
         break;
       case 1:
         text += "\"x\ny" + std::to_string(i) + "\"";
@@ -630,7 +843,10 @@ std::string IndexCorpus(const std::string& eol, bool header, bool final_newline)
       default:
         break;  // an empty cell
     }
-    text += "," + (i % 6 == 0 ? std::string() : std::to_string(i * 0.5));
+    text += ',';
+    if (i % 6 != 0) {
+      text += std::to_string(i * 0.5);
+    }
     if (i + 1 < 40 || final_newline) {
       text += eol;
     }
@@ -762,7 +978,8 @@ TEST(ShardIndexTest, TruncationAndMovedBoundariesAreDataLoss) {
   std::string path = ::testing::TempDir() + "/shard_index_moved.csv";
   std::string text = "name,score\n";
   for (int i = 0; i < 30; ++i) {
-    text += "r" + std::to_string(i) + "," + std::to_string(10 + i) + "\n";
+    text.append("r").append(std::to_string(i)).append(",").append(std::to_string(10 + i));
+    text += '\n';
   }
   WriteText(path, text);
   ShardReaderOptions options;

@@ -3,11 +3,12 @@
 // at threads = 1 (fully serial: the pre-parallel code path), 4, and the
 // hardware concurrency, and every output — p-values, statistics, removal
 // orders, skeleton adjacency, separating sets — must match exactly. The
-// same holds for out-of-core ShardedCheckAll and for the streaming
-// monitors in both unbounded and windowed modes.
+// same holds for the chunked csv::ReadFile, for out-of-core ShardedCheckAll
+// and for the streaming monitors in both unbounded and windowed modes.
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -28,6 +29,7 @@
 #include "distributed/coordinator.h"
 #include "distributed/substrate.h"
 #include "obs/metrics.h"
+#include "table/csv.h"
 #include "table/table.h"
 
 namespace scoded {
@@ -177,8 +179,8 @@ Table MakeChunkedDrillTable() {
     y.push_back(std::round(4.0 * (0.3 * v + rng.Normal())) / 4.0);
     z.push_back(i % 3 == 0 ? "p" : "q");
     int64_t ca = rng.UniformInt(0, 99);
-    a.push_back("a" + std::to_string(ca));
-    b.push_back("b" + std::to_string(rng.Bernoulli(0.2) ? ca : rng.UniformInt(0, 99)));
+    a.emplace_back("a").append(std::to_string(ca));
+    b.emplace_back("b").append(std::to_string(rng.Bernoulli(0.2) ? ca : rng.UniformInt(0, 99)));
   }
   TableBuilder builder;
   builder.AddNumeric("x", x);
@@ -323,6 +325,105 @@ TEST(DeterminismTest, ShardedCheckAllIsThreadCountInvariant) {
       EXPECT_EQ(result.reports[i].p_value, baseline.reports[i].p_value)
           << "threads=" << threads << " sc=" << i;
       EXPECT_EQ(result.reports[i].test.statistic, baseline.reports[i].test.statistic)
+          << "threads=" << threads << " sc=" << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// csv::ReadFile cuts its input into 1 MiB chunks that are typed on the pool
+// and merged in order. A file several chunks long, with nulls, quoted
+// categories holding delimiters and line breaks, and a column that turns
+// categorical past the first chunk, reads into the same table, and checks to
+// the same reports, at every thread count.
+TEST(DeterminismTest, ReadFileIsThreadCountInvariant) {
+  std::string path = ::testing::TempDir() + "/determinism_read.csv";
+  {
+    Rng rng(2468);
+    const char* models[] = {"civic", "golf, gti", "corolla\nhybrid", "say \"\"hi\"\""};
+    const char* colors[] = {"red", "blue", "white"};
+    std::string text = "Model,Color,Price,Mileage,Mixed\n";
+    bool mixed_text = false;
+    while (text.size() < (size_t{7} << 19)) {
+      int64_t m = rng.UniformInt(0, 3);
+      double p = 10.0 + 3.0 * static_cast<double>(m) + rng.Normal(0.0, 1.0);
+      if (rng.UniformInt(0, 39) != 0) {
+        // Every model but the first is quoted.
+        text.append(m == 0 ? "" : "\"").append(models[m]).append(m == 0 ? "" : "\"");
+      }
+      text += ',';
+      if (rng.UniformInt(0, 49) != 0) {
+        text += colors[rng.UniformInt(0, 2)];
+      }
+      text += ',';
+      if (rng.UniformInt(0, 59) != 0) {
+        text += std::to_string(p);
+      }
+      text += ',';
+      text += std::to_string(100.0 - 4.0 * p + rng.Normal(0.0, 2.0));
+      text += ',';
+      if (!mixed_text && text.size() > (size_t{3} << 19)) {
+        text += "n/a";  // past the first 1 MiB chunk: Mixed becomes categorical
+        mixed_text = true;
+      } else {
+        text += std::to_string(rng.UniformInt(0, 20));
+      }
+      text += '\n';
+    }
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+    ASSERT_TRUE(out.good());
+  }
+  std::vector<ApproximateSc> constraints = {
+      {ParseConstraint("Model _||_ Color").value(), 0.05},
+      {ParseConstraint("Price !_||_ Mileage").value(), 0.05},
+      {ParseConstraint("Mixed _||_ Color | Model").value(), 0.05},
+  };
+  Table baseline_table;
+  Scoded::BatchCheckResult baseline;
+  {
+    ThreadsGuard guard(1);
+    baseline_table = csv::ReadFile(path).value();
+    baseline = Scoded(baseline_table).CheckAll(constraints).value();
+  }
+  ASSERT_GT(baseline_table.NumRows(), 50000u);
+  ASSERT_EQ(baseline_table.ColumnByName("Mixed").type(), ColumnType::kCategorical);
+  ASSERT_EQ(baseline_table.ColumnByName("Price").type(), ColumnType::kNumeric);
+  for (int threads : ThreadCounts()) {
+    ThreadsGuard guard(threads);
+    Table table = csv::ReadFile(path).value();
+    ASSERT_EQ(table.NumRows(), baseline_table.NumRows()) << "threads=" << threads;
+    ASSERT_EQ(table.NumColumns(), baseline_table.NumColumns()) << "threads=" << threads;
+    for (size_t c = 0; c < table.NumColumns(); ++c) {
+      const Column& got = table.column(c);
+      const Column& want = baseline_table.column(c);
+      ASSERT_EQ(table.schema().field(c).name, baseline_table.schema().field(c).name);
+      ASSERT_EQ(got.type(), want.type()) << "threads=" << threads << " column " << c;
+      if (got.type() == ColumnType::kNumeric) {
+        // memcmp: bitwise, so NaN nulls compare equal.
+        EXPECT_EQ(std::memcmp(got.numeric_values().data(), want.numeric_values().data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "threads=" << threads << " column " << c;
+      } else {
+        EXPECT_EQ(got.codes(), want.codes()) << "threads=" << threads << " column " << c;
+        EXPECT_EQ(got.dictionary(), want.dictionary()) << "threads=" << threads << " column " << c;
+      }
+      for (size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(got.IsNull(r), want.IsNull(r)) << "threads=" << threads << " column " << c;
+      }
+    }
+    Scoded::BatchCheckResult result = Scoded(std::move(table)).CheckAll(constraints).value();
+    ASSERT_EQ(result.reports.size(), baseline.reports.size());
+    EXPECT_EQ(result.violations, baseline.violations) << "threads=" << threads;
+    for (size_t i = 0; i < result.reports.size(); ++i) {
+      EXPECT_EQ(result.reports[i].violated, baseline.reports[i].violated)
+          << "threads=" << threads << " sc=" << i;
+      EXPECT_EQ(result.reports[i].p_value, baseline.reports[i].p_value)
+          << "threads=" << threads << " sc=" << i;
+      EXPECT_EQ(result.reports[i].test.statistic, baseline.reports[i].test.statistic)
+          << "threads=" << threads << " sc=" << i;
+      EXPECT_EQ(result.reports[i].test.n, baseline.reports[i].test.n)
           << "threads=" << threads << " sc=" << i;
     }
   }

@@ -153,13 +153,13 @@ TEST(DrillDownTest, CategoricalPlantedErrors) {
   std::vector<std::string> y;
   std::set<size_t> dirty;
   for (size_t i = 0; i < 300; ++i) {
-    x.push_back("a" + std::to_string(rng.UniformInt(0, 2)));
-    y.push_back("b" + std::to_string(rng.UniformInt(0, 2)));
+    x.emplace_back("a").append(std::to_string(rng.UniformInt(0, 2)));
+    y.emplace_back("b").append(std::to_string(rng.UniformInt(0, 2)));
   }
   for (size_t i = 0; i < 90; ++i) {
     dirty.insert(x.size());
-    x.push_back("a" + std::to_string(i % 3));
-    y.push_back("b" + std::to_string(i % 3));
+    x.emplace_back("a").append(std::to_string(i % 3));
+    y.emplace_back("b").append(std::to_string(i % 3));
   }
   TableBuilder builder;
   builder.AddCategorical("x", x);
@@ -513,7 +513,7 @@ TEST(DrillDownTest, TauEngineMatchesReferenceGreedyAsGoalsSwitch) {
     x.push_back(v);
     y.push_back(stratum == 0 ? v + static_cast<double>(rng.UniformInt(0, 1))
                              : static_cast<double>(rng.UniformInt(0, 5)));
-    z.push_back("z" + std::to_string(stratum));
+    z.emplace_back("z").append(std::to_string(stratum));
   }
   TableBuilder builder;
   builder.AddNumeric("x", x);
@@ -596,7 +596,7 @@ TEST(DrillDownTest, GEngineSeparatesCategoriesBeyondTwentyBits) {
   const int32_t far_code = (1 << 20) + 5;
   std::vector<std::string> dictionary(static_cast<size_t>(1 << 20) + 64);
   for (size_t i = 0; i < dictionary.size(); ++i) {
-    dictionary[i] = "y" + std::to_string(i);
+    dictionary[i] = std::string("y").append(std::to_string(i));
   }
   // (x, y code, copies): x = a0 leans to the far code, x = a1 to code 5.
   struct Block {

@@ -287,7 +287,7 @@ TEST(FlightRecorderDeathTest, SigintUnlinksUnwrittenReportAndStillKills) {
   ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(wstatus)) << "wait status " << wstatus;
   EXPECT_EQ(WTERMSIG(wstatus), SIGINT);
-  std::string suffix = "-" + std::to_string(pid) + ".report";
+  std::string suffix = std::string("-").append(std::to_string(pid)).append(".report");
   EXPECT_FALSE(ReadTextFile(dir + "/scoded-crash" + suffix).ok());
   Result<std::string> stall = ReadTextFile(dir + "/scoded-stall" + suffix);
   ASSERT_TRUE(stall.ok()) << "the written stall report was removed";

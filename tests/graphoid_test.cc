@@ -125,7 +125,8 @@ TEST(CheckConsistencyTest, RejectsOverlappingSets) {
 TEST(CheckConsistencyTest, TooManyVariablesRejected) {
   std::vector<StatisticalConstraint> constraints;
   for (int i = 0; i < 9; ++i) {
-    constraints.push_back(Independence({"A" + std::to_string(i)}, {"B" + std::to_string(i)}));
+    constraints.push_back(Independence({std::string("A").append(std::to_string(i))},
+                                       {std::string("B").append(std::to_string(i))}));
   }
   Result<ConsistencyReport> r = CheckConsistency(constraints);
   EXPECT_FALSE(r.ok());

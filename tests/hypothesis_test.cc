@@ -226,7 +226,7 @@ TEST(ConditionalTest, TauStratifiedCombination) {
       double v = rng.Normal();
       x.push_back(v);
       y.push_back(v + 100.0 * s + rng.Normal(0.0, 0.2));
-      z.push_back("s" + std::to_string(s));
+      z.emplace_back("s").append(std::to_string(s));
     }
   }
   TableBuilder builder;

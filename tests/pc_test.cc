@@ -164,11 +164,11 @@ TEST(PcTest, CategoricalVariablesSupported) {
   std::vector<std::string> y;
   std::vector<std::string> z;
   for (int i = 0; i < 800; ++i) {
-    std::string xv = "x" + std::to_string(rng.UniformInt(0, 2));
+    std::string xv = std::string("x").append(std::to_string(rng.UniformInt(0, 2)));
     x.push_back(xv);
-    y.push_back(rng.Bernoulli(0.8) ? "y" + xv.substr(1)
-                                   : "y" + std::to_string(rng.UniformInt(0, 2)));
-    z.push_back("z" + std::to_string(rng.UniformInt(0, 2)));
+    y.emplace_back("y").append(rng.Bernoulli(0.8) ? xv.substr(1)
+                                                  : std::to_string(rng.UniformInt(0, 2)));
+    z.emplace_back("z").append(std::to_string(rng.UniformInt(0, 2)));
   }
   TableBuilder builder;
   builder.AddCategorical("x", x);

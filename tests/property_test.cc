@@ -28,8 +28,12 @@ Table RandomMixedTable(size_t rows, uint64_t seed) {
     double shared = rng.Normal();
     num1.push_back(shared + rng.Normal(0.0, 0.7));
     num2.push_back(shared + rng.Normal(0.0, 0.7));
-    cat1.push_back("c" + std::to_string(rng.UniformInt(0, 3)));
-    cat2.push_back(rng.Bernoulli(0.6) ? cat1.back() : "c" + std::to_string(rng.UniformInt(0, 3)));
+    cat1.emplace_back("c").append(std::to_string(rng.UniformInt(0, 3)));
+    if (rng.Bernoulli(0.6)) {
+      cat2.push_back(cat1.back());
+    } else {
+      cat2.emplace_back("c").append(std::to_string(rng.UniformInt(0, 3)));
+    }
   }
   TableBuilder builder;
   builder.AddNumeric("n1", num1);

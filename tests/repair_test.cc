@@ -21,12 +21,12 @@ TEST(CategoricalRepairTest, FixesFdTyposTowardDependence) {
   std::set<size_t> dirty;
   for (int z = 0; z < 20; ++z) {
     for (int r = 0; r < 30; ++r) {
-      zip.push_back("Z" + std::to_string(z));
+      zip.emplace_back("Z").append(std::to_string(z));
       if (r < 2) {
         dirty.insert(zip.size() - 1);
         city.push_back("TYPO_" + std::to_string(z) + "_" + std::to_string(r));
       } else {
-        city.push_back("C" + std::to_string(z / 2));
+        city.emplace_back("C").append(std::to_string(z / 2));
       }
     }
   }
@@ -41,7 +41,7 @@ TEST(CategoricalRepairTest, FixesFdTyposTowardDependence) {
   // Every repaired row is a typo row, and the new value is the zip's city.
   auto expected_city_of = [&](size_t row) {
     int z = std::stoi(table.ColumnByName("zip").CategoryAt(row).substr(1));
-    return "C" + std::to_string(z / 2);
+    return std::string("C").append(std::to_string(z / 2));
   };
   for (const CellRepair& repair : plan.repairs) {
     EXPECT_TRUE(dirty.count(repair.row)) << "repaired a clean row " << repair.row;
@@ -62,12 +62,12 @@ TEST(CategoricalRepairTest, IndependenceRepairReducesG) {
   std::vector<std::string> x;
   std::vector<std::string> y;
   for (int i = 0; i < 200; ++i) {
-    x.push_back("a" + std::to_string(rng.UniformInt(0, 2)));
-    y.push_back("b" + std::to_string(rng.UniformInt(0, 2)));
+    x.emplace_back("a").append(std::to_string(rng.UniformInt(0, 2)));
+    y.emplace_back("b").append(std::to_string(rng.UniformInt(0, 2)));
   }
   for (int i = 0; i < 80; ++i) {
-    x.push_back("a" + std::to_string(i % 3));
-    y.push_back("b" + std::to_string(i % 3));
+    x.emplace_back("a").append(std::to_string(i % 3));
+    y.emplace_back("b").append(std::to_string(i % 3));
   }
   TableBuilder builder;
   builder.AddCategorical("x", x);
@@ -186,13 +186,13 @@ TEST(ConditionalRepairTest, RepairsWithinStrata) {
       double v = rng.Normal();
       x.push_back(v);
       y.push_back(offset + 2.0 * v + rng.Normal(0.0, 0.05));
-      z.push_back("s" + std::to_string(s));
+      z.emplace_back("s").append(std::to_string(s));
     }
     for (int i = 0; i < 20; ++i) {
       dirty.insert(x.size());
       x.push_back(rng.Normal());
       y.push_back(offset);  // imputed constant per stratum
-      z.push_back("s" + std::to_string(s));
+      z.emplace_back("s").append(std::to_string(s));
     }
   }
   TableBuilder builder;

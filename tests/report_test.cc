@@ -131,12 +131,13 @@ TEST(CleaningReportTest, FdrControlDemotesBorderlineViolations) {
     for (int i = 0; i < 80; ++i) {
       v.push_back(rng.Normal());
     }
-    builder.AddNumeric("c" + std::to_string(c), v);
+    builder.AddNumeric(std::string("c").append(std::to_string(c)), v);
   }
   Table table = std::move(builder).Build().value();
   std::vector<ApproximateSc> constraints;
   for (int c = 1; c < 13; ++c) {
-    constraints.push_back({Independence({"c0"}, {"c" + std::to_string(c)}), 0.2});
+    constraints.push_back(
+        {Independence({"c0"}, {std::string("c").append(std::to_string(c))}), 0.2});
   }
   ReportOptions options;
   options.fdr_q = 0.05;

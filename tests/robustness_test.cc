@@ -120,8 +120,8 @@ TEST(RobustnessTest, ExtremeCardinalityCategorical) {
   std::vector<std::string> x;
   std::vector<std::string> y;
   for (int i = 0; i < 300; ++i) {
-    x.push_back("x" + std::to_string(i));
-    y.push_back("y" + std::to_string(i));
+    x.emplace_back("x").append(std::to_string(i));
+    y.emplace_back("y").append(std::to_string(i));
   }
   TableBuilder builder;
   builder.AddCategorical("x", x);
@@ -167,7 +167,7 @@ TEST(RobustnessTest, ManyStrataWithSparseCells) {
     for (int i = 0; i < 3; ++i) {
       x.push_back(rng.Normal());
       y.push_back(rng.Normal());
-      z.push_back("s" + std::to_string(s));
+      z.emplace_back("s").append(std::to_string(s));
     }
   }
   TableBuilder builder;

@@ -70,8 +70,10 @@ TEST(ScMonitorTest, CategoricalMatchesBatchG) {
   ApproximateSc asc{ParseConstraint("x _||_ y").value(), 0.05};
   ScMonitor monitor = ScMonitor::Create(CategoricalPrototype(), asc).value();
   for (int i = 0; i < 300; ++i) {
-    std::string xv = "a" + std::to_string(rng.UniformInt(0, 3));
-    std::string yv = rng.Bernoulli(0.3) ? xv + "_twin" : "b" + std::to_string(rng.UniformInt(0, 3));
+    std::string xv = std::string("a").append(std::to_string(rng.UniformInt(0, 3)));
+    std::string yv = rng.Bernoulli(0.3)
+                         ? xv + "_twin"
+                         : std::string("b").append(std::to_string(rng.UniformInt(0, 3)));
     x.push_back(xv);
     y.push_back(yv);
     ASSERT_TRUE(monitor.AppendCategorical(xv, yv).ok());
@@ -198,7 +200,7 @@ TEST(ScMonitorTest, ConditionalMonitorStratifies) {
       double v = rng.Normal();
       x.push_back(v);
       y.push_back(100.0 * s + v + rng.Normal(0.0, 0.4));
-      z.push_back("s" + std::to_string(s));
+      z.emplace_back("s").append(std::to_string(s));
     }
   }
   TableBuilder builder;
@@ -358,8 +360,10 @@ TEST(ScMonitorTest, WindowedCategoricalMatchesBatchOverWindow) {
   mopts.window = window;
   ScMonitor monitor = ScMonitor::Create(CategoricalPrototype(), asc, {}, mopts).value();
   for (int i = 0; i < 250; ++i) {
-    std::string xv = "a" + std::to_string(rng.UniformInt(0, 2));
-    std::string yv = rng.Bernoulli(0.4) ? xv + "!" : "b" + std::to_string(rng.UniformInt(0, 2));
+    std::string xv = std::string("a").append(std::to_string(rng.UniformInt(0, 2)));
+    std::string yv = rng.Bernoulli(0.4)
+                         ? xv + "!"
+                         : std::string("b").append(std::to_string(rng.UniformInt(0, 2)));
     x.push_back(xv);
     y.push_back(yv);
     ASSERT_TRUE(monitor.AppendCategorical(xv, yv).ok());
@@ -401,7 +405,7 @@ TEST(ScMonitorTest, WindowedConditionalEvictsAcrossStrata) {
       double v = rng.Normal();
       x.push_back(v);
       y.push_back(v + rng.Normal(0.0, 0.5));
-      z.push_back("s" + std::to_string(s));
+      z.emplace_back("s").append(std::to_string(s));
     }
   }
   TableBuilder builder;

@@ -359,8 +359,8 @@ TEST(ShardStatsTest, PermutationFallbackMatchesViaSecondPass) {
   std::vector<std::string> a;
   std::vector<std::string> b;
   for (size_t i = 0; i < n; ++i) {
-    a.push_back("a" + std::to_string(rng.UniformInt(0, 29)));
-    b.push_back("b" + std::to_string(rng.UniformInt(0, 29)));
+    a.emplace_back("a").append(std::to_string(rng.UniformInt(0, 29)));
+    b.emplace_back("b").append(std::to_string(rng.UniformInt(0, 29)));
   }
   Result<Table> table =
       std::move(TableBuilder().AddCategorical("A", a).AddCategorical("B", b)).Build();
@@ -380,8 +380,8 @@ TEST(ShardStatsTest, StratifiedPermutationFallbackMatches) {
   std::vector<std::string> b;
   std::vector<std::string> z;
   for (size_t i = 0; i < n; ++i) {
-    a.push_back("a" + std::to_string(rng.UniformInt(0, 24)));
-    b.push_back("b" + std::to_string(rng.UniformInt(0, 24)));
+    a.emplace_back("a").append(std::to_string(rng.UniformInt(0, 24)));
+    b.emplace_back("b").append(std::to_string(rng.UniformInt(0, 24)));
     z.push_back(rng.UniformInt(0, 1) == 0 ? "east" : "west");
   }
   Result<Table> table = std::move(TableBuilder()
