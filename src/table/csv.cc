@@ -1,5 +1,6 @@
 #include "table/csv.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -20,9 +21,11 @@ namespace {
 // small, and an input below 256 KiB stays one chunk.
 constexpr size_t kReadGrainBytes = size_t{1} << 18;
 
-// One chunk of a read: its bytes, its scanner's verdict and its typed rows.
+// One chunk of a read: its bytes, the rows its columns have room for, its
+// scanner's verdict and its typed rows.
 struct Chunk {
   std::string_view text;
+  size_t room = 0;
   Status status;
   RowFeed feed;
 };
@@ -67,15 +70,11 @@ void AppendNumber(std::string& out, double v, char delimiter) {
   AppendField(out, std::string_view(buffer, static_cast<size_t>(written.ptr - buffer)), delimiter);
 }
 
-}  // namespace
-
-Result<Table> ReadString(std::string_view text, const ReadOptions& options) {
-  return internal::ReadString(text, options, kReadGrainBytes);
-}
-
-namespace internal {
-
-Result<Table> ReadString(std::string_view text, const ReadOptions& options, size_t grain_bytes) {
+// Reads `text` in chunks of about `grain_bytes`. With `owner`, the string
+// that holds `text`, the text is freed once the chunks are typed, before
+// the merge allocates the table, which can then take its memory.
+Result<Table> Read(std::string_view text, const ReadOptions& options, size_t grain_bytes,
+                   std::string* owner) {
   // The first record names the columns and fixes the width.
   RecordScanner first(text, options.delimiter);
   SCODED_ASSIGN_OR_RETURN(bool any, first.Next());
@@ -90,11 +89,30 @@ Result<Table> ReadString(std::string_view text, const ReadOptions& options, size
   const std::vector<size_t> starts = ChunkStarts(data, options.delimiter, grain_bytes);
 
   std::vector<Chunk> chunks(starts.size());
+  for (size_t k = 0; k < chunks.size(); ++k) {
+    size_t end = k + 1 < starts.size() ? starts[k + 1] : data.size();
+    chunks[k].text = data.substr(starts[k], end - starts[k]);
+  }
+  // A record ends at a '\n' or at the end of the input, so a chunk holds at
+  // most one record more than it has '\n' bytes.
+  parallel::ParallelFor(0, chunks.size(), 1, [&](size_t k) {
+    const std::string_view bytes = chunks[k].text;
+    chunks[k].room = static_cast<size_t>(std::count(bytes.begin(), bytes.end(), '\n')) + 1;
+  });
+  // The calling thread sizes every column before the pool fills them, so
+  // the workers store cells without allocating. The cells then live in
+  // this thread's heap, as a serial read's do, and not in the workers'
+  // malloc arenas, where the pages a read touches, and what is left there
+  // for the next caller of the pool, would depend on which worker scanned
+  // which chunk.
+  for (Chunk& chunk : chunks) {
+    chunk.feed = RowFeed(width, options, /*keep_values=*/true);
+    for (ColumnBuilder& column : chunk.feed.columns) {
+      column.Reserve(chunk.room);
+    }
+  }
   parallel::ParallelFor(0, chunks.size(), 1, [&](size_t k) {
     Chunk& chunk = chunks[k];
-    size_t end = k + 1 < starts.size() ? starts[k + 1] : data.size();
-    chunk.text = data.substr(starts[k], end - starts[k]);
-    chunk.feed = RowFeed(width, options, /*keep_values=*/true);
     RecordScanner scanner(chunk.text, options.delimiter);
     while (true) {
       Result<bool> more = scanner.Next();
@@ -136,14 +154,18 @@ Result<Table> ReadString(std::string_view text, const ReadOptions& options, size
       }
     }
   }
+  for (size_t k = 0; k < chunks.size(); ++k) {
+    for (size_t c : rebuild[k]) {
+      ColumnBuilder& column = chunks[k].feed.columns[c];
+      column = ColumnBuilder::Typed(/*numeric=*/false);
+      column.Reserve(chunks[k].room);
+    }
+  }
   parallel::ParallelFor(0, chunks.size(), 1, [&](size_t k) {
     if (rebuild[k].empty()) {
       return;
     }
     std::vector<ColumnBuilder>& columns = chunks[k].feed.columns;
-    for (size_t c : rebuild[k]) {
-      columns[c] = ColumnBuilder::Typed(/*numeric=*/false);
-    }
     RecordScanner again(chunks[k].text, options.delimiter);
     while (again.Next().value()) {  // the chunk scanned cleanly the first time
       for (size_t c : rebuild[k]) {
@@ -152,21 +174,37 @@ Result<Table> ReadString(std::string_view text, const ReadOptions& options, size
     }
   });
 
-  // Each column appends the later chunks' cells to the first chunk's. The
-  // columns are sized here, so the table is allocated by the calling
-  // thread as a serial read would allocate it, not in the pool workers'
-  // malloc arenas, where it would stay behind for whatever runs next.
+  // The chunks are typed, so the text is no longer read.
+  if (owner != nullptr) {
+    std::string().swap(*owner);
+  }
+
+  // Each column appends the later chunks' cells to the first chunk's, one
+  // column after another on this thread: the room for the whole column is
+  // made once its type is known, where the cells of the columns merged
+  // before it were freed.
   if (chunks.size() > 1) {
-    for (ColumnBuilder& column : chunks[0].feed.columns) {
+    for (size_t c = 0; c < width; ++c) {
+      ColumnBuilder& column = chunks[0].feed.columns[c];
       column.Reserve(record - first_record);
-    }
-    parallel::ParallelFor(0, width, 1, [&](size_t c) {
       for (size_t k = 1; k < chunks.size(); ++k) {
-        chunks[0].feed.columns[c].Append(std::move(chunks[k].feed.columns[c]));
+        column.Append(std::move(chunks[k].feed.columns[c]));
       }
-    });
+    }
   }
   return BuildTable(names, std::move(chunks[0].feed.columns));
+}
+
+}  // namespace
+
+Result<Table> ReadString(std::string_view text, const ReadOptions& options) {
+  return Read(text, options, kReadGrainBytes, nullptr);
+}
+
+namespace internal {
+
+Result<Table> ReadString(std::string_view text, const ReadOptions& options, size_t grain_bytes) {
+  return Read(text, options, grain_bytes, nullptr);
 }
 
 }  // namespace internal
@@ -174,7 +212,7 @@ Result<Table> ReadString(std::string_view text, const ReadOptions& options, size
 Result<Table> ReadFile(const std::string& path, const ReadOptions& options) {
   SCODED_ASSIGN_OR_RETURN(InputFile file, InputFile::Open(path));
   SCODED_ASSIGN_OR_RETURN(std::string text, file.ReadAll());
-  return ReadString(text, options);
+  return Read(text, options, kReadGrainBytes, &text);
 }
 
 std::string WriteString(const Table& table, char delimiter) {

@@ -28,12 +28,14 @@ struct ReadOptions {
 /// The read runs on the worker pool (common/parallel.h): after the first
 /// record names the columns, the rest is cut into chunks of about 256 KiB
 /// that start at record boundaries (ChunkStarts in csv_scan.h), each chunk
-/// is scanned and typed on its own, and the chunks are merged in order.
+/// is scanned and typed on its own into columns the calling thread sized,
+/// and the calling thread merges the chunks in order.
 /// The table, and any error, is the same at every thread count and equals
 /// a one-chunk scan of the whole text.
 Result<Table> ReadString(std::string_view text, const ReadOptions& options = {});
 
-/// Reads a CSV file from disk into memory and parses it with ReadString.
+/// Reads a CSV file from disk into memory and parses it as ReadString
+/// does, freeing the text before the chunks are merged.
 Result<Table> ReadFile(const std::string& path, const ReadOptions& options = {});
 
 /// Serialises a table as CSV (header + rows), one field per cell as

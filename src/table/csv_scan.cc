@@ -305,13 +305,15 @@ ColumnBuilder ColumnBuilder::Typed(bool numeric) {
 }
 
 void ColumnBuilder::Reserve(size_t rows) {
-  if (state_ == State::kCategorical) {
+  if (state_ == State::kIgnored) {
+    return;
+  }
+  if (!numeric()) {
     codes_.reserve(rows);
-  } else if (state_ != State::kIgnored) {
+  }
+  if (state_ != State::kCategorical) {
     values_.reserve(rows);
-    if (has_null_) {
-      valid_.reserve(rows);
-    }
+    valid_.reserve(rows);
   }
 }
 

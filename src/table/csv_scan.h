@@ -154,8 +154,9 @@ class ColumnBuilder {
 
   void Add(std::string_view cell);
 
-  /// Makes room for `rows` cells, so filling or appending to the column
-  /// does not regrow its storage.
+  /// Makes room for `rows` cells in every store the column may still fill
+  /// (numbers and their validity unless it is categorical, codes unless it
+  /// holds numbers), so filling or appending to it does not regrow them.
   void Reserve(size_t rows);
 
   /// The type verdict over the cells added so far: numeric, categorical
