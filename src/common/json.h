@@ -97,11 +97,88 @@ struct JsonValue {
 /// kInvalidArgument naming `what`.
 Result<int64_t> JsonInteger(const JsonValue& value, int64_t lo, int64_t hi,
                             std::string_view what);
+/// As above for a number already read (JsonReader::number()).
+Result<int64_t> JsonInteger(double value, int64_t lo, int64_t hi, std::string_view what);
+
+/// Pull reader over JSON text: the one tokenizer behind ParseJson, also
+/// used on its own to read a large value straight into typed storage with
+/// no DOM (serve::ReadBatchJson). It accepts what ParseJson accepts and
+/// fails with the same messages at the same offsets.
+///
+///   JsonReader reader(text);
+///   if (reader.Begin() == JsonValue::Kind::kObject) {
+///     while (reader.NextMember()) {
+///       // reader.key() names the member; Begin() starts its value, and
+///       // Skip() or Read() finishes it.
+///     }
+///   }
+///   SCODED_RETURN_IF_ERROR(reader.End());
+///
+/// The first syntax error is kept in status(). From then on nothing more
+/// is read: Begin() returns kNull and NextElement() / NextMember() return
+/// false, so every loop over the text ends, and the caller checks status()
+/// (or End()) once instead of after every call.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Starts the next value and returns its kind. A scalar is read whole
+  /// (number(), boolean(), string()); an array or object is opened, and its
+  /// contents follow through NextElement() or NextMember().
+  JsonValue::Kind Begin();
+
+  /// In the innermost open array: true when an element follows (start it
+  /// with Begin()), false once the array has closed.
+  bool NextElement();
+
+  /// In the innermost open object: true when a member follows (its name is
+  /// key(); start its value with Begin()), false once the object has closed.
+  bool NextMember();
+
+  /// Finishes the value Begin() returned `kind` for, discarding it.
+  void Skip(JsonValue::Kind kind);
+
+  /// Finishes the value Begin() returned `kind` for into `out`.
+  void Read(JsonValue::Kind kind, JsonValue* out);
+
+  /// Only whitespace may follow the top-level value. Returns status().
+  const Status& End();
+
+  const Status& status() const { return status_; }
+  double number() const { return number_; }
+  bool boolean() const { return boolean_; }
+  /// The last string value read; callers may move it out.
+  std::string& string() { return string_; }
+  const std::string& key() const { return key_; }
+
+ private:
+  // Records the first error, at the current offset; returns false.
+  bool Fail(const std::string& message);
+  void SkipWhitespace();
+  bool Consume(char c);
+  bool ReadKeyword(std::string_view keyword);
+  bool ReadNumber();
+  bool ReadHexQuad(uint32_t* out);
+  bool ReadString(std::string* out);
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  Status status_;
+  // One char per open container, '[' or '{'; its size is the nesting depth.
+  std::string open_;
+  // Whether the innermost container was opened and nothing read from it yet.
+  bool first_ = false;
+  double number_ = 0.0;
+  bool boolean_ = false;
+  std::string string_;
+  std::string key_;
+};
 
 /// Strict RFC 8259 parser for the subset this codebase emits: all value
 /// kinds, string escapes including \uXXXX (BMP code points, encoded back
 /// to UTF-8), and a nesting-depth limit of 256. Trailing garbage after
-/// the top-level value is an error.
+/// the top-level value is an error. A number token is whatever run of
+/// digits, signs, dots and exponent marks follows, read as strtod reads it.
 Result<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace scoded

@@ -1,5 +1,6 @@
 #include "serve/client.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "serve/framing.h"
@@ -87,7 +88,8 @@ Result<size_t> Client::AppendBatch(const std::string& session, const Table& batc
   if (records == nullptr || !records->is_number()) {
     return InternalError("append_batch response lacks a records count");
   }
-  return static_cast<size_t>(records->number);
+  SCODED_ASSIGN_OR_RETURN(int64_t count, JsonInteger(*records, 0, INT64_MAX, "records"));
+  return static_cast<size_t>(count);
 }
 
 Result<JsonValue> Client::Query(const std::string& session) {

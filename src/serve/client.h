@@ -43,7 +43,9 @@ class Client {
                                   const std::vector<ApproximateSc>& constraints,
                                   size_t window);
 
-  /// Streams one batch into a session; returns total ingested records.
+  /// Streams one batch into a session; returns total ingested records. A
+  /// response whose count is not an integer in [0, INT64_MAX] fails with
+  /// kInvalidArgument rather than being cast.
   Result<size_t> AppendBatch(const std::string& session, const Table& batch);
 
   /// Current per-constraint states ("states" array; each carries the

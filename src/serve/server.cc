@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <chrono>
 #include <utility>
 
 #include "constraints/sc.h"
@@ -10,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/render.h"
-#include "serve/wire.h"
 #include "table/csv.h"
 
 namespace scoded::serve {
@@ -52,15 +52,34 @@ Result<double> GetNumberOr(const JsonValue& request, const char* key, double fal
   return member->number;
 }
 
-// Span names must outlive the span, so the router maps each op to a
-// string literal (and rejects unknown ops before any timing starts).
-const char* SpanNameForOp(const std::string& op) {
-  if (op == "ping") return "serve/ping";
-  if (op == "check") return "serve/check";
-  if (op == "open_session") return "serve/open_session";
-  if (op == "append_batch") return "serve/append_batch";
-  if (op == "query") return "serve/query";
-  if (op == "close_session") return "serve/close_session";
+obs::Histogram* LatencyHistogram(const char* op) {
+  std::string name = "serve.request_us.";
+  return obs::Metrics::Global().FindOrCreateHistogram(name.append(op));
+}
+
+// An op the router knows: the span its handler runs under (span names must
+// outlive the span, hence literals) and its request latency histogram.
+struct OpEntry {
+  const char* name;
+  const char* span;
+  obs::Histogram* latency;
+};
+
+// Unknown ops are rejected before any timing is recorded.
+const OpEntry* FindOp(const std::string& op) {
+  static const OpEntry kOps[] = {
+      {"ping", "serve/ping", LatencyHistogram("ping")},
+      {"check", "serve/check", LatencyHistogram("check")},
+      {"open_session", "serve/open_session", LatencyHistogram("open_session")},
+      {"append_batch", "serve/append_batch", LatencyHistogram("append_batch")},
+      {"query", "serve/query", LatencyHistogram("query")},
+      {"close_session", "serve/close_session", LatencyHistogram("close_session")},
+  };
+  for (const OpEntry& entry : kOps) {
+    if (op == entry.name) {
+      return &entry;
+    }
+  }
   return nullptr;
 }
 
@@ -223,19 +242,23 @@ std::string Server::HandleRequest(const std::string& payload) {
   requests->Add();
   obs::Heartbeat("serve.request");
   sessions_.EvictIdle();
-  Result<JsonValue> request = ParseJson(payload);
+  const auto start = std::chrono::steady_clock::now();
+  Result<RequestJson> request = [&] {
+    obs::ScopedSpan span("serve/decode");
+    return ReadRequestJson(payload);
+  }();
   if (!request.ok()) {
     request_errors->Add();
     return ErrorJson(InvalidArgumentError("malformed request JSON: " +
                                           std::string(request.status().message())));
   }
-  Result<std::string> op = GetString(*request, "op");
+  Result<std::string> op = GetString(request->envelope, "op");
   if (!op.ok()) {
     request_errors->Add();
     return ErrorJson(op.status());
   }
-  const char* span_name = SpanNameForOp(*op);
-  if (span_name == nullptr) {
+  const OpEntry* entry = FindOp(*op);
+  if (entry == nullptr) {
     request_errors->Add();
     return ErrorJson(InvalidArgumentError(
         "unknown op '" + *op +
@@ -243,9 +266,12 @@ std::string Server::HandleRequest(const std::string& payload) {
   }
   std::string response;
   {
-    obs::ScopedSpan span(span_name);
+    obs::ScopedSpan span(entry->span);
     response = DispatchOp(*op, *request);
   }
+  entry->latency->Observe(std::chrono::duration_cast<std::chrono::microseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
   // A handled-but-failed request still counts as an error for the gauge
   // wall (the envelope starts {"ok":false,...}).
   if (response.rfind("{\"ok\":false", 0) == 0) {
@@ -254,13 +280,14 @@ std::string Server::HandleRequest(const std::string& payload) {
   return response;
 }
 
-std::string Server::DispatchOp(const std::string& op, const JsonValue& request) {
+std::string Server::DispatchOp(const std::string& op, const RequestJson& request) {
+  const JsonValue& envelope = request.envelope;
   if (op == "ping") return HandlePing();
-  if (op == "check") return HandleCheck(request);
-  if (op == "open_session") return HandleOpenSession(request);
-  if (op == "append_batch") return HandleAppendBatch(request);
-  if (op == "query") return HandleQuery(request);
-  return HandleCloseSession(request);
+  if (op == "check") return HandleCheck(envelope);
+  if (op == "open_session") return HandleOpenSession(envelope);
+  if (op == "append_batch") return HandleAppendBatch(envelope, request.batch);
+  if (op == "query") return HandleQuery(envelope);
+  return HandleCloseSession(envelope);
 }
 
 std::string Server::HandlePing() {
@@ -361,16 +388,11 @@ std::string Server::HandleOpenSession(const JsonValue& request) {
   return json.str();
 }
 
-std::string Server::HandleAppendBatch(const JsonValue& request) {
+std::string Server::HandleAppendBatch(const JsonValue& request, const Result<Table>& batch) {
   Result<std::string> id = GetString(request, "session");
   if (!id.ok()) {
     return ErrorJson(id.status());
   }
-  const JsonValue* batch_json = request.Find("batch");
-  if (batch_json == nullptr) {
-    return ErrorJson(InvalidArgumentError("append_batch needs a batch object"));
-  }
-  Result<Table> batch = ParseBatchJson(*batch_json);
   if (!batch.ok()) {
     return ErrorJson(batch.status());
   }

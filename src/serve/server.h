@@ -15,6 +15,7 @@
 #include "common/result.h"
 #include "serve/framing.h"
 #include "serve/session.h"
+#include "serve/wire.h"
 
 namespace scoded::serve {
 
@@ -79,12 +80,12 @@ class Server {
   void AcceptLoop();
   void HandlerLoop();
   void HandleConnection(net::TcpConn conn);
-  std::string DispatchOp(const std::string& op, const JsonValue& request);
+  std::string DispatchOp(const std::string& op, const RequestJson& request);
 
   std::string HandlePing();
   std::string HandleCheck(const JsonValue& request);
   std::string HandleOpenSession(const JsonValue& request);
-  std::string HandleAppendBatch(const JsonValue& request);
+  std::string HandleAppendBatch(const JsonValue& request, const Result<Table>& batch);
   std::string HandleQuery(const JsonValue& request);
   std::string HandleCloseSession(const JsonValue& request);
 

@@ -29,59 +29,181 @@ Result<double> ParseNonFiniteToken(const std::string& token) {
                               "' (expected nan, inf, or -inf)");
 }
 
-Result<Column> ParseNumericColumn(const JsonValue& column) {
-  const JsonValue* values = column.Find("values");
-  if (values == nullptr || !values->is_array()) {
-    return InvalidArgumentError("numeric column is missing its values array");
-  }
-  std::vector<double> out;
+// How a member the decoder looks for turned up: absent, with the kind its
+// rule needs, or as some other kind.
+enum class Member { kAbsent, kWanted, kOther };
+
+// One column object's members, gathered in the order they arrive. The
+// type rules run on them once the object closes (FinishColumn).
+struct ColumnMembers {
+  Member name = Member::kAbsent;
+  Member type = Member::kAbsent;
+  Member values = Member::kAbsent;
+  Member codes = Member::kAbsent;
+  Member dict = Member::kAbsent;
+  std::string name_text;
+  std::string type_text;
+
+  std::vector<double> numbers;
   std::vector<bool> valid;
-  out.reserve(values->array.size());
-  valid.reserve(values->array.size());
   bool any_null = false;
-  for (const JsonValue& cell : values->array) {
-    if (cell.is_null()) {
-      out.push_back(std::nan(""));
-      valid.push_back(false);
-      any_null = true;
-    } else if (cell.is_number()) {
-      out.push_back(cell.number);
-      valid.push_back(true);
-    } else if (cell.is_string()) {
-      SCODED_ASSIGN_OR_RETURN(double parsed, ParseNonFiniteToken(cell.string_value));
-      out.push_back(parsed);
-      valid.push_back(true);
+  Status values_error;  // the first cell that is no numeric cell
+
+  // Codes in [-1, INT32_MAX], up to the first that no dictionary admits:
+  // a non-integer, or an integer outside that range (a column's codes are
+  // int32, and no frame can carry 2^31 dictionary entries).
+  std::vector<int32_t> code_values;
+  bool bad_code_seen = false;
+  double bad_code = 0.0;  // NaN when it was not a number
+
+  std::vector<std::string> dictionary;
+  bool dictionary_all_strings = true;
+};
+
+void ReadNumericCells(JsonReader& reader, ColumnMembers& column) {
+  while (reader.NextElement()) {
+    JsonValue::Kind kind = reader.Begin();
+    if (kind == JsonValue::Kind::kNumber) {
+      column.numbers.push_back(reader.number());
+      column.valid.push_back(true);
+    } else if (kind == JsonValue::Kind::kNull) {
+      column.numbers.push_back(std::nan(""));
+      column.valid.push_back(false);
+      column.any_null = true;
+    } else if (kind == JsonValue::Kind::kString) {
+      Result<double> parsed = ParseNonFiniteToken(reader.string());
+      if (parsed.ok()) {
+        column.numbers.push_back(*parsed);
+        column.valid.push_back(true);
+      } else if (column.values_error.ok()) {
+        column.values_error = parsed.status();
+      }
     } else {
-      return InvalidArgumentError("numeric cell must be a number, null, or non-finite token");
+      if (column.values_error.ok()) {
+        column.values_error =
+            InvalidArgumentError("numeric cell must be a number, null, or non-finite token");
+      }
+      reader.Skip(kind);
     }
   }
-  return any_null ? Column::NumericWithNulls(std::move(out), std::move(valid))
-                  : Column::Numeric(std::move(out));
 }
 
-Result<Column> ParseCategoricalColumn(const JsonValue& column) {
-  const JsonValue* codes = column.Find("codes");
-  const JsonValue* dict = column.Find("dict");
-  if (codes == nullptr || !codes->is_array() || dict == nullptr || !dict->is_array()) {
-    return InvalidArgumentError("categorical column needs codes and dict arrays");
+void ReadCodes(JsonReader& reader, ColumnMembers& column) {
+  while (reader.NextElement()) {
+    JsonValue::Kind kind = reader.Begin();
+    if (!column.bad_code_seen) {
+      double x = kind == JsonValue::Kind::kNumber ? reader.number() : std::nan("");
+      if (x >= -1.0 && x <= static_cast<double>(INT32_MAX) && std::trunc(x) == x) {
+        column.code_values.push_back(static_cast<int32_t>(x));
+      } else {
+        column.bad_code_seen = true;
+        column.bad_code = x;
+      }
+    }
+    reader.Skip(kind);
   }
-  std::vector<std::string> dictionary;
-  dictionary.reserve(dict->array.size());
-  for (const JsonValue& entry : dict->array) {
-    if (!entry.is_string()) {
+}
+
+void ReadDictionary(JsonReader& reader, ColumnMembers& column) {
+  while (reader.NextElement()) {
+    JsonValue::Kind kind = reader.Begin();
+    if (kind == JsonValue::Kind::kString) {
+      column.dictionary.push_back(std::move(reader.string()));
+    } else {
+      column.dictionary_all_strings = false;
+      reader.Skip(kind);
+    }
+  }
+}
+
+// Reads the value of one member of a column object; reader.key() names it.
+void ReadColumnMember(JsonReader& reader, ColumnMembers& column) {
+  const std::string& key = reader.key();
+  Member* seen = key == "name"     ? &column.name
+                 : key == "type"   ? &column.type
+                 : key == "values" ? &column.values
+                 : key == "codes"  ? &column.codes
+                 : key == "dict"   ? &column.dict
+                                   : nullptr;
+  const bool text = seen == &column.name || seen == &column.type;
+  JsonValue::Kind kind = reader.Begin();
+  if (seen == nullptr || *seen != Member::kAbsent) {
+    reader.Skip(kind);
+    return;
+  }
+  if (kind != (text ? JsonValue::Kind::kString : JsonValue::Kind::kArray)) {
+    *seen = Member::kOther;
+    reader.Skip(kind);
+    return;
+  }
+  *seen = Member::kWanted;
+  if (seen == &column.name) {
+    column.name_text = std::move(reader.string());
+  } else if (seen == &column.type) {
+    column.type_text = std::move(reader.string());
+  } else if (seen == &column.values) {
+    ReadNumericCells(reader, column);
+  } else if (seen == &column.codes) {
+    ReadCodes(reader, column);
+  } else {
+    ReadDictionary(reader, column);
+  }
+}
+
+// The type rules, checked in a fixed order whatever order the members came in.
+Result<Column> FinishColumn(ColumnMembers& column) {
+  if (column.name != Member::kWanted || column.type != Member::kWanted) {
+    return InvalidArgumentError("batch columns need string name and type members");
+  }
+  if (column.type_text == "numeric") {
+    if (column.values != Member::kWanted) {
+      return InvalidArgumentError("numeric column is missing its values array");
+    }
+    SCODED_RETURN_IF_ERROR(column.values_error);
+    return column.any_null
+               ? Column::NumericWithNulls(std::move(column.numbers), std::move(column.valid))
+               : Column::Numeric(std::move(column.numbers));
+  }
+  if (column.type_text == "categorical") {
+    if (column.codes != Member::kWanted || column.dict != Member::kWanted) {
+      return InvalidArgumentError("categorical column needs codes and dict arrays");
+    }
+    if (!column.dictionary_all_strings) {
       return InvalidArgumentError("categorical dictionary entries must be strings");
     }
-    dictionary.push_back(entry.string_value);
+    const int64_t top = static_cast<int64_t>(column.dictionary.size()) - 1;
+    for (int32_t code : column.code_values) {
+      if (code > top) {
+        return JsonInteger(code, -1, top, "categorical code").status();
+      }
+    }
+    if (column.bad_code_seen) {
+      return JsonInteger(column.bad_code, -1, top, "categorical code").status();
+    }
+    return Column::CategoricalFromCodes(std::move(column.code_values),
+                                        std::move(column.dictionary));
   }
-  std::vector<int32_t> out;
-  out.reserve(codes->array.size());
-  for (const JsonValue& cell : codes->array) {
-    SCODED_ASSIGN_OR_RETURN(int64_t code,
-                            JsonInteger(cell, -1, static_cast<int64_t>(dictionary.size()) - 1,
-                                        "categorical code"));
-    out.push_back(static_cast<int32_t>(code));
+  return InvalidArgumentError("unknown column type '" + column.type_text + "'");
+}
+
+// Reads one element of the columns array into `builder`, or into `error`
+// the first rule it breaks.
+void ReadColumn(JsonReader& reader, TableBuilder& builder, Status& error) {
+  ColumnMembers members;
+  JsonValue::Kind kind = reader.Begin();
+  if (kind == JsonValue::Kind::kObject) {
+    while (reader.NextMember()) {
+      ReadColumnMember(reader, members);
+    }
+  } else {
+    reader.Skip(kind);
   }
-  return Column::CategoricalFromCodes(std::move(out), std::move(dictionary));
+  Result<Column> column = FinishColumn(members);
+  if (column.ok()) {
+    builder.AddColumn(std::move(members.name_text), std::move(column).value());
+  } else {
+    error = column.status();
+  }
 }
 
 // Cell arrays cross the wire as their in-memory bytes.
@@ -405,40 +527,79 @@ void WriteBatchJson(const Table& batch, JsonWriter& json) {
   json.EndObject();
 }
 
-Result<Table> ParseBatchJson(const JsonValue& value) {
-  if (!value.is_object()) {
+Result<Table> ReadBatchJson(JsonReader& reader) {
+  JsonValue::Kind kind = reader.Begin();
+  if (kind != JsonValue::Kind::kObject) {
+    reader.Skip(kind);
     return InvalidArgumentError("batch must be an object");
   }
-  const JsonValue* columns = value.Find("columns");
-  if (columns == nullptr || !columns->is_array()) {
+  Member columns = Member::kAbsent;
+  Member rows = Member::kAbsent;
+  double rows_value = 0.0;
+  TableBuilder builder;
+  Status column_error;
+  while (reader.NextMember()) {
+    const bool first_columns = columns == Member::kAbsent && reader.key() == "columns";
+    const bool first_rows = rows == Member::kAbsent && reader.key() == "rows";
+    JsonValue::Kind member = reader.Begin();
+    if (first_columns && member == JsonValue::Kind::kArray) {
+      columns = Member::kWanted;
+      while (reader.NextElement()) {
+        if (column_error.ok()) {
+          ReadColumn(reader, builder, column_error);
+        } else {
+          reader.Skip(reader.Begin());  // past the first bad column only the syntax matters
+        }
+      }
+      continue;
+    }
+    if (first_columns) {
+      columns = Member::kOther;
+    } else if (first_rows) {
+      rows = member == JsonValue::Kind::kNumber ? Member::kWanted : Member::kOther;
+      rows_value = reader.number();
+    }
+    reader.Skip(member);
+  }
+  if (columns != Member::kWanted) {
     return InvalidArgumentError("batch is missing its columns array");
   }
-  TableBuilder builder;
-  for (const JsonValue& column : columns->array) {
-    const JsonValue* name = column.Find("name");
-    const JsonValue* type = column.Find("type");
-    if (name == nullptr || !name->is_string() || type == nullptr || !type->is_string()) {
-      return InvalidArgumentError("batch columns need string name and type members");
-    }
-    if (type->string_value == "numeric") {
-      SCODED_ASSIGN_OR_RETURN(Column parsed, ParseNumericColumn(column));
-      builder.AddColumn(name->string_value, std::move(parsed));
-    } else if (type->string_value == "categorical") {
-      SCODED_ASSIGN_OR_RETURN(Column parsed, ParseCategoricalColumn(column));
-      builder.AddColumn(name->string_value, std::move(parsed));
-    } else {
-      return InvalidArgumentError("unknown column type '" + type->string_value + "'");
-    }
-  }
+  SCODED_RETURN_IF_ERROR(column_error);
   SCODED_ASSIGN_OR_RETURN(Table batch, std::move(builder).Build());
-  const JsonValue* rows = value.Find("rows");
-  if (rows != nullptr && rows->is_number()) {
-    SCODED_ASSIGN_OR_RETURN(int64_t count, JsonInteger(*rows, 0, INT64_MAX, "batch rows"));
+  if (rows == Member::kWanted) {
+    SCODED_ASSIGN_OR_RETURN(int64_t count, JsonInteger(rows_value, 0, INT64_MAX, "batch rows"));
     if (static_cast<uint64_t>(count) != batch.NumRows()) {
       return InvalidArgumentError("batch rows field disagrees with its column lengths");
     }
   }
   return batch;
+}
+
+Result<RequestJson> ReadRequestJson(std::string_view payload) {
+  JsonReader reader(payload);
+  RequestJson request;
+  JsonValue::Kind kind = reader.Begin();
+  if (kind != JsonValue::Kind::kObject) {
+    reader.Read(kind, &request.envelope);
+  } else {
+    request.envelope.kind = kind;
+    bool batch_read = false;
+    while (reader.NextMember()) {
+      if (reader.key() != "batch") {
+        std::string name = reader.key();
+        JsonValue value;
+        reader.Read(reader.Begin(), &value);
+        request.envelope.object.emplace_back(std::move(name), std::move(value));
+      } else if (!batch_read) {
+        batch_read = true;
+        request.batch = ReadBatchJson(reader);
+      } else {
+        reader.Skip(reader.Begin());  // a repeat: the first one counts
+      }
+    }
+  }
+  SCODED_RETURN_IF_ERROR(reader.End());
+  return request;
 }
 
 }  // namespace scoded::serve

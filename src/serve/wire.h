@@ -23,7 +23,8 @@ namespace scoded::serve {
 /// session's statistics match a local `scoded monitor` run to the last
 /// bit. Concretely:
 ///  * numeric cells travel at %.17g (JsonWriter::DoubleFull), which
-///    round-trips every finite double through strtod; non-finite values
+///    round-trips every finite double through strtod, and JsonReader
+///    parses it back to the same bits; non-finite values
 ///    travel as the strings "nan"/"inf"/"-inf"; nulls as JSON null;
 ///  * categorical columns travel as dictionary codes plus the dictionary
 ///    itself, preserving code assignment and first-appearance order
@@ -44,8 +45,38 @@ Result<Table> EmptyTableForSchema(const Schema& schema);
 ///   {"rows": N, "columns": [{"name", "type", ...payload}, ...]}
 void WriteBatchJson(const Table& batch, JsonWriter& json);
 
-/// Parses the object produced by WriteBatchJson back into a Table.
-Result<Table> ParseBatchJson(const JsonValue& value);
+/// Reads one batch value, as WriteBatchJson writes it, from `reader`
+/// straight into column storage, with no DOM. The whole value is read in
+/// one pass whatever it holds, in any member order; the first of a
+/// repeated key counts (as with JsonValue::Find), and unknown members and
+/// members a column's type does not use are read and ignored. A JSON
+/// syntax error stops the read and is left in reader.status(), which the
+/// caller checks first: the result means nothing then. Otherwise the
+/// result is the table, or the first rule the batch breaks:
+///  * the batch must be an object with a `columns` array;
+///  * column by column, once each column object closes: string `name` and
+///    `type`; a numeric column's `values` array of numbers, nulls and the
+///    non-finite tokens; a categorical column's `codes` and `dict` arrays,
+///    dictionary entries that are strings and codes that are integers in
+///    [-1, dict size - 1] (JsonInteger's rule);
+///  * equal column lengths, then a numeric `rows`, if there is one, equal
+///    to them.
+Result<Table> ReadBatchJson(JsonReader& reader);
+
+/// One request as the daemon reads it, in one pass over its text.
+struct RequestJson {
+  /// The request with every top-level member but "batch", as ParseJson
+  /// would give it.
+  JsonValue envelope;
+  /// The first top-level "batch" member, read by ReadBatchJson. Its error,
+  /// or this one when the request has no batch, is for the append_batch
+  /// handler to report; other ops ignore it.
+  Result<Table> batch = InvalidArgumentError("append_batch needs a batch object");
+};
+
+/// Reads a request payload. Fails only on a JSON syntax error, with the
+/// status ParseJson gives for the same text.
+Result<RequestJson> ReadRequestJson(std::string_view payload);
 
 /// Binary form of PairwiseShardSummary snapshots: the body of a worker's
 /// summarize reply (distributed/worker.h). Every value is a fixed-width

@@ -2,7 +2,10 @@
 // the JSON parser they rely on, and an end-to-end check that the CLI's
 // --stats/--trace-out surface real numbers.
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -296,6 +300,26 @@ TEST(JsonParserTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("1.2.3").ok());
 }
 
+TEST(JsonParserTest, NestingLimitIsReportedWhereTheValueWouldStart) {
+  // A value inside 257 containers is too deep. The offset is where the
+  // value would start: after a member's colon, or after the whitespace
+  // behind an array's opening bracket.
+  std::string text;
+  for (int depth = 0; depth < 257; ++depth) {
+    text += R"({"a": )";
+  }
+  Result<JsonValue> parsed = ParseJson(text + "1");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(), "JSON parse error at offset 1541: nesting too deep");
+  std::string array(257, '[');
+  parsed = ParseJson(array + " 1");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(), "JSON parse error at offset 258: nesting too deep");
+  // 256 containers, or 257 with nothing in the innermost, are fine.
+  EXPECT_TRUE(ParseJson(std::string(256, '[') + "1" + std::string(256, ']')).ok());
+  EXPECT_TRUE(ParseJson(array + std::string(257, ']')).ok());
+}
+
 TEST(JsonParserTest, WriterOutputParsesBack) {
   JsonWriter json;
   json.BeginObject();
@@ -382,6 +406,111 @@ TEST(JsonParserTest, DoubleFullRoundTripsExactValues) {
     ASSERT_TRUE(parsed.ok()) << json.str();
     EXPECT_EQ(parsed->number, value) << json.str();
     EXPECT_EQ(std::signbit(parsed->number), std::signbit(value)) << json.str();
+  }
+}
+
+// JsonWriter's numbers are exactly the printf / to_string text, and
+// ParseJson's are exactly strtod's value, whatever conversion runs inside.
+
+std::string Printf(const char* format, double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), format, value);
+  return buffer;
+}
+
+TEST(JsonNumberTest, WriterNumbersAreThePrintfText) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                5e-324,
+                                DBL_MAX,
+                                1e15 - 1,
+                                -(1e15 - 1),
+                                1e15,
+                                -1e15,
+                                1e12 - 1,
+                                -1e12,
+                                9007199254740992.0 - 1,
+                                9007199254740992.0,
+                                9007199254740992.0 + 2,
+                                1e17,
+                                0.1,
+                                1.0 / 3.0,
+                                123456789012.5,
+                                41000};
+  Rng rng(1234567);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(std::bit_cast<double>(static_cast<uint64_t>(rng.engine()())));
+  }
+  for (int i = 0; i < 20000; ++i) {
+    // Integers around both integral bounds, and short decimals.
+    values.push_back(static_cast<double>(rng.UniformInt(-2000000000000000, 2000000000000000)));
+    values.push_back(static_cast<double>(rng.UniformInt(-2000000000000, 2000000000000)));
+    values.push_back(static_cast<double>(rng.UniformInt(-100000, 100000)) / 100.0);
+  }
+  int mismatches = 0;
+  for (double value : values) {
+    if (!std::isfinite(value)) {
+      continue;
+    }
+    JsonWriter full;
+    full.DoubleFull(value);
+    JsonWriter general;
+    general.Double(value);
+    if (full.str() != Printf("%.17g", value) || general.str() != Printf("%.12g", value)) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << Printf("%a", value) << ": " << full.str() << " / " << general.str();
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+
+  std::vector<int64_t> integers = {0, -1, INT64_MIN, INT64_MAX, 999999999999999};
+  for (int i = 0; i < 1000; ++i) {
+    integers.push_back(static_cast<int64_t>(rng.engine()()));
+  }
+  for (int64_t value : integers) {
+    JsonWriter json;
+    json.Int(value).Uint(static_cast<uint64_t>(value));
+    EXPECT_EQ(json.str(),
+              std::to_string(value) + "," + std::to_string(static_cast<uint64_t>(value)));
+  }
+}
+
+TEST(JsonNumberTest, ParsedNumbersAreStrtodsBits) {
+  std::vector<std::string> tokens = {"+5",  "01",     ".5",     "5.",   "-0",     "1e400",
+                                     "-1e400", "1e-400", "0.1", "5e-324", "2.2250738585072011e-308",
+                                     "1.7976931348623157e308", "9007199254740993", "1e23",
+                                     "-2E-3", "123456789012345678901234567890", "0", "-0.0"};
+  Rng rng(7654321);
+  for (int i = 0; i < 20000; ++i) {
+    double value = std::bit_cast<double>(static_cast<uint64_t>(rng.engine()()));
+    if (std::isfinite(value)) {
+      tokens.push_back(Printf("%.17g", value));
+      tokens.push_back(Printf("%.12g", value));
+      tokens.push_back(Printf("%.3e", value));
+    }
+  }
+  for (const std::string& token : tokens) {
+    Result<JsonValue> parsed = ParseJson(token);
+    ASSERT_TRUE(parsed.ok()) << token << ": " << parsed.status().ToString();
+    ASSERT_TRUE(parsed->is_number()) << token;
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed->number),
+              std::bit_cast<uint64_t>(std::strtod(token.c_str(), nullptr)))
+        << token;
+  }
+  // A token is the whole run of number characters, and strtod must take
+  // all of it.
+  const std::pair<const char*, const char*> errors[] = {
+      {"1.2.3", "JSON parse error at offset 5: invalid number '1.2.3'"},
+      {"-", "JSON parse error at offset 1: invalid number '-'"},
+      {"[1e5-3]", "JSON parse error at offset 6: invalid number '1e5-3'"},
+      {"[.]", "JSON parse error at offset 2: invalid number '.'"},
+      {"[x]", "JSON parse error at offset 1: invalid value"},
+  };
+  for (const auto& [text, message] : errors) {
+    Result<JsonValue> parsed = ParseJson(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().message(), message) << text;
   }
 }
 

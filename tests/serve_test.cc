@@ -6,13 +6,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +29,8 @@
 #include "constraints/sc.h"
 #include "core/scoded.h"
 #include "core/stream_monitor.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/framing.h"
 #include "serve/render.h"
@@ -175,6 +180,158 @@ TEST(FramingTest, DistinguishesCleanEofFromTruncation) {
 }
 
 // ---------------------------------------------------------------------------
+// The DOM batch decoder the daemon ran before serve::ReadBatchJson: the
+// oracle the one-pass decoder must agree with, rule for rule.
+
+Result<double> OracleNonFiniteToken(const std::string& token) {
+  if (token == "nan") {
+    return std::nan("");
+  }
+  if (token == "inf") {
+    return HUGE_VAL;
+  }
+  if (token == "-inf") {
+    return -HUGE_VAL;
+  }
+  return InvalidArgumentError("unknown numeric token '" + token +
+                              "' (expected nan, inf, or -inf)");
+}
+
+Result<Column> OracleNumericColumn(const JsonValue& column) {
+  const JsonValue* values = column.Find("values");
+  if (values == nullptr || !values->is_array()) {
+    return InvalidArgumentError("numeric column is missing its values array");
+  }
+  std::vector<double> out;
+  std::vector<bool> valid;
+  bool any_null = false;
+  for (const JsonValue& cell : values->array) {
+    if (cell.is_null()) {
+      out.push_back(std::nan(""));
+      valid.push_back(false);
+      any_null = true;
+    } else if (cell.is_number()) {
+      out.push_back(cell.number);
+      valid.push_back(true);
+    } else if (cell.is_string()) {
+      Result<double> parsed = OracleNonFiniteToken(cell.string_value);
+      if (!parsed.ok()) {
+        return parsed.status();
+      }
+      out.push_back(*parsed);
+      valid.push_back(true);
+    } else {
+      return InvalidArgumentError("numeric cell must be a number, null, or non-finite token");
+    }
+  }
+  return any_null ? Column::NumericWithNulls(std::move(out), std::move(valid))
+                  : Column::Numeric(std::move(out));
+}
+
+Result<Column> OracleCategoricalColumn(const JsonValue& column) {
+  const JsonValue* codes = column.Find("codes");
+  const JsonValue* dict = column.Find("dict");
+  if (codes == nullptr || !codes->is_array() || dict == nullptr || !dict->is_array()) {
+    return InvalidArgumentError("categorical column needs codes and dict arrays");
+  }
+  std::vector<std::string> dictionary;
+  for (const JsonValue& entry : dict->array) {
+    if (!entry.is_string()) {
+      return InvalidArgumentError("categorical dictionary entries must be strings");
+    }
+    dictionary.push_back(entry.string_value);
+  }
+  std::vector<int32_t> out;
+  for (const JsonValue& cell : codes->array) {
+    Result<int64_t> code =
+        JsonInteger(cell, -1, static_cast<int64_t>(dictionary.size()) - 1, "categorical code");
+    if (!code.ok()) {
+      return code.status();
+    }
+    out.push_back(static_cast<int32_t>(*code));
+  }
+  return Column::CategoricalFromCodes(std::move(out), std::move(dictionary));
+}
+
+Result<Table> OracleParseBatchJson(const JsonValue& value) {
+  if (!value.is_object()) {
+    return InvalidArgumentError("batch must be an object");
+  }
+  const JsonValue* columns = value.Find("columns");
+  if (columns == nullptr || !columns->is_array()) {
+    return InvalidArgumentError("batch is missing its columns array");
+  }
+  TableBuilder builder;
+  for (const JsonValue& column : columns->array) {
+    const JsonValue* name = column.Find("name");
+    const JsonValue* type = column.Find("type");
+    if (name == nullptr || !name->is_string() || type == nullptr || !type->is_string()) {
+      return InvalidArgumentError("batch columns need string name and type members");
+    }
+    Result<Column> parsed = InvalidArgumentError("unknown column type '" + type->string_value + "'");
+    if (type->string_value == "numeric") {
+      parsed = OracleNumericColumn(column);
+    } else if (type->string_value == "categorical") {
+      parsed = OracleCategoricalColumn(column);
+    }
+    if (!parsed.ok()) {
+      return parsed.status();
+    }
+    builder.AddColumn(name->string_value, std::move(parsed).value());
+  }
+  Result<Table> batch = std::move(builder).Build();
+  if (!batch.ok()) {
+    return batch.status();
+  }
+  const JsonValue* rows = value.Find("rows");
+  if (rows != nullptr && rows->is_number()) {
+    Result<int64_t> count = JsonInteger(*rows, 0, INT64_MAX, "batch rows");
+    if (!count.ok()) {
+      return count.status();
+    }
+    if (static_cast<uint64_t>(*count) != batch->NumRows()) {
+      return InvalidArgumentError("batch rows field disagrees with its column lengths");
+    }
+  }
+  return batch;
+}
+
+// Reads `text` as one batch value with serve::ReadBatchJson; a syntax error
+// fails the test.
+Result<Table> DecodeBatch(const std::string& text) {
+  JsonReader reader(text);
+  Result<Table> batch = serve::ReadBatchJson(reader);
+  Status syntax = reader.End();
+  EXPECT_TRUE(syntax.ok()) << syntax.ToString() << " in " << text;
+  return syntax.ok() ? std::move(batch) : Result<Table>(syntax);
+}
+
+// Names, types, null masks, value bits, codes and dictionaries agree.
+void ExpectSameTableBits(const Table& got, const Table& want, const std::string& context) {
+  ASSERT_EQ(got.NumColumns(), want.NumColumns()) << context;
+  ASSERT_EQ(got.NumRows(), want.NumRows()) << context;
+  for (size_t c = 0; c < want.NumColumns(); ++c) {
+    ASSERT_EQ(got.schema().field(c).name, want.schema().field(c).name) << context;
+    const Column& g = got.column(c);
+    const Column& w = want.column(c);
+    ASSERT_EQ(g.type(), w.type()) << context;
+    for (size_t row = 0; row < w.size(); ++row) {
+      ASSERT_EQ(g.IsNull(row), w.IsNull(row)) << context << " column " << c << " row " << row;
+      if (w.type() == ColumnType::kNumeric) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(g.NumericAt(row)),
+                  std::bit_cast<uint64_t>(w.NumericAt(row)))
+            << context << " column " << c << " row " << row;
+      } else {
+        ASSERT_EQ(g.CodeAt(row), w.CodeAt(row)) << context << " column " << c << " row " << row;
+      }
+    }
+    if (w.type() == ColumnType::kCategorical) {
+      ASSERT_EQ(g.dictionary(), w.dictionary()) << context << " column " << c;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Wire encoding: schema and batch round trips must be exact.
 
 TEST(WireTest, SchemaRoundTrips) {
@@ -207,8 +364,16 @@ TEST(WireTest, BatchRoundTripIsBitExact) {
 
   JsonWriter json;
   serve::WriteBatchJson(*table, json);
-  Result<Table> back = serve::ParseBatchJson(MustParse(json.str()));
+  // The wire text byte for byte, as the snprintf-based writer produced it.
+  EXPECT_EQ(json.str(),
+            R"({"rows":9,"columns":[{"name":"x","type":"numeric","values":[0.10000000000000001,)"
+            R"(0.33333333333333331,-0,4.9406564584124654e-324,1e+308,"nan","inf","-inf",null]},)"
+            R"({"name":"c","type":"categorical","codes":[0,1,0,2,1,0,2,2,0],"dict":["a","b","c"]}]})");
+  Result<Table> back = DecodeBatch(json.str());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
+  Result<Table> oracle = OracleParseBatchJson(MustParse(json.str()));
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ExpectSameTableBits(*back, *oracle, "round trip");
   ASSERT_EQ(back->NumRows(), table->NumRows());
   ASSERT_EQ(back->NumColumns(), table->NumColumns());
 
@@ -240,17 +405,19 @@ TEST(WireTest, NonIntegralOrOutOfRangeNumbersAreInvalidArgument) {
   // Wire numbers are doubles: each must be an exact integer in range
   // before it is cast.
   auto batch = [](const std::string& rows, const std::string& code) {
-    return MustParse(R"({"rows":)" + rows +
-                     R"(,"columns":[{"name":"c","type":"categorical","codes":[0,)" + code +
-                     R"(],"dict":["a","b"]}]})");
+    return DecodeBatch(R"({"rows":)" + rows +
+                       R"(,"columns":[{"name":"c","type":"categorical","codes":[0,)" + code +
+                       R"(],"dict":["a","b"]}]})");
   };
-  EXPECT_TRUE(serve::ParseBatchJson(batch("2", "1")).ok());
-  EXPECT_EQ(serve::ParseBatchJson(batch("2", "1e300")).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(serve::ParseBatchJson(batch("2", "0.5")).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(serve::ParseBatchJson(batch("-1", "1")).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(batch("2", "1").ok());
+  for (const char* code : {"1e300", "0.5", "2", "-2", "2147483648", "1e400"}) {
+    Result<Table> decoded = batch("2", code);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << code;
+    EXPECT_EQ(decoded.status().message(), "categorical code must be an integer in [-1, 1]")
+        << code;
+  }
+  EXPECT_EQ(batch("-1", "1").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(batch("2.5", "1").status().code(), StatusCode::kInvalidArgument);
 
   // Summary specs travel as binary i64 columns: one that is not a column
   // index (negative, or past INT32_MAX) is rejected, not cast.
@@ -542,6 +709,36 @@ TEST(ServeRouterTest, RejectsMalformedRequests) {
   }
 }
 
+TEST(ServeRouterTest, LatencyHistogramCountsEachOpsRequests) {
+  auto count = [](const char* op) {
+    return obs::Metrics::Global()
+        .FindOrCreateHistogram(std::string("serve.request_us.") + op)
+        ->Count();
+  };
+  const int64_t pings = count("ping");
+  const int64_t queries = count("query");
+  const int64_t appends = count("append_batch");
+  serve::Server server;
+  for (int i = 0; i < 3; ++i) {
+    server.HandleRequest(R"({"op":"ping"})");
+  }
+  // A request its handler refuses is timed too; one with no op to name
+  // (malformed, or an unknown op) is not.
+  server.HandleRequest(R"({"op":"query","session":"s999"})");
+  server.HandleRequest(R"({"op":"query"})");
+  server.HandleRequest("not json");
+  server.HandleRequest(R"({"op":"launch_missiles"})");
+  EXPECT_EQ(count("ping") - pings, 3);
+  EXPECT_EQ(count("query") - queries, 2);
+  EXPECT_EQ(count("append_batch") - appends, 0);
+#if !defined(SCODED_OBS_DISABLED)
+  // Exported on /metrics as a Prometheus histogram.
+  std::string text = obs::RenderGlobalPrometheusText();
+  EXPECT_NE(text.find("serve_request_us_ping_count"), std::string::npos);
+  EXPECT_NE(text.find("serve_request_us_query_bucket"), std::string::npos);
+#endif
+}
+
 TEST(ServeRouterTest, OpenSessionValidatesWindowAndConstraints) {
   serve::Server server;
   // Build a valid open_session, then poison one member at a time.
@@ -701,6 +898,579 @@ TEST(ServeParityTest, StreamedSessionMatchesLocalMonitor) {
 }
 
 // ---------------------------------------------------------------------------
+// Request decoding: the daemon reads a request in one pass, the batch with
+// no DOM, and must answer exactly what the DOM decoder made it answer.
+
+// BatchRoundTripIsBitExact's awkward cells, with a second column of each
+// type so the table can feed a monitor.
+Table AwkwardTable() {
+  const double inf = std::numeric_limits<double>::infinity();
+  Result<Table> table =
+      std::move(TableBuilder()
+                    .AddNumericWithNulls("x",
+                                         {0.1, 1.0 / 3.0, -0.0, 5e-324, 1e308,
+                                          std::numeric_limits<double>::quiet_NaN(), inf, -inf,
+                                          0.0},
+                                         {true, true, true, true, true, true, true, true, false})
+                    .AddNumeric("y", {1, 2, 3, 4, 5, 6, 7, 8, 9})
+                    .AddCategorical("c", {"a", "b", "a", "c", "b", "a", "c", "c", "a"})
+                    .AddCategorical("d", {"u", "v/w", "u", "v/w", "\"q\"", "u", "u", "v/w", "u"}))
+          .Build();
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return std::move(table).value();
+}
+
+// gate_tall's shape: four low-cardinality categoricals and two small
+// integer columns.
+Table GateTallShapedTable(size_t rows, uint64_t seed) {
+  const char* const regions[] = {"north", "south", "east", "west", "centre"};
+  const char* const channels[] = {"web", "store", "phone"};
+  Rng rng(seed);
+  std::vector<std::string> region, channel, product, tier;
+  std::vector<double> qty, band;
+  for (size_t i = 0; i < rows; ++i) {
+    region.push_back(regions[rng.UniformInt(0, 4)]);
+    channel.push_back(channels[rng.UniformInt(0, 2)]);
+    product.push_back("P" + std::to_string(rng.UniformInt(0, 11)));
+    tier.push_back(rng.Bernoulli(0.5) ? "gold" : "silver");
+    qty.push_back(static_cast<double>(rng.UniformInt(1, 20)));
+    band.push_back(static_cast<double>(rng.UniformInt(0, 9)));
+  }
+  Result<Table> table = std::move(TableBuilder()
+                                      .AddCategorical("Region", region)
+                                      .AddCategorical("Channel", channel)
+                                      .AddCategorical("Product", product)
+                                      .AddCategorical("Tier", tier)
+                                      .AddNumeric("Qty", std::move(qty))
+                                      .AddNumeric("Band", std::move(band)))
+                            .Build();
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return std::move(table).value();
+}
+
+std::string AppendRequest(const std::string& session, const Table& batch) {
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("op").String("append_batch");
+  json.Key("session").String(session);
+  json.Key("batch");
+  serve::WriteBatchJson(batch, json);
+  json.EndObject();
+  return json.str();
+}
+
+// Writes a DOM back as JSON text. With `noise`, some ASCII characters of
+// every string and key go out as \u escapes (or "\/"), which decode to the
+// same bytes, and whitespace appears between some tokens.
+void WriteJsonText(const JsonValue& value, Rng* noise, std::string* out) {
+  auto space = [&] {
+    if (noise != nullptr && noise->Bernoulli(0.1)) {
+      *out += " \n\t\r"[noise->UniformInt(0, 3)];
+    }
+  };
+  auto string = [&](const std::string& text) {
+    out->push_back('"');
+    for (char c : text) {
+      unsigned char byte = static_cast<unsigned char>(c);
+      if (c == '"' || c == '\\') {
+        out->push_back('\\');
+        out->push_back(c);
+      } else if (c == '/' && noise != nullptr && noise->Bernoulli(0.5)) {
+        *out += "\\/";
+      } else if (byte < 0x20 || (byte < 0x80 && noise != nullptr && noise->Bernoulli(0.2))) {
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x", byte);
+        *out += buffer;
+      } else {
+        out->push_back(c);
+      }
+    }
+    out->push_back('"');
+  };
+  switch (value.kind) {
+    case JsonValue::Kind::kNull:
+      *out += "null";
+      break;
+    case JsonValue::Kind::kBool:
+      *out += value.bool_value ? "true" : "false";
+      break;
+    case JsonValue::Kind::kNumber:
+      if (std::isfinite(value.number)) {
+        JsonWriter number;
+        number.DoubleFull(value.number);
+        *out += number.str();
+      } else {
+        *out += value.number > 0 ? "1e400" : "-1e400";
+      }
+      break;
+    case JsonValue::Kind::kString:
+      string(value.string_value);
+      break;
+    case JsonValue::Kind::kArray:
+      out->push_back('[');
+      for (size_t i = 0; i < value.array.size(); ++i) {
+        *out += i > 0 ? "," : "";
+        space();
+        WriteJsonText(value.array[i], noise, out);
+        space();
+      }
+      out->push_back(']');
+      break;
+    case JsonValue::Kind::kObject:
+      out->push_back('{');
+      for (size_t i = 0; i < value.object.size(); ++i) {
+        *out += i > 0 ? "," : "";
+        space();
+        string(value.object[i].first);
+        space();
+        out->push_back(':');
+        space();
+        WriteJsonText(value.object[i].second, noise, out);
+        space();
+      }
+      out->push_back('}');
+      break;
+  }
+}
+
+void CollectNodes(JsonValue& value, bool containers, std::vector<JsonValue*>* out) {
+  if (value.is_array() || value.is_object()) {
+    if (containers) {
+      out->push_back(&value);
+    }
+    for (JsonValue& element : value.array) {
+      CollectNodes(element, containers, out);
+    }
+    for (auto& member : value.object) {
+      CollectNodes(member.second, containers, out);
+    }
+  } else if (!containers) {
+    out->push_back(&value);
+  }
+}
+
+JsonValue RandomJsonValue(Rng& rng, int depth) {
+  static const double numbers[] = {0,    -1,    1,      2,    2.5,   3,      -0.0, 1e300,
+                                   -2,   1e15,  5e-324, 0.5,  12,    2147483648.0, 1e-300};
+  static const char* const strings[] = {"nan",  "inf", "-inf", "NaN", "numeric", "categorical",
+                                        "",     "a",   "x",    "c",   "Region",  "bogus"};
+  static const char* const keys[] = {"op",   "session", "batch", "rows",  "columns", "name",
+                                     "type", "values",  "codes", "dict",  "extra"};
+  JsonValue value;
+  switch (rng.UniformInt(0, depth >= 2 ? 3 : 5)) {
+    case 0:
+      break;
+    case 1:
+      value.kind = JsonValue::Kind::kBool;
+      value.bool_value = rng.Bernoulli(0.5);
+      break;
+    case 2:
+      value.kind = JsonValue::Kind::kNumber;
+      value.number = numbers[rng.UniformInt(0, std::size(numbers) - 1)];
+      break;
+    case 3:
+      value.kind = JsonValue::Kind::kString;
+      value.string_value = strings[rng.UniformInt(0, std::size(strings) - 1)];
+      break;
+    case 4:
+      value.kind = JsonValue::Kind::kArray;
+      for (int64_t n = rng.UniformInt(0, 3); n > 0; --n) {
+        value.array.push_back(RandomJsonValue(rng, depth + 1));
+      }
+      break;
+    default:
+      value.kind = JsonValue::Kind::kObject;
+      for (int64_t n = rng.UniformInt(0, 2); n > 0; --n) {
+        value.object.emplace_back(keys[rng.UniformInt(0, std::size(keys) - 1)],
+                                  RandomJsonValue(rng, depth + 1));
+      }
+      break;
+  }
+  return value;
+}
+
+// One structural mutation of `request`, mostly inside its batch: reorder,
+// duplicate, add, drop or replace members and elements, or give a leaf an
+// edge value.
+void MutateRequestDom(JsonValue& request, Rng& rng) {
+  JsonValue* root = &request;
+  for (auto& [key, value] : request.object) {
+    if (key == "batch") {
+      root = rng.Bernoulli(0.85) ? &value : root;
+      break;
+    }
+  }
+  int64_t kind = rng.UniformInt(0, 6);
+  std::vector<JsonValue*> nodes;
+  CollectNodes(*root, /*containers=*/kind < 5, &nodes);
+  if (nodes.empty()) {
+    return;
+  }
+  JsonValue& node = *nodes[rng.UniformInt(0, static_cast<int64_t>(nodes.size()) - 1)];
+  const int64_t size = static_cast<int64_t>(node.is_object() ? node.object.size() : node.array.size());
+  auto pick = [&](int64_t n) { return static_cast<size_t>(rng.UniformInt(0, n - 1)); };
+  switch (kind) {
+    case 0:  // reorder
+      rng.Shuffle(node.object);
+      rng.Shuffle(node.array);
+      break;
+    case 1:  // duplicate, before or after, sometimes with another value
+      if (size > 0) {
+        size_t from = pick(size);
+        size_t to = pick(size + 1);
+        if (node.is_object()) {
+          auto copy = node.object[from];
+          if (rng.Bernoulli(0.5)) {
+            copy.second = RandomJsonValue(rng, 0);
+          }
+          node.object.insert(node.object.begin() + static_cast<ptrdiff_t>(to), copy);
+        } else {
+          JsonValue copy = node.array[from];
+          node.array.insert(node.array.begin() + static_cast<ptrdiff_t>(to), copy);
+        }
+      }
+      break;
+    case 2:  // an unknown or extra member or element
+      if (node.is_object()) {
+        node.object.insert(node.object.begin() + static_cast<ptrdiff_t>(pick(size + 1)),
+                           {rng.Bernoulli(0.5) ? "unknown" : "values", RandomJsonValue(rng, 0)});
+      } else {
+        node.array.insert(node.array.begin() + static_cast<ptrdiff_t>(pick(size + 1)),
+                          RandomJsonValue(rng, 0));
+      }
+      break;
+    case 3:  // a missing member or element
+      if (size > 0 && node.is_object()) {
+        node.object.erase(node.object.begin() + static_cast<ptrdiff_t>(pick(size)));
+      } else if (size > 0) {
+        node.array.erase(node.array.begin() + static_cast<ptrdiff_t>(pick(size)));
+      }
+      break;
+    case 4:  // another kind of value, nested ones included
+      if (size > 0 && node.is_object()) {
+        node.object[pick(size)].second = RandomJsonValue(rng, 0);
+      } else if (size > 0) {
+        node.array[pick(size)] = RandomJsonValue(rng, 0);
+      }
+      break;
+    default: {  // an edge leaf: a code or cell out of range, a token, a type name
+      JsonValue edge = RandomJsonValue(rng, 2);
+      if (node.is_number() && edge.is_number()) {
+        node.number = rng.Bernoulli(0.5) ? edge.number : node.number + 1;
+      } else {
+        node = edge;
+      }
+      break;
+    }
+  }
+}
+
+// Byte-level mutations the DOM cannot express: flipped bits, and number
+// spellings that are valid, out of range or not JSON at all.
+void MutateRequestText(std::string& text, Rng& rng) {
+  static const char* const tokens[] = {"1e400", "-1e400", "+5", "01", ".5", "5.", "-0",
+                                       "1e-400", "1.2.3", "-", "NaN", "Infinity", "1e5-3"};
+  if (rng.Bernoulli(0.5)) {
+    for (int64_t n = rng.UniformInt(1, 3); n > 0; --n) {
+      size_t at = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(text.size()) - 1));
+      text[at] = static_cast<char>(text[at] ^ (1 << rng.UniformInt(0, 7)));
+    }
+    return;
+  }
+  std::vector<size_t> starts;
+  for (size_t i = 1; i < text.size(); ++i) {
+    bool digit = text[i] >= '0' && text[i] <= '9';
+    if (digit && (text[i - 1] == ',' || text[i - 1] == '[' || text[i - 1] == ':')) {
+      starts.push_back(i);
+    }
+  }
+  if (starts.empty()) {
+    return;
+  }
+  size_t at = starts[rng.UniformInt(0, static_cast<int64_t>(starts.size()) - 1)];
+  size_t end = at;
+  while (end < text.size() && text[end] != ',' && text[end] != ']' && text[end] != '}') {
+    ++end;
+  }
+  text.replace(at, end - at, tokens[rng.UniformInt(0, std::size(tokens) - 1)]);
+}
+
+// What the daemon answers, reduced to the members the comparison reads.
+struct Answer {
+  bool ok = false;
+  std::string code;
+  std::string message;
+  double records = -1;
+};
+
+Answer AnswerOf(const JsonValue& response) {
+  Answer answer;
+  answer.ok = ResponseOk(response);
+  answer.code = ResponseCode(response);
+  if (const JsonValue* message = response.Find("message"); message != nullptr) {
+    answer.message = message->string_value;
+  }
+  if (const JsonValue* records = response.Find("records"); records != nullptr) {
+    answer.records = records->number;
+  }
+  return answer;
+}
+
+Answer ErrorAnswer(const Status& status) {
+  return {false, std::string(StatusCodeToString(status.code())), std::string(status.message()),
+          -1};
+}
+
+// The answer the DOM decoder gave `payload` before the one-pass reader,
+// worked out with the oracle and `mirrors` (a local StreamMonitor per open
+// session, fed the same batches). Empty for an op other than append_batch.
+std::optional<Answer> OracleAnswer(serve::Server& server,
+                                   std::map<std::string, StreamMonitor>& mirrors,
+                                   const std::string& payload) {
+  Result<JsonValue> request = ParseJson(payload);
+  if (!request.ok()) {
+    return ErrorAnswer(InvalidArgumentError("malformed request JSON: " +
+                                            std::string(request.status().message())));
+  }
+  const JsonValue* op = request->Find("op");
+  if (op == nullptr || !op->is_string()) {
+    return ErrorAnswer(InvalidArgumentError("request needs a string 'op' member"));
+  }
+  if (op->string_value != "append_batch") {
+    return std::nullopt;
+  }
+  const JsonValue* session = request->Find("session");
+  if (session == nullptr || !session->is_string()) {
+    return ErrorAnswer(InvalidArgumentError("request needs a string 'session' member"));
+  }
+  const JsonValue* batch_json = request->Find("batch");
+  if (batch_json == nullptr) {
+    return ErrorAnswer(InvalidArgumentError("append_batch needs a batch object"));
+  }
+  Result<Table> batch = OracleParseBatchJson(*batch_json);
+  if (!batch.ok()) {
+    return ErrorAnswer(batch.status());
+  }
+  auto mirror = mirrors.find(session->string_value);
+  if (mirror == mirrors.end()) {
+    // The lookup failure, as the session table words it.
+    JsonWriter query;
+    query.BeginObject().Key("op").String("query").Key("session").String(session->string_value);
+    query.EndObject();
+    return AnswerOf(MustParse(server.HandleRequest(query.str())));
+  }
+  if (Status appended = mirror->second.Append(*batch); !appended.ok()) {
+    return ErrorAnswer(appended);
+  }
+  return Answer{true, "", "", static_cast<double>(mirror->second.NumRecords())};
+}
+
+// Checks one payload three ways: the request reader against ParseJson and
+// the oracle (syntax status, envelope, batch status or bits), then the
+// daemon's answer against the oracle's. Returns whether the batch decoded.
+bool ExpectDecodersAgree(serve::Server& server, std::map<std::string, StreamMonitor>& mirrors,
+                         const std::string& payload) {
+  const std::string context = "payload: " + payload;
+  Result<JsonValue> dom = ParseJson(payload);
+  Result<serve::RequestJson> read = serve::ReadRequestJson(payload);
+  EXPECT_EQ(read.status().code(), dom.status().code()) << context;
+  EXPECT_EQ(read.status().message(), dom.status().message()) << context;
+  bool decoded = false;
+  if (dom.ok() && read.ok()) {
+    JsonValue envelope = *dom;
+    std::erase_if(envelope.object, [](const auto& member) { return member.first == "batch"; });
+    std::string want_envelope;
+    std::string got_envelope;
+    WriteJsonText(envelope, nullptr, &want_envelope);
+    WriteJsonText(read->envelope, nullptr, &got_envelope);
+    EXPECT_EQ(got_envelope, want_envelope) << context;
+    const JsonValue* batch_json = dom->Find("batch");
+    Result<Table> want = batch_json == nullptr
+                             ? Result<Table>(InvalidArgumentError("append_batch needs a batch object"))
+                             : OracleParseBatchJson(*batch_json);
+    EXPECT_EQ(read->batch.status().code(), want.status().code()) << context;
+    EXPECT_EQ(read->batch.status().message(), want.status().message()) << context;
+    if (want.ok() && read->batch.ok()) {
+      ExpectSameTableBits(*read->batch, *want, context);
+      decoded = true;
+    }
+  }
+  std::optional<Answer> want = OracleAnswer(server, mirrors, payload);
+  Answer got = AnswerOf(MustParse(server.HandleRequest(payload)));
+  if (want.has_value()) {
+    EXPECT_EQ(got.ok, want->ok) << context;
+    EXPECT_EQ(got.code, want->code) << context;
+    EXPECT_EQ(got.message, want->message) << context;
+    EXPECT_EQ(got.records, want->records) << context;
+  }
+  return decoded;
+}
+
+TEST(ServeDecodeTest, OnePassDecoderAnswersLikeTheDomDecoder) {
+  serve::Server server;
+  std::map<std::string, StreamMonitor> mirrors;
+  std::vector<std::string> bases;
+  auto open = [&](const Table& table, const std::vector<ApproximateSc>& constraints) {
+    JsonWriter json;
+    json.BeginObject();
+    json.Key("op").String("open_session");
+    json.Key("schema");
+    serve::WriteSchemaJson(table.schema(), json);
+    json.Key("constraints").BeginArray();
+    for (const ApproximateSc& asc : constraints) {
+      json.BeginObject().Key("sc").String(asc.sc.ToString()).Key("alpha").DoubleFull(asc.alpha);
+      json.EndObject();
+    }
+    json.EndArray().EndObject();
+    JsonValue opened = MustParse(server.HandleRequest(json.str()));
+    ASSERT_TRUE(ResponseOk(opened)) << json.str();
+    std::string id = opened.Find("session")->string_value;
+    Result<Table> prototype = serve::EmptyTableForSchema(table.schema());
+    ASSERT_TRUE(prototype.ok());
+    Result<StreamMonitor> mirror = StreamMonitor::Create(*prototype, constraints);
+    ASSERT_TRUE(mirror.ok()) << mirror.status().ToString();
+    mirrors.emplace(id, std::move(mirror).value());
+    bases.push_back(AppendRequest(id, table));
+  };
+  ASSERT_NO_FATAL_FAILURE(open(CarsTable(), {MustConstraint("Price !_||_ Mileage", 0.3),
+                                             MustConstraint("Model _||_ Color", 0.05)}));
+  ASSERT_NO_FATAL_FAILURE(open(AwkwardTable(), {MustConstraint("x !_||_ y", 0.05),
+                                                MustConstraint("c _||_ d", 0.05)}));
+  ASSERT_NO_FATAL_FAILURE(
+      open(GateTallShapedTable(64, 9), {MustConstraint("Region _||_ Channel", 0.01),
+                                        MustConstraint("Tier _||_ Product | Region", 0.01),
+                                        MustConstraint("Qty _||_ Band", 0.05)}));
+
+  // Every base request, then each cut at every byte offset.
+  for (const std::string& base : bases) {
+    EXPECT_TRUE(ExpectDecodersAgree(server, mirrors, base));
+    for (size_t size = 0; size < base.size(); ++size) {
+      ExpectDecodersAgree(server, mirrors, base.substr(0, size));
+    }
+  }
+
+  // Corners the random mutations seldom reach: the rows member, the depth
+  // limit inside a cell array, repeated keys and requests of other shapes.
+  const std::string& cars = bases[0];
+  const std::string head = cars.substr(0, cars.find(R"("batch":)") + 8);
+  const std::string columns = cars.substr(cars.find(R"("columns":)"));  // to the end
+  std::vector<std::string> corners = {
+      "[]", "5", R"("append_batch")", R"({"op":"append_batch"})",
+      std::string(300, '['),
+      head + R"({"rows":2.5,)" + columns,
+      head + R"({"rows":-1,)" + columns,
+      head + R"({"rows":1e300,)" + columns,
+      head + R"({"rows":"12",)" + columns,
+      head + R"({"rows":13,)" + columns,
+      head + R"({"rows":12,"rows":13,)" + columns,
+      head + R"({"rows":13,"rows":12,)" + columns,
+      head + R"({"columns":7,)" + columns,
+      head + R"({"columns":[],)" + columns,
+      head + R"({)" + columns.substr(0, columns.size() - 2) + R"(,"columns":7}})",
+      cars.substr(0, cars.size() - 1) + R"(,"batch":{"columns":7}})",
+      R"({"batch":{"columns":7},)" + cars.substr(1),
+      head + R"({"columns":[{"name":"Model","name":5,"type":"categorical","codes":[],"dict":[]}]}})",
+      head + R"({"columns":[{"name":5,"name":"Model","type":"categorical","codes":[],"dict":[]}]}})",
+      head + R"({"columns":[{"type":"numeric","type":"categorical","name":"Price","values":[1]}]}})",
+      head + R"({"columns":[{"name":"Model","type":"categorical","codes":[0,-1,0],"dict":["a","a"]}]}})",
+      head + R"({"columns":[{"name":"Model","type":"categorical","codes":[1,"x"],"dict":["a"]}]}})",
+      head + R"({"columns":[{"name":"Model","type":"categorical","codes":["x",1],"dict":["a"]}]}})",
+      head + R"({"columns":[{"name":"Model","type":"categorical","codes":[2147483648],"dict":[1]}]}})",
+  };
+  for (size_t depth = 250; depth <= 256; ++depth) {
+    std::string nested;
+    for (size_t d = 0; d < depth; ++d) {
+      nested += d % 2 == 0 ? "[ " : R"({"a": )";
+    }
+    for (size_t d = depth; d > 0; --d) {
+      nested += d % 2 == 1 ? "]" : "}";
+    }
+    corners.push_back(head + R"({"columns":[{"name":"Price","type":"numeric","values":[)" +
+                      nested + "]}]}}");
+  }
+  for (const std::string& corner : corners) {
+    ExpectDecodersAgree(server, mirrors, corner);
+  }
+
+  Rng rng(20261019);
+  int decoded = 0;
+  const int kMutations = 2400;
+  for (int iteration = 0; iteration < kMutations; ++iteration) {
+    const std::string& base = bases[static_cast<size_t>(iteration) % bases.size()];
+    JsonValue request = MustParse(base);
+    for (int64_t n = rng.UniformInt(1, 3); n > 0; --n) {
+      MutateRequestDom(request, rng);
+    }
+    std::string payload;
+    WriteJsonText(request, rng.Bernoulli(0.3) ? &rng : nullptr, &payload);
+    if (rng.Bernoulli(0.25)) {
+      MutateRequestText(payload, rng);
+    }
+    decoded += ExpectDecodersAgree(server, mirrors, payload) ? 1 : 0;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(decoded, kMutations / 10);
+  EXPECT_LT(decoded, kMutations - kMutations / 10);
+
+  // The sessions hold what the mirrors hold, to the bit.
+  for (auto& [id, mirror] : mirrors) {
+    JsonValue queried =
+        MustParse(server.HandleRequest(R"({"op":"query","session":")" + id + R"("})"));
+    ASSERT_TRUE(ResponseOk(queried));
+    std::vector<StreamMonitor::ConstraintState> states = mirror.States();
+    const JsonValue* remote = queried.Find("states");
+    ASSERT_EQ(remote->array.size(), states.size());
+    for (size_t i = 0; i < states.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(remote->array[i].Find("p_value")->number),
+                std::bit_cast<uint64_t>(states[i].p_value));
+      EXPECT_EQ(remote->array[i].Find("line")->string_value,
+                serve::MonitorStateLine(states[i]));
+    }
+    EXPECT_EQ(queried.Find("records")->number, static_cast<double>(mirror.NumRecords()));
+  }
+}
+
+TEST(ServeDecodeTest, AppendErrorsKeepTheirOrder) {
+  serve::Server server;
+  JsonValue opened = MustParse(server.HandleRequest(
+      std::string(R"({"op":"open_session","schema":)") + [] {
+        JsonWriter json;
+        serve::WriteSchemaJson(CarsTable().schema(), json);
+        return json.str();
+      }() + R"(,"constraints":[{"sc":"Model _||_ Color"}]})"));
+  ASSERT_TRUE(ResponseOk(opened));
+  const std::string id = opened.Find("session")->string_value;
+  struct Case {
+    std::string payload;
+    std::string message;
+  };
+  const std::string bad_batch = R"("batch":{"columns":7})";
+  const Case cases[] = {
+      // The session member is checked before the batch, and the batch
+      // before the lookup, wherever the members stand.
+      {R"({"op":"append_batch",)" + bad_batch + "}", "request needs a string 'session' member"},
+      {R"({)" + bad_batch + R"(,"op":"append_batch","session":"nope"})",
+       "batch is missing its columns array"},
+      {R"({"op":"append_batch","session":"nope"})", "append_batch needs a batch object"},
+      {R"({"op":"append_batch","session":"nope","batch":{"columns":[]}})",
+       "unknown session 'nope'"},
+      // A syntax error anywhere, the batch included, is the request's.
+      {R"({"op":"append_batch","session":")" + id + R"(","batch":{"columns":[1,]}})",
+       "malformed request JSON: JSON parse error at offset " +
+           std::to_string(std::string(R"({"op":"append_batch","session":"",)").size() +
+                          id.size() + std::string(R"("batch":{"columns":[1,)").size()) +
+           ": invalid value"},
+      // Other ops ignore a batch, even one that breaks every rule.
+      {R"({"batch":[],"op":"query","session":"nope"})", "unknown session 'nope'"},
+  };
+  for (const Case& c : cases) {
+    JsonValue response = MustParse(server.HandleRequest(c.payload));
+    EXPECT_FALSE(ResponseOk(response)) << c.payload;
+    EXPECT_EQ(response.Find("message")->string_value, c.message) << c.payload;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Session table policy.
 
 TEST(ServeSessionTest, BackpressureAtMaxSessions) {
@@ -835,6 +1605,39 @@ TEST(ServeClientTest, EndToEndRoundTrip) {
 
   server.Stop();
   EXPECT_FALSE(server.running());
+}
+
+TEST(ServeClientTest, RecordsCountThatIsNotACountIsATypedError) {
+  // A fake daemon answers each append with one crafted frame. The count
+  // is a double on the wire: -1 and 1e300 have no size_t, and 2.5 is not a
+  // count; none may be cast.
+  Result<TcpListener> listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const std::string replies[] = {R"({"ok":true,"records":-1})", R"({"ok":true,"records":1e300})",
+                                 R"({"ok":true,"records":2.5})", R"({"ok":true,"records":12})"};
+  std::thread daemon([&] {
+    Result<TcpConn> conn = listener->Accept();
+    if (!conn.ok()) {
+      return;
+    }
+    for (const std::string& reply : replies) {
+      if (!serve::ReadFrame(*conn).ok() || !serve::WriteFrame(*conn, reply).ok()) {
+        return;
+      }
+    }
+  });
+  Result<serve::Client> client = serve::Client::Connect(listener->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Table table = CarsTable();
+  for (int i = 0; i < 3; ++i) {
+    Result<size_t> records = client->AppendBatch("s1", table);
+    ASSERT_FALSE(records.ok()) << replies[i];
+    EXPECT_EQ(records.status().code(), StatusCode::kInvalidArgument) << replies[i];
+  }
+  Result<size_t> records = client->AppendBatch("s1", table);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_EQ(*records, 12u);
+  daemon.join();
 }
 
 TEST(ServeClientTest, StopDropsLiveConnectionsAndSessions) {
