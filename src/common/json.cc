@@ -3,7 +3,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
+
+#include "common/string_util.h"
 
 namespace scoded {
 
@@ -447,7 +449,8 @@ bool JsonReader::ReadNumber() {
   Consume('-');
   const size_t digits = pos_;
   // Up to 15 digits and nothing else is an integer below 10^15, exact as a
-  // double: the codes and integer cells a batch is mostly made of.
+  // double. Categorical codes are such tokens, and adding them up is cheaper
+  // than from_chars.
   int64_t integer = 0;
   while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9' &&
          pos_ - digits < 15) {
@@ -467,21 +470,13 @@ bool JsonReader::ReadNumber() {
   if (pos_ == start) {
     return Fail("invalid value");
   }
-  // from_chars rounds exactly like strtod but refuses some spellings strtod
-  // takes ("+5", "1e400"), so an error, an unread tail or a non-finite
-  // result goes to strtod, as in ParseDouble.
-  const char* first = text_.data() + start;
-  const char* last = text_.data() + pos_;
-  auto [ptr, ec] = std::from_chars(first, last, number_);
-  if (ec == std::errc() && ptr == last && std::isfinite(number_)) {
-    return true;
+  // The token holds no whitespace, so ParseDouble reads it as strtod does.
+  std::string_view token = text_.substr(start, pos_ - start);
+  std::optional<double> value = ParseDouble(token);
+  if (!value) {
+    return Fail(std::string("invalid number '").append(token).append("'"));
   }
-  std::string token(first, last);
-  char* end = nullptr;
-  number_ = std::strtod(token.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    return Fail("invalid number '" + token + "'");
-  }
+  number_ = *value;
   return true;
 }
 

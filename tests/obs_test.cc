@@ -480,7 +480,11 @@ TEST(JsonNumberTest, ParsedNumbersAreStrtodsBits) {
   std::vector<std::string> tokens = {"+5",  "01",     ".5",     "5.",   "-0",     "1e400",
                                      "-1e400", "1e-400", "0.1", "5e-324", "2.2250738585072011e-308",
                                      "1.7976931348623157e308", "9007199254740993", "1e23",
-                                     "-2E-3", "123456789012345678901234567890", "0", "-0.0"};
+                                     "-2E-3", "123456789012345678901234567890", "0", "-0.0",
+                                     // Around the reader's 15-digit integer path.
+                                     "999999999999999", "-999999999999999", "1000000000000000",
+                                     "-1000000000000000", "000000000000000001", "123456789012345e2",
+                                     "12345678901234.5", "7e0"};
   Rng rng(7654321);
   for (int i = 0; i < 20000; ++i) {
     double value = std::bit_cast<double>(static_cast<uint64_t>(rng.engine()()));
@@ -489,6 +493,14 @@ TEST(JsonNumberTest, ParsedNumbersAreStrtodsBits) {
       tokens.push_back(Printf("%.12g", value));
       tokens.push_back(Printf("%.3e", value));
     }
+    // An integer of 1 to 18 digits.
+    const uint64_t digits = 1 + rng.engine()() % 18;
+    uint64_t bound = 1;
+    for (uint64_t d = 0; d < digits; ++d) {
+      bound *= 10;
+    }
+    const int64_t integer = static_cast<int64_t>(rng.engine()() % bound);
+    tokens.push_back(std::to_string(i % 2 == 0 ? integer : -integer));
   }
   for (const std::string& token : tokens) {
     Result<JsonValue> parsed = ParseJson(token);

@@ -1615,8 +1615,11 @@ TEST(ServeClientTest, RecordsCountThatIsNotACountIsATypedError) {
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   const std::string replies[] = {R"({"ok":true,"records":-1})", R"({"ok":true,"records":1e300})",
                                  R"({"ok":true,"records":2.5})", R"({"ok":true,"records":12})"};
-  std::thread daemon([&] {
-    Result<TcpConn> conn = listener->Accept();
+  // A jthread joins on every exit, a failed ASSERT's early return too: the
+  // client below closes its connection first, which ends the reply loop,
+  // and the accept deadline ends a daemon no client ever dialled.
+  std::jthread daemon([&] {
+    Result<TcpConn> conn = listener->AcceptWithTimeout(10000);
     if (!conn.ok()) {
       return;
     }
@@ -1637,7 +1640,6 @@ TEST(ServeClientTest, RecordsCountThatIsNotACountIsATypedError) {
   Result<size_t> records = client->AppendBatch("s1", table);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   EXPECT_EQ(*records, 12u);
-  daemon.join();
 }
 
 TEST(ServeClientTest, StopDropsLiveConnectionsAndSessions) {
