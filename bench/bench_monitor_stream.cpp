@@ -1,14 +1,19 @@
 // Streaming-monitor scaling bench — per-append cost of the numeric (tau)
 // monitor path.
 //
-// The claim under test: the logarithmic-block concordance index makes
+// The claim under test: the logarithmic-run concordance index makes
 // appends amortised O(log^2 n), so per-append cost is near-flat from 10k
 // to 100k rows (ratio <= 2x), where the seed's pair-scan append grows
-// linearly (~10x from 5k to 50k). The committed baseline JSON feeds the
-// benchdiff regression gate; the scaling ratios are recorded as values.
+// linearly (~10x from 5k to 50k). Rows arrive one by one or, as from
+// `scoded monitor`, the serve daemon and e2ebench, in 1024-row batches,
+// each of which enters the index as one sorted run. The committed
+// baseline JSON feeds the benchdiff regression gate; the scaling ratios
+// are recorded as values.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -51,6 +56,37 @@ double IndexedAppendNs(size_t total) {
     for (size_t i = 0; i < total; ++i) {
       double v = rng.Normal();
       (void)monitor.AppendNumeric(v, v + rng.Normal(0.0, 0.5));
+    }
+    return Ms(start) * 1e6 / static_cast<double>(total);
+  });
+}
+
+// Appends `total` correlated rows as 1024-row table batches, the way
+// `scoded monitor`, the serve daemon and e2ebench feed a monitor, and
+// returns ns per row. The batches are built before the clock starts.
+double BatchedAppendNs(size_t total) {
+  constexpr size_t kBatchRows = 1024;
+  Rng rng(7);
+  std::vector<Table> batches;
+  for (size_t start = 0; start < total; start += kBatchRows) {
+    std::vector<double> x;
+    std::vector<double> y;
+    for (size_t i = start; i < std::min(total, start + kBatchRows); ++i) {
+      double v = rng.Normal();
+      x.push_back(v);
+      y.push_back(v + rng.Normal(0.0, 0.5));
+    }
+    TableBuilder builder;
+    builder.AddNumeric("x", std::move(x));
+    builder.AddNumeric("y", std::move(y));
+    batches.push_back(std::move(builder).Build().value());
+  }
+  return bench::BestOf(kReps, [total, &batches] {
+    ApproximateSc asc{ParseConstraint("x !_||_ y").value(), 0.3};
+    ScMonitor monitor = ScMonitor::Create(NumericPrototype(), asc).value();
+    auto start = std::chrono::steady_clock::now();
+    for (const Table& batch : batches) {
+      (void)monitor.Append(batch);
     }
     return Ms(start) * 1e6 / static_cast<double>(total);
   });
@@ -103,6 +139,20 @@ int main() {
     bench::RecordValue("index_append_ratio_10x_rows", ratio);
   }
 
+  bench::PrintTitle("tau appends in 1024-row batches (10k vs 100k)");
+  {
+    double ns_10k = BatchedAppendNs(10000);
+    double ns_100k = BatchedAppendNs(100000);
+    double ratio = ns_100k / ns_10k;
+    std::printf("%-12s %-16s\n", "rows", "append(ns/row)");
+    std::printf("%-12d %-16.0f\n", 10000, ns_10k);
+    std::printf("%-12d %-16.0f\n", 100000, ns_100k);
+    std::printf("per-row growth 10k -> 100k: %.2fx\n", ratio);
+    bench::RecordValue("batch_append_ns_10k", ns_10k);
+    bench::RecordValue("batch_append_ns_100k", ns_100k);
+    bench::RecordValue("batch_append_ratio_10x_rows", ratio);
+  }
+
   bench::PrintTitle("tau appends via pair scan, the seed behaviour (5k vs 50k)");
   {
     double ns_5k = NaiveAppendNs(5000);
@@ -140,7 +190,7 @@ int main() {
     Rng rng(11);
     ConcordanceIndex index;
     for (size_t i = 0; i < 100000; ++i) {
-      index.Insert(rng.Normal(), rng.Normal());
+      (void)index.InsertAndScore(rng.Normal(), rng.Normal());
     }
     double bytes_per_point =
         static_cast<double>(index.IndexBytes()) / static_cast<double>(index.size());

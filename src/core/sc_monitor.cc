@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/kendall.h"
+#include "stats/ranks.h"
 #include "stats/simd.h"
 
 namespace scoded {
@@ -15,33 +16,17 @@ namespace {
 
 double XLogX(double t) { return t > 0.0 ? t * std::log(t) : 0.0; }
 
-// Contribution of one tie group of size t to the three τ-variance sums.
-void TieTerms(double t, double* t1, double* t2, double* t3) {
-  *t1 = t * (t - 1.0);
-  *t2 = t * (t - 1.0) * (t - 2.0);
-  *t3 = t * (t - 1.0) * (2.0 * t + 5.0);
-}
-
-// Adds (+1) or removes (-1) one occurrence of `value` from a tie-group
-// map, keeping the three τ-variance sums in step.
-void BumpTieGroup(std::unordered_map<double, int64_t>& counts, double value, int direction,
-                  double* t1, double* t2, double* t3) {
-  int64_t& count = counts[value];
-  double o1;
-  double o2;
-  double o3;
-  TieTerms(static_cast<double>(count), &o1, &o2, &o3);
-  *t1 -= o1;
-  *t2 -= o2;
-  *t3 -= o3;
+// Adds (+1) or removes (-1) one occurrence of `value` from a window's
+// tie groups, keeping the three τ-variance sums in step.
+void BumpTieGroup(std::unordered_map<uint64_t, int64_t>& counts, TieSums& sums, double value,
+                  int direction) {
+  const uint64_t key = NanAwareKey(value);
+  int64_t& count = counts[key];
+  SCODED_CHECK(count + direction >= 0);
+  sums.Resize(count, count + direction);
   count += direction;
-  SCODED_CHECK(count >= 0);
-  TieTerms(static_cast<double>(count), &o1, &o2, &o3);
-  *t1 += o1;
-  *t2 += o2;
-  *t3 += o3;
   if (count == 0) {
-    counts.erase(value);
+    counts.erase(key);
   }
 }
 
@@ -131,6 +116,13 @@ Status ScMonitor::Append(const Table& batch) {
   const Column& yc = batch.column(static_cast<size_t>(bound.y));
   const size_t live_before = live_rows_;
   size_t null_rows = 0;
+  // Unbounded τ strata take their rows of the batch as one run each.
+  struct StratumRows {
+    std::vector<double> xs;
+    std::vector<double> ys;
+  };
+  const bool batch_runs = is_tau_ && monitor_options_.window == 0;
+  std::unordered_map<Stratum*, StratumRows> pending;
   for (size_t i = 0; i < batch.NumRows(); ++i) {
     ++records_;
     if (xc.IsNull(i) || yc.IsNull(i)) {
@@ -146,13 +138,22 @@ Status ScMonitor::Append(const Table& batch) {
       key.push_back('\x1f');
     }
     Stratum& stratum = StratumFor(key);
-    if (is_tau_) {
-      AddNumericPair(stratum, xc.NumericAt(i), yc.NumericAt(i));
+    if (batch_runs) {
+      StratumRows& rows = pending[&stratum];
+      rows.xs.push_back(xc.NumericAt(i));
+      rows.ys.push_back(yc.NumericAt(i));
+    } else if (is_tau_) {
+      const double x = xc.NumericAt(i);
+      const double y = yc.NumericAt(i);
+      AddNumericPairs(stratum, &x, &y, 1);
     } else {
       auto [xit, xi] = x_dict_.emplace(xc.CategoryAt(i), static_cast<int32_t>(x_dict_.size()));
       auto [yit, yi] = y_dict_.emplace(yc.CategoryAt(i), static_cast<int32_t>(y_dict_.size()));
       AddCategoricalCodes(stratum, xit->second, yit->second);
     }
+  }
+  for (auto& [stratum, rows] : pending) {
+    AddNumericPairs(*stratum, rows.xs.data(), rows.ys.data(), rows.xs.size());
   }
   CountAppend(live_before, batch.NumRows() - null_rows, null_rows);
   return OkStatus();
@@ -167,7 +168,7 @@ Status ScMonitor::AppendNumeric(double x, double y) {
   }
   ++records_;
   const size_t live_before = live_rows_;
-  AddNumericPair(StratumFor(""), x, y);
+  AddNumericPairs(StratumFor(""), &x, &y, 1);
   CountAppend(live_before, 1, 0);
   return OkStatus();
 }
@@ -207,30 +208,32 @@ void ScMonitor::AddCategoricalCodes(Stratum& stratum, int32_t x, int32_t y) {
   }
 }
 
-void ScMonitor::AddNumericPair(Stratum& stratum, double x, double y) {
+void ScMonitor::AddNumericPairs(Stratum& stratum, const double* xs, const double* ys, size_t n) {
   if (monitor_options_.window == 0) {
-    // On-line Algorithm 2: quadrant counts against everything already
-    // indexed give the S increment in amortised O(log^2 n_stratum).
-    stratum.s += stratum.index.InsertAndScore(x, y);
-  } else {
+    // On-line Algorithm 2: the index scores the rows against everything
+    // already indexed and against each other in amortised O(log^2 n).
+    stratum.s += stratum.index.Append(xs, ys, n);
+    stratum.pairs += static_cast<int64_t>(n);
+    live_rows_ += n;
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
     // Bounded-memory mode: exact pair scan against the live window (the
     // signed sum is exactly Σ PairWeight).
     int64_t s = 0;
     int64_t nonzero = 0;
-    simd::PairSignScan(stratum.window.x_data(), stratum.window.y_data(), stratum.window.size(), x,
-                       y, &s, &nonzero);
+    simd::PairSignScan(stratum.window.x_data(), stratum.window.y_data(), stratum.window.size(),
+                       xs[i], ys[i], &s, &nonzero);
     stratum.s += s;
-    stratum.window.push_back(x, y);
-  }
-  BumpTieGroup(stratum.x_counts, x, +1, &stratum.x_t1, &stratum.x_t2, &stratum.x_t3);
-  BumpTieGroup(stratum.y_counts, y, +1, &stratum.y_t1, &stratum.y_t2, &stratum.y_t3);
-  ++stratum.pairs;
-  ++live_rows_;
-  if (monitor_options_.window > 0) {
+    stratum.window.push_back(xs[i], ys[i]);
+    BumpTieGroup(stratum.x_ties.counts, stratum.x_ties.sums, xs[i], +1);
+    BumpTieGroup(stratum.y_ties.counts, stratum.y_ties.sums, ys[i], +1);
+    ++stratum.pairs;
+    ++live_rows_;
     FifoEntry entry;
     entry.stratum = &stratum;
-    entry.x = x;
-    entry.y = y;
+    entry.x = xs[i];
+    entry.y = ys[i];
     fifo_.push_back(entry);
     EvictIfFull();
   }
@@ -251,16 +254,16 @@ void ScMonitor::EvictOldest() {
     // Per-stratum windows preserve arrival order, so the globally oldest
     // observation is the front of its stratum's deque.
     SCODED_CHECK(!stratum.window.empty());
-    SCODED_CHECK(stratum.window.front_x() == entry.x &&
-                 stratum.window.front_y() == entry.y);
+    SCODED_CHECK(NanAwareEqual(stratum.window.front_x(), entry.x) &&
+                 NanAwareEqual(stratum.window.front_y(), entry.y));
     stratum.window.pop_front();
     int64_t s = 0;
     int64_t nonzero = 0;
     simd::PairSignScan(stratum.window.x_data(), stratum.window.y_data(), stratum.window.size(),
                        entry.x, entry.y, &s, &nonzero);
     stratum.s -= s;
-    BumpTieGroup(stratum.x_counts, entry.x, -1, &stratum.x_t1, &stratum.x_t2, &stratum.x_t3);
-    BumpTieGroup(stratum.y_counts, entry.y, -1, &stratum.y_t1, &stratum.y_t2, &stratum.y_t3);
+    BumpTieGroup(stratum.x_ties.counts, stratum.x_ties.sums, entry.x, -1);
+    BumpTieGroup(stratum.y_ties.counts, stratum.y_ties.sums, entry.y, -1);
     --stratum.pairs;
   } else {
     BumpMarginal(stratum.row_marginal, entry.x_code, -1, &stratum.sum_f_rows);
@@ -328,11 +331,14 @@ double ScMonitor::CurrentPValue() const {
         continue;
       }
       total_s += static_cast<double>(stratum.s);
+      const bool windowed = monitor_options_.window > 0;
+      const TieSums& xt = windowed ? stratum.x_ties.sums : stratum.index.x_ties();
+      const TieSums& yt = windowed ? stratum.y_ties.sums : stratum.index.y_ties();
       double v0 = n * (n - 1.0) * (2.0 * n + 5.0);
-      double var = (v0 - stratum.x_t3 - stratum.y_t3) / 18.0;
-      var += stratum.x_t1 * stratum.y_t1 / (2.0 * n * (n - 1.0));
+      double var = (v0 - xt.t3 - yt.t3) / 18.0;
+      var += xt.t1 * yt.t1 / (2.0 * n * (n - 1.0));
       if (n > 2.0) {
-        var += stratum.x_t2 * stratum.y_t2 / (9.0 * n * (n - 1.0) * (n - 2.0));
+        var += xt.t2 * yt.t2 / (9.0 * n * (n - 1.0) * (n - 2.0));
       }
       total_var += std::max(0.0, var);
     }

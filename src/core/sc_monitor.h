@@ -20,7 +20,8 @@ namespace scoded {
 /// Per-monitor streaming policy.
 struct MonitorOptions {
   /// 0 (default): unbounded — the monitor keeps its full stream state and
-  /// numeric appends cost amortised O(log^2 n) via the ConcordanceIndex.
+  /// numeric appends cost amortised O(log^2 n) via the ConcordanceIndex,
+  /// each stratum's non-null rows of a batch entering it as one run.
   /// W > 0: bounded memory — only the W most recent non-null observations
   /// (FIFO across strata) contribute to the statistic; evicted rows are
   /// unwound exactly (pair weights, tie groups, contingency cells), and
@@ -42,8 +43,15 @@ struct MonitorOptions {
 ///  * numeric pairs: the stratum's S = n_c − n_d updated in amortised
 ///    O(log^2 n_stratum) per appended row through a log-structured
 ///    ConcordanceIndex (the on-line form of the paper's Algorithm 2
-///    segment-tree machinery), with tie-group statistics for the τ
-///    variance kept in O(log n); strata pool as in the batch tests.
+///    segment-tree machinery). Append hands each stratum's non-null rows
+///    of a batch to its index at once, as one sorted run; the index also
+///    keeps the tie-group sums for the τ variance. Strata pool as in the
+///    batch tests.
+///
+/// Numeric values order as in the batch τ test (NanAwareLess): a non-null
+/// NaN sits above every number and ties every other NaN, in the unbounded
+/// and the windowed mode alike. Statistics and p-values do not depend on
+/// how the rows are cut into batches.
 ///
 /// The monitor reports the running p-value and whether the constraint is
 /// currently violated, so a deployment pipeline can gate retraining on it.
@@ -126,6 +134,14 @@ class ScMonitor {
     }
   };
 
+  // Tie groups of one margin of a window: exact-value lookup by
+  // NanAwareKey (all NaNs one group, ±0 one group) is all the τ variance
+  // needs beside the maintained sums, so a hash map keeps updates O(1).
+  struct WindowTies {
+    std::unordered_map<uint64_t, int64_t> counts;
+    TieSums sums;
+  };
+
   struct Stratum {
     // --- categorical state ---
     std::map<std::pair<int32_t, int32_t>, int64_t> cells;
@@ -138,14 +154,10 @@ class ScMonitor {
     // --- numeric (τ) state ---
     int64_t pairs = 0;  // live numeric observations
     int64_t s = 0;
-    ConcordanceIndex index;  // unbounded mode
+    ConcordanceIndex index;  // unbounded mode, tie sums included
     PairWindow window;       // bounded-memory mode
-    // Tie groups need only exact-value lookup (the τ variance uses the
-    // maintained sums), so hash maps keep appends O(1) here.
-    std::unordered_map<double, int64_t> x_counts;
-    std::unordered_map<double, int64_t> y_counts;
-    double x_t1 = 0.0, x_t2 = 0.0, x_t3 = 0.0;  // Σt(t-1), Σ…(t-2), Σ…(2t+5)
-    double y_t1 = 0.0, y_t2 = 0.0, y_t3 = 0.0;
+    WindowTies x_ties;       // bounded-memory mode
+    WindowTies y_ties;
   };
 
   // One evictable observation in bounded-memory mode: enough to unwind it
@@ -167,7 +179,8 @@ class ScMonitor {
 
   Stratum& StratumFor(const std::string& key) { return strata_[key]; }
   void AddCategoricalCodes(Stratum& stratum, int32_t x, int32_t y);
-  void AddNumericPair(Stratum& stratum, double x, double y);
+  // Numeric rows of one stratum, in arrival order.
+  void AddNumericPairs(Stratum& stratum, const double* xs, const double* ys, size_t n);
   void EvictIfFull();
   void EvictOldest();
   // Adds one append call's null-skipped rows and window evictions to the

@@ -46,7 +46,9 @@ struct ColumnMembers {
 
   std::vector<double> numbers;
   std::vector<bool> valid;
-  bool any_null = false;
+  // A null cell or a "nan" token: the column needs its validity mask,
+  // since without one Column::IsNull reads a non-null NaN as null.
+  bool masked = false;
   Status values_error;  // the first cell that is no numeric cell
 
   // Codes in [-1, INT32_MAX], up to the first that no dictionary admits:
@@ -69,12 +71,13 @@ void ReadNumericCells(JsonReader& reader, ColumnMembers& column) {
     } else if (kind == JsonValue::Kind::kNull) {
       column.numbers.push_back(std::nan(""));
       column.valid.push_back(false);
-      column.any_null = true;
+      column.masked = true;
     } else if (kind == JsonValue::Kind::kString) {
       Result<double> parsed = ParseNonFiniteToken(reader.string());
       if (parsed.ok()) {
         column.numbers.push_back(*parsed);
         column.valid.push_back(true);
+        column.masked = column.masked || std::isnan(*parsed);
       } else if (column.values_error.ok()) {
         column.values_error = parsed.status();
       }
@@ -160,7 +163,7 @@ Result<Column> FinishColumn(ColumnMembers& column) {
       return InvalidArgumentError("numeric column is missing its values array");
     }
     SCODED_RETURN_IF_ERROR(column.values_error);
-    return column.any_null
+    return column.masked
                ? Column::NumericWithNulls(std::move(column.numbers), std::move(column.valid))
                : Column::Numeric(std::move(column.numbers));
   }

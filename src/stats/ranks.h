@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,22 @@ struct NanAwareLess {
 /// Equality under NanAwareLess: `a == b`, or both NaN.
 inline bool NanAwareEqual(double a, double b) {
   return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+/// Order-preserving 64-bit key of a double under NanAwareLess and
+/// NanAwareEqual: numbers in numeric order (-0.0 and +0.0 share a key),
+/// and every NaN payload maps to the single top key. Comparing keys as
+/// unsigned integers gives exactly the NanAwareLess order.
+inline uint64_t NanAwareKey(double v) {
+  if (std::isnan(v)) {
+    return ~uint64_t{0};
+  }
+  if (v == 0.0) {
+    v = 0.0;  // collapse -0.0
+  }
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return (bits & (uint64_t{1} << 63)) != 0 ? ~bits : (bits | (uint64_t{1} << 63));
 }
 
 /// Dense ranks: maps each value to its 0-based rank among the distinct

@@ -17,22 +17,6 @@ namespace {
 // while breaking the store-forwarding dependency on hot cells.
 constexpr size_t kInterleaveCells = 8192;
 
-// Order-preserving u64 key of a double: numeric order for numbers (with
-// -0.0 collapsed onto +0.0 so equal doubles share a key), every NaN
-// payload mapped to the single top key — exactly the NanAwareLess /
-// NanAwareEqual structure dense ranks are defined by.
-inline uint64_t OrderedKey(double v) {
-  if (std::isnan(v)) {
-    return ~0ull;
-  }
-  if (v == 0.0) {
-    v = 0.0;  // collapse -0.0
-  }
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return (bits & (1ull << 63)) != 0 ? ~bits : (bits | (1ull << 63));
-}
-
 // Top-down recursive merge behind CountInversionsReference.
 int64_t CountInversionsRecursive(uint32_t* values, uint32_t* scratch, size_t lo, size_t hi) {
   if (hi - lo <= 1) {
@@ -160,7 +144,7 @@ void ContingencyReference(const int32_t* x, const int32_t* y, size_t n,
 // LSD radix sort over order-preserving keys (8-bit digits, uniform-digit
 // passes skipped), then one run scan to assign dense ranks. Ranks depend
 // only on the order and equality structure of the values, which
-// OrderedKey preserves exactly, so this matches the reference.
+// NanAwareKey preserves exactly, so this matches the reference.
 size_t DenseRanks(const double* values, size_t n, size_t* ranks) {
   if (n == 0) {
     return 0;
@@ -173,7 +157,7 @@ size_t DenseRanks(const double* values, size_t n, size_t* ranks) {
   std::vector<uint32_t> idx(n);
   std::vector<uint32_t> idx2(n);
   for (size_t i = 0; i < n; ++i) {
-    keys[i] = OrderedKey(values[i]);
+    keys[i] = NanAwareKey(values[i]);
     idx[i] = static_cast<uint32_t>(i);
   }
   uint64_t* k_src = keys.data();
@@ -286,14 +270,24 @@ void PairSignScan(const double* xs, const double* ys, size_t n, double x, double
   PairSignScanPortable(xs, ys, n, x, y, s, nonzero);
 }
 
+namespace {
+
+// sign(v - a) under NanAwareLess: a NaN probe is above every number and
+// ties a NaN; a number probe is below a NaN, where !(v >= a) holds.
+inline int NanAwareSign(double v, bool v_nan, double a) {
+  return v_nan ? (a == a ? 1 : 0) : (v > a) - !(v >= a);
+}
+
+}  // namespace
+
 void PairSignScanPortable(const double* xs, const double* ys, size_t n, double x, double y,
                           int64_t* s, int64_t* nonzero) {
+  const bool nan_x = std::isnan(x);
+  const bool nan_y = std::isnan(y);
   int64_t acc = 0;
   int64_t nz = 0;
   for (size_t i = 0; i < n; ++i) {
-    int dx = (x > xs[i]) - (x < xs[i]);
-    int dy = (y > ys[i]) - (y < ys[i]);
-    int p = dx * dy;
+    int p = NanAwareSign(x, nan_x, xs[i]) * NanAwareSign(y, nan_y, ys[i]);
     acc += p;
     nz += p != 0 ? 1 : 0;
   }

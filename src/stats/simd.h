@@ -54,9 +54,9 @@ int64_t CountInversions(uint32_t* values, uint32_t* scratch, size_t n);
 int64_t CountInversionsReference(uint32_t* values, uint32_t* scratch, size_t n);
 
 /// Kendall pair scan against a window: adds sign(x - xs[i])·sign(y -
-/// ys[i]) into *s and counts the non-zero products into *nonzero, a NaN
-/// comparing as a tie. The streaming monitor's window kernel; runs the
-/// body ActivePath() names.
+/// ys[i]) into *s and counts the non-zero products into *nonzero. Signs
+/// follow NanAwareLess: NaN is above every number, and two NaNs tie. The
+/// streaming monitor's window kernel; runs the body ActivePath() names.
 void PairSignScan(const double* xs, const double* ys, size_t n, double x, double y,
                   int64_t* s, int64_t* nonzero);
 

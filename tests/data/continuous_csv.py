@@ -12,6 +12,13 @@ own joint cell: the shape that stresses the out-of-core summaries.
                                          quoted around commas, quotes and
                                          embedded LF / CRLF line breaks, blank
                                          lines, empty cells, no final newline
+  continuous_csv.py nans ROWS OUT.csv    A,B,C,T,G: numeric A, B and a tied T
+                                         with empty and `nan` cells (their
+                                         NaNs are values; B's empty cells
+                                         all in its first tenth), C with
+                                         `nan` but no empty cell (its NaNs
+                                         read as nulls), -0 cells, and a
+                                         categorical G
 """
 import random
 import sys
@@ -62,8 +69,26 @@ def messy(rows, out):
                 out.write("\r\n" * rng.randint(1, 2))
 
 
+def nans(rows, out):
+    rng = random.Random(31)
+    out.write("A,B,C,T,G\n")
+    for i in range(rows):
+        a = rng.gauss(0.0, 1.0)
+        b = 0.5 * a + rng.gauss(0.0, 1.0)
+        c = 0.4 * b + rng.gauss(0.0, 1.0)
+        t = rng.randrange(6) + (1 if a > 0.5 else 0)
+        a_text = {0: "", 1: "nan"}.get(rng.randrange(30), "%.4f" % a)
+        b_text = {0: "nan", 1: "nan", 2: "-0"}.get(rng.randrange(30), "%.6f" % b)
+        if 10 * i < rows and rng.randrange(10) == 0:
+            b_text = ""
+        c_text = "nan" if rng.randrange(20) == 0 else "%.5f" % c
+        t_text = {0: "", 1: "nan", 2: "nan"}.get(rng.randrange(25), "%d" % t)
+        g = rng.choice(["north", "south", "east"])
+        out.write("%s,%s,%s,%s,%s\n" % (a_text, b_text, c_text, t_text, g))
+
+
 def main():
-    shapes = {"mixed": mixed, "boston": boston, "messy": messy}
+    shapes = {"mixed": mixed, "boston": boston, "messy": messy, "nans": nans}
     if len(sys.argv) != 4 or sys.argv[1] not in shapes:
         sys.exit(__doc__)
     with open(sys.argv[3], "w", newline="") as out:

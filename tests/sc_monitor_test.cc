@@ -1,5 +1,11 @@
 #include "core/sc_monitor.h"
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -246,15 +252,36 @@ TEST(ScMonitorTest, EmptyMonitorIsNotViolatedForIsc) {
   EXPECT_DOUBLE_EQ(monitor.CurrentPValue(), 1.0);
 }
 
+// The rows [begin, end) of x and y as a two-column batch.
+Table NumericBatch(const std::vector<double>& x, const std::vector<double>& y, size_t begin,
+                   size_t end) {
+  TableBuilder builder;
+  builder.AddNumeric("x", std::vector<double>(x.begin() + static_cast<ptrdiff_t>(begin),
+                                              x.begin() + static_cast<ptrdiff_t>(end)));
+  builder.AddNumeric("y", std::vector<double>(y.begin() + static_cast<ptrdiff_t>(begin),
+                                              y.begin() + static_cast<ptrdiff_t>(end)));
+  return std::move(builder).Build().value();
+}
+
 TEST(ScMonitorTest, LongTiedStreamMatchesBatchAcrossRebuilds) {
   // 2000 appends push the concordance index through many buffer
-  // compactions and multi-level block merges; the monitor's p-value must
-  // still equal the batch tau test to 1e-9 at every checkpoint.
+  // compactions and multi-level run merges; the monitor's p-value must
+  // still equal the batch tau test to 1e-9 at every checkpoint. A second
+  // monitor takes the rows between checkpoints as one table batch, each
+  // a sorted run of its own, and must match the per-row one exactly.
   Rng rng(5);
   std::vector<double> x;
   std::vector<double> y;
   ApproximateSc asc{ParseConstraint("x !_||_ y").value(), 0.3};
   ScMonitor monitor = ScMonitor::Create(NumericPrototype(), asc).value();
+  ScMonitor batched = ScMonitor::Create(NumericPrototype(), asc).value();
+  size_t batched_rows = 0;
+  auto check_batched = [&](int i) {
+    ASSERT_TRUE(batched.Append(NumericBatch(x, y, batched_rows, x.size())).ok());
+    batched_rows = x.size();
+    ASSERT_EQ(batched.CurrentStatistic(), monitor.CurrentStatistic()) << "i=" << i;
+    ASSERT_EQ(batched.CurrentPValue(), monitor.CurrentPValue()) << "i=" << i;
+  };
   for (int i = 0; i < 2000; ++i) {
     double xv = static_cast<double>(rng.UniformInt(0, 40));  // heavy ties
     double yv = xv + static_cast<double>(rng.UniformInt(0, 40));
@@ -266,10 +293,97 @@ TEST(ScMonitorTest, LongTiedStreamMatchesBatchAcrossRebuilds) {
       ASSERT_DOUBLE_EQ(monitor.CurrentStatistic(),
                        std::abs(static_cast<double>(batch.s)));
       ASSERT_NEAR(monitor.CurrentPValue(), batch.p_two_sided, 1e-9) << "i=" << i;
+      check_batched(i);
     }
   }
   KendallResult batch = KendallTauNaive(x, y);
   EXPECT_NEAR(monitor.CurrentPValue(), batch.p_two_sided, 1e-9);
+  check_batched(2000);
+}
+
+// Tied values, both zeros, non-null NaNs and a few nulls in x and y, with
+// a categorical z of three strata.
+Table TiedNanTable(size_t rows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(77);
+  auto draw = [&]() {
+    int64_t pick = rng.UniformInt(0, 19);
+    if (pick == 0) {
+      return nan;
+    }
+    if (pick == 1) {
+      return -0.0;
+    }
+    return static_cast<double>(rng.UniformInt(-3, 3));
+  };
+  std::vector<double> x(rows);
+  std::vector<double> y(rows);
+  std::vector<bool> x_valid(rows);
+  std::vector<bool> y_valid(rows);
+  std::vector<std::string> z(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    x[i] = draw();
+    y[i] = rng.Bernoulli(0.06) ? x[i] : draw();
+    x_valid[i] = rng.UniformInt(0, 49) != 0;
+    y_valid[i] = rng.UniformInt(0, 49) != 0;
+    z[i] = std::string("s").append(std::to_string(rng.UniformInt(0, 2)));
+  }
+  TableBuilder builder;
+  builder.AddNumericWithNulls("x", std::move(x), std::move(x_valid));
+  builder.AddNumericWithNulls("y", std::move(y), std::move(y_valid));
+  builder.AddCategorical("z", std::move(z));
+  return std::move(builder).Build().value();
+}
+
+TEST(ScMonitorTest, NanTiesAndSignedZerosGiveOneAnswerInEveryMode) {
+  // A non-null NaN orders above every number and ties every other NaN, as
+  // in the batch test, so the unbounded monitor at any batch cut and a
+  // windowed one whose window holds the whole stream give the same S, tie
+  // sums and p-value bit for bit, and that p-value is the batch test's.
+  const size_t rows = 1500;
+  Table table = TiedNanTable(rows);
+  TableBuilder proto;
+  proto.AddNumeric("x", {});
+  proto.AddNumeric("y", {});
+  proto.AddCategorical("z", {});
+  Table prototype = std::move(proto).Build().value();
+  for (const char* text : {"x !_||_ y", "x !_||_ y | z"}) {
+    ApproximateSc asc{ParseConstraint(text).value(), 0.3};
+    std::vector<int> z_cols;
+    if (!asc.sc.z.empty()) {
+      z_cols.push_back(2);
+    }
+    TestResult reference = IndependenceTest(table, 0, 1, z_cols, TestOptions{}).value();
+    ASSERT_GT(reference.p_value, 1e-12) << text;
+    ASSERT_LT(reference.p_value, 0.9) << text;
+    std::optional<double> statistic;
+    std::optional<double> p;
+    for (size_t window : {size_t{0}, rows + 1}) {
+      // Whole stream at once, runs for every stratum, and cuts that send
+      // strata to the point-by-point buffer path.
+      for (size_t cut : {rows, size_t{900}, size_t{300}, size_t{7}}) {
+        const std::string context = std::string(text) + ", window " + std::to_string(window) +
+                                    ", cut " + std::to_string(cut);
+        MonitorOptions mopts;
+        mopts.window = window;
+        ScMonitor monitor = ScMonitor::Create(prototype, asc, {}, mopts).value();
+        for (size_t begin = 0; begin < rows; begin += cut) {
+          std::vector<size_t> batch_rows;
+          for (size_t r = begin; r < std::min(rows, begin + cut); ++r) {
+            batch_rows.push_back(r);
+          }
+          ASSERT_TRUE(monitor.Append(table.Gather(batch_rows)).ok()) << context;
+        }
+        if (!p) {
+          statistic = monitor.CurrentStatistic();
+          p = monitor.CurrentPValue();
+          EXPECT_NEAR(*p, reference.p_value, 1e-9 * reference.p_value) << context;
+        }
+        EXPECT_EQ(monitor.CurrentStatistic(), *statistic) << context;
+        EXPECT_EQ(monitor.CurrentPValue(), *p) << context;
+      }
+    }
+  }
 }
 
 TEST(ScMonitorTest, FailedBatchAppendIsNoOp) {

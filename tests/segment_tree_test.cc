@@ -1,11 +1,16 @@
 #include "stats/segment_tree.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "stats/ranks.h"
 
 namespace scoded {
 namespace {
@@ -145,14 +150,23 @@ TEST(WaveletMatrixTest, RandomPrefixCountsMatchBruteForce) {
   }
 }
 
+struct Quadrants {
+  int64_t concordant = 0;
+  int64_t discordant = 0;
+};
+
+// sign(a - b) under NanAwareLess: NaN above every number, NaNs tied.
+int NanAwareSign(double a, double b) {
+  NanAwareLess less;
+  return static_cast<int>(less(b, a)) - static_cast<int>(less(a, b));
+}
+
 // Brute-force quadrant counts for one candidate point against a point set.
-ConcordanceIndex::Quadrants BruteScore(const std::vector<double>& xs,
-                                       const std::vector<double>& ys, double x, double y) {
-  ConcordanceIndex::Quadrants q;
+Quadrants BruteScore(const std::vector<double>& xs, const std::vector<double>& ys, double x,
+                     double y) {
+  Quadrants q;
   for (size_t i = 0; i < xs.size(); ++i) {
-    double dx = (x > xs[i]) - (x < xs[i]);
-    double dy = (y > ys[i]) - (y < ys[i]);
-    double w = dx * dy;
+    int w = NanAwareSign(x, xs[i]) * NanAwareSign(y, ys[i]);
     if (w > 0) {
       ++q.concordant;
     } else if (w < 0) {
@@ -175,17 +189,94 @@ TEST(ConcordanceIndexTest, StreamingScoresMatchBruteForce) {
     // Coarse grid so x-ties and y-ties are frequent.
     double x = static_cast<double>(rng.UniformInt(0, 25));
     double y = static_cast<double>(rng.UniformInt(0, 25));
-    ConcordanceIndex::Quadrants expected = BruteScore(xs, ys, x, y);
-    ConcordanceIndex::Quadrants got = index.Score(x, y);
-    ASSERT_EQ(got.concordant, expected.concordant) << "i=" << i;
-    ASSERT_EQ(got.discordant, expected.discordant) << "i=" << i;
-    EXPECT_EQ(index.InsertAndScore(x, y), expected.concordant - expected.discordant);
+    Quadrants expected = BruteScore(xs, ys, x, y);
+    ASSERT_EQ(index.InsertAndScore(x, y), expected.concordant - expected.discordant) << "i=" << i;
     xs.push_back(x);
     ys.push_back(y);
     EXPECT_EQ(index.size(), xs.size());
   }
   EXPECT_GT(index.compactions(), 0);
   EXPECT_GT(index.IndexBytes(), 0u);
+}
+
+// Tie sums of a multiset of values, from its group sizes.
+TieSums BruteTies(const std::vector<double>& values) {
+  std::map<uint64_t, int64_t> groups;
+  for (double v : values) {
+    ++groups[NanAwareKey(v)];
+  }
+  TieSums sums;
+  for (const auto& [key, count] : groups) {
+    (void)key;
+    sums.Resize(0, count);
+  }
+  return sums;
+}
+
+void ExpectSameTieSums(const TieSums& got, const TieSums& want, const std::string& context) {
+  EXPECT_EQ(got.t1, want.t1) << context;
+  EXPECT_EQ(got.t2, want.t2) << context;
+  EXPECT_EQ(got.t3, want.t3) << context;
+}
+
+// Batches small enough for the buffer, at its capacity and past it, and
+// large runs, with single appends between them, so runs merge at every
+// size class. After every append S and the tie sums must match brute
+// force, on tied, signed-zero and NaN values.
+TEST(ConcordanceIndexTest, BatchAppendsMatchBruteForceAtEveryBoundary) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int domain : {2, 5, 50, 0}) {  // 0: continuous values
+    Rng rng(static_cast<uint64_t>(domain) + 41);
+    auto draw = [&]() {
+      int64_t pick = rng.UniformInt(0, 39);
+      if (pick == 0) {
+        return nan;
+      }
+      if (pick == 1) {
+        return -0.0;
+      }
+      if (pick == 2) {
+        return 0.0;
+      }
+      return domain == 0 ? rng.Normal() : static_cast<double>(rng.UniformInt(0, domain - 1));
+    };
+    ConcordanceIndex index;
+    std::vector<double> xs;
+    std::vector<double> ys;
+    // Expected S of appending (bx, by) after everything in xs/ys, which
+    // it then joins.
+    auto brute_append = [&](const std::vector<double>& bx, const std::vector<double>& by) {
+      int64_t s = 0;
+      for (size_t i = 0; i < bx.size(); ++i) {
+        Quadrants q = BruteScore(xs, ys, bx[i], by[i]);
+        s += q.concordant - q.discordant;
+        xs.push_back(bx[i]);
+        ys.push_back(by[i]);
+      }
+      return s;
+    };
+    for (size_t batch : {1, 2, 255, 256, 257, 1024, 4096}) {
+      const std::string context =
+          "domain " + std::to_string(domain) + ", batch " + std::to_string(batch);
+      for (int single = 0; single < 3; ++single) {
+        double x = draw();
+        double y = rng.Bernoulli(0.5) ? x : draw();
+        int64_t want = brute_append({x}, {y});
+        ASSERT_EQ(index.InsertAndScore(x, y), want) << context << ", single " << single;
+      }
+      std::vector<double> bx(batch);
+      std::vector<double> by(batch);
+      for (size_t i = 0; i < batch; ++i) {
+        bx[i] = draw();
+        by[i] = rng.Bernoulli(0.5) ? bx[i] : draw();
+      }
+      int64_t want = brute_append(bx, by);
+      ASSERT_EQ(index.Append(bx.data(), by.data(), batch), want) << context;
+      ASSERT_EQ(index.size(), xs.size()) << context;
+      ExpectSameTieSums(index.x_ties(), BruteTies(xs), context + ", x");
+      ExpectSameTieSums(index.y_ties(), BruteTies(ys), context + ", y");
+    }
+  }
 }
 
 TEST(ConcordanceIndexTest, AllTiedPointsScoreZero) {

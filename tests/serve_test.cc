@@ -204,12 +204,12 @@ Result<Column> OracleNumericColumn(const JsonValue& column) {
   }
   std::vector<double> out;
   std::vector<bool> valid;
-  bool any_null = false;
+  bool masked = false;  // a null cell or a "nan" token
   for (const JsonValue& cell : values->array) {
     if (cell.is_null()) {
       out.push_back(std::nan(""));
       valid.push_back(false);
-      any_null = true;
+      masked = true;
     } else if (cell.is_number()) {
       out.push_back(cell.number);
       valid.push_back(true);
@@ -220,11 +220,12 @@ Result<Column> OracleNumericColumn(const JsonValue& column) {
       }
       out.push_back(*parsed);
       valid.push_back(true);
+      masked = masked || std::isnan(*parsed);
     } else {
       return InvalidArgumentError("numeric cell must be a number, null, or non-finite token");
     }
   }
-  return any_null ? Column::NumericWithNulls(std::move(out), std::move(valid))
+  return masked ? Column::NumericWithNulls(std::move(out), std::move(valid))
                   : Column::Numeric(std::move(out));
 }
 
@@ -399,6 +400,30 @@ TEST(WireTest, BatchRoundTripIsBitExact) {
   for (size_t row = 0; row < table->NumRows(); ++row) {
     EXPECT_EQ(c.CodeAt(row), c_back.CodeAt(row)) << "row " << row;
   }
+}
+
+TEST(WireTest, NanCellInABatchWithNoNullStaysAValue) {
+  // Without a validity mask Column::IsNull reads a NaN as null, so the
+  // decoder masks any numeric column that carries a "nan" token.
+  TableBuilder builder;
+  builder.AddNumericWithNulls("x", {1.5, std::numeric_limits<double>::quiet_NaN(), -2.0},
+                              {true, true, true});
+  Result<Table> table = std::move(builder).Build();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  JsonWriter json;
+  serve::WriteBatchJson(*table, json);
+  ASSERT_NE(json.str().find("\"nan\""), std::string::npos) << json.str();
+  ASSERT_EQ(json.str().find("null"), std::string::npos) << json.str();
+  Result<Table> back = DecodeBatch(json.str());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  Result<Table> oracle = OracleParseBatchJson(MustParse(json.str()));
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ExpectSameTableBits(*back, *oracle, "nan with no null");
+  const Column& x = back->column(0);
+  for (size_t row = 0; row < x.size(); ++row) {
+    EXPECT_FALSE(x.IsNull(row)) << "row " << row;
+  }
+  EXPECT_TRUE(std::isnan(x.NumericAt(1)));
 }
 
 TEST(WireTest, NonIntegralOrOutOfRangeNumbersAreInvalidArgument) {

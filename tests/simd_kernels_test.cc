@@ -7,6 +7,7 @@
 // formulation.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -150,11 +151,15 @@ TEST(SimdKernelEquivalenceTest, CountInversionsMatchesReference) {
   }
 }
 
-// Sign of a difference, NaN as 0. x - a has the sign of the comparison
-// for every pair of doubles (gradual underflow keeps a difference of
-// distinct finite values non-zero, and overflow keeps its sign), so this
+// Sign of a difference under NanAwareLess: NaN above every number, two
+// NaNs tied. Between numbers, x - a has the sign of the comparison for
+// every pair of doubles (gradual underflow keeps a difference of distinct
+// finite values non-zero, and overflow keeps its sign), so this
 // formulation shares no code with either pair-scan body.
 int SignOfDifference(double x, double a) {
+  if (std::isnan(x) || std::isnan(a)) {
+    return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(a));
+  }
   double d = x - a;
   return d > 0.0 ? 1 : (d < 0.0 ? -1 : 0);
 }
@@ -180,10 +185,14 @@ TEST(SimdKernelEquivalenceTest, PairSignScanBodiesMatchReference) {
     xs.push_back(rng.UniformInt(0, 1) ? static_cast<double>(rng.UniformInt(-3, 3)) : rng.Normal());
     ys.push_back(rng.UniformInt(0, 1) ? static_cast<double>(rng.UniformInt(-3, 3)) : rng.Normal());
   }
-  // NaN pairs contribute 0; infinities tie only with themselves; -0.0
-  // ties with 0.0.
+  // NaN sits above +inf and ties only NaN; infinities tie only with
+  // themselves; -0.0 ties with 0.0.
   xs[1] = nan;
   ys[2] = nan;
+  xs[3] = nan;
+  ys[3] = nan;
+  xs[7] = inf;
+  ys[8] = nan;
   xs[5] = inf;
   ys[6] = -inf;
   xs[9] = -0.0;
@@ -204,8 +213,8 @@ TEST(SimdKernelEquivalenceTest, PairSignScanBodiesMatchReference) {
   // Probe points: data values (exact ties), fresh values, NaN, ±inf and
   // both zeros.
   const std::pair<double, double> probes[] = {
-      {xs[0], ys[0]}, {0.5, -0.25}, {nan, 1.0},  {1.0, nan},  {-2.0, 2.0},
-      {inf, -inf},    {-inf, inf},  {0.0, -0.0}, {-0.0, 0.0}, {xs[5], ys[6]}};
+      {xs[0], ys[0]}, {0.5, -0.25}, {nan, 1.0},  {1.0, nan},  {nan, nan},    {-2.0, 2.0},
+      {inf, -inf},    {-inf, inf},  {0.0, -0.0}, {-0.0, 0.0}, {xs[5], ys[6]}, {inf, nan}};
   for (const auto& [px, py] : probes) {
     for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5}, size_t{11},
                      xs.size()}) {
