@@ -4,11 +4,13 @@
 // The claim under test: the logarithmic-run concordance index makes
 // appends amortised O(log^2 n), so per-append cost is near-flat from 10k
 // to 100k rows (ratio <= 2x), where the seed's pair-scan append grows
-// linearly (~10x from 5k to 50k). Rows arrive one by one or, as from
-// `scoded monitor`, the serve daemon and e2ebench, in 1024-row batches,
-// each of which enters the index as one sorted run. The committed
-// baseline JSON feeds the benchdiff regression gate; the scaling ratios
-// are recorded as values.
+// linearly (~10x from 5k to 50k). Rows arrive one by one (AppendNumeric)
+// or in table batches, and a batch of 32 rows or more enters the index as
+// one sorted run. The batch sections time the sizes the callers send:
+// 100 rows, the `--batch` default of `scoded monitor` and `scoded client
+// monitor`, and 1024 rows, as e2ebench's tau_numeric stream op sends (its
+// serve op sends 512). The committed baseline JSON feeds the benchdiff
+// regression gate; the scaling ratios are recorded as values.
 
 #include <algorithm>
 #include <chrono>
@@ -61,17 +63,15 @@ double IndexedAppendNs(size_t total) {
   });
 }
 
-// Appends `total` correlated rows as 1024-row table batches, the way
-// `scoded monitor`, the serve daemon and e2ebench feed a monitor, and
-// returns ns per row. The batches are built before the clock starts.
-double BatchedAppendNs(size_t total) {
-  constexpr size_t kBatchRows = 1024;
+// Appends `total` correlated rows as table batches of `batch_rows` rows
+// and returns ns per row. The batches are built before the clock starts.
+double BatchedAppendNs(size_t total, size_t batch_rows) {
   Rng rng(7);
   std::vector<Table> batches;
-  for (size_t start = 0; start < total; start += kBatchRows) {
+  for (size_t start = 0; start < total; start += batch_rows) {
     std::vector<double> x;
     std::vector<double> y;
-    for (size_t i = start; i < std::min(total, start + kBatchRows); ++i) {
+    for (size_t i = start; i < std::min(total, start + batch_rows); ++i) {
       double v = rng.Normal();
       x.push_back(v);
       y.push_back(v + rng.Normal(0.0, 0.5));
@@ -141,8 +141,8 @@ int main() {
 
   bench::PrintTitle("tau appends in 1024-row batches (10k vs 100k)");
   {
-    double ns_10k = BatchedAppendNs(10000);
-    double ns_100k = BatchedAppendNs(100000);
+    double ns_10k = BatchedAppendNs(10000, 1024);
+    double ns_100k = BatchedAppendNs(100000, 1024);
     double ratio = ns_100k / ns_10k;
     std::printf("%-12s %-16s\n", "rows", "append(ns/row)");
     std::printf("%-12d %-16.0f\n", 10000, ns_10k);
@@ -151,6 +151,20 @@ int main() {
     bench::RecordValue("batch_append_ns_10k", ns_10k);
     bench::RecordValue("batch_append_ns_100k", ns_100k);
     bench::RecordValue("batch_append_ratio_10x_rows", ratio);
+  }
+
+  bench::PrintTitle("tau appends in 100-row batches (10k vs 100k)");
+  {
+    double ns_10k = BatchedAppendNs(10000, 100);
+    double ns_100k = BatchedAppendNs(100000, 100);
+    double ratio = ns_100k / ns_10k;
+    std::printf("%-12s %-16s\n", "rows", "append(ns/row)");
+    std::printf("%-12d %-16.0f\n", 10000, ns_10k);
+    std::printf("%-12d %-16.0f\n", 100000, ns_100k);
+    std::printf("per-row growth 10k -> 100k: %.2fx\n", ratio);
+    bench::RecordValue("batch100_append_ns_10k", ns_10k);
+    bench::RecordValue("batch100_append_ns_100k", ns_100k);
+    bench::RecordValue("batch100_append_ratio_10x_rows", ratio);
   }
 
   bench::PrintTitle("tau appends via pair scan, the seed behaviour (5k vs 50k)");
@@ -187,10 +201,22 @@ int main() {
 
   bench::PrintTitle("memory: wavelet-level bytes per indexed point at 100k");
   {
+    // 256-point batches, each one run: the runs a row-by-row stream's
+    // full buffers build. The index has no insert-only entry point, so
+    // each batch is also scored against the older runs as it joins.
+    constexpr size_t kPoints = 100000;
+    constexpr size_t kBatchPoints = 256;
     Rng rng(11);
     ConcordanceIndex index;
-    for (size_t i = 0; i < 100000; ++i) {
-      (void)index.InsertAndScore(rng.Normal(), rng.Normal());
+    std::vector<double> xs(kBatchPoints);
+    std::vector<double> ys(kBatchPoints);
+    for (size_t start = 0; start < kPoints; start += kBatchPoints) {
+      const size_t n = std::min(kBatchPoints, kPoints - start);
+      for (size_t i = 0; i < n; ++i) {
+        xs[i] = rng.Normal();
+        ys[i] = rng.Normal();
+      }
+      (void)index.Append(xs.data(), ys.data(), n);
     }
     double bytes_per_point =
         static_cast<double>(index.IndexBytes()) / static_cast<double>(index.size());

@@ -44,14 +44,16 @@ struct MonitorOptions {
 ///    O(log^2 n_stratum) per appended row through a log-structured
 ///    ConcordanceIndex (the on-line form of the paper's Algorithm 2
 ///    segment-tree machinery). Append hands each stratum's non-null rows
-///    of a batch to its index at once, as one sorted run; the index also
-///    keeps the tie-group sums for the τ variance. Strata pool as in the
-///    batch tests.
+///    of a batch to its index at once, which takes them as one sorted run
+///    (32 rows or more) or point by point; the index also keeps the
+///    tie-group sums for the τ variance. Strata pool as in the batch
+///    tests.
 ///
 /// Numeric values order as in the batch τ test (NanAwareLess): a non-null
 /// NaN sits above every number and ties every other NaN, in the unbounded
 /// and the windowed mode alike. Statistics and p-values do not depend on
-/// how the rows are cut into batches.
+/// how the rows are cut into batches while the tie sums stay exact (below
+/// 2^53; see TieSums).
 ///
 /// The monitor reports the running p-value and whether the constraint is
 /// currently violated, so a deployment pipeline can gate retraining on it.

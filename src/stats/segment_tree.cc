@@ -356,7 +356,7 @@ int64_t ConcordanceIndex::ScoreBatch(const Run& run, const Run& batch, int64_t* 
 }
 
 int64_t ConcordanceIndex::Append(const double* xs, const double* ys, size_t n) {
-  if (n >= kBufferCap) {
+  if (n >= kMinRun) {
     return AppendRun(xs, ys, n);
   }
   int64_t s = 0;

@@ -150,6 +150,54 @@ TEST(WaveletMatrixTest, RandomPrefixCountsMatchBruteForce) {
   }
 }
 
+TEST(WaveletMatrixTest, PairedDescentsMatchSingleDescents) {
+  Rng rng(2718);
+  const size_t domain = 37;
+  std::vector<uint32_t> codes(200);
+  for (uint32_t& c : codes) {
+    c = static_cast<uint32_t>(rng.UniformInt(0, static_cast<int64_t>(domain) - 1));
+  }
+  WaveletMatrix wm(codes, domain);
+  const std::vector<size_t> prefixes = {0, 1, 2, 63, 64, 65, 128, 199, 200, 207};
+  std::vector<size_t> k1s;
+  std::vector<size_t> k2s;
+  std::vector<uint32_t> vs;
+  std::vector<WaveletMatrix::Counts> want1;
+  std::vector<WaveletMatrix::Counts> want2;
+  for (size_t a = 0; a < prefixes.size(); ++a) {
+    for (size_t b = a; b < prefixes.size(); ++b) {
+      for (uint32_t v = 0; v <= domain; ++v) {
+        WaveletMatrix::Counts at_k1;
+        WaveletMatrix::Counts at_k2;
+        wm.PrefixCountsPair(prefixes[a], prefixes[b], v, &at_k1, &at_k2);
+        int64_t lt;
+        int64_t eq;
+        wm.PrefixCounts(prefixes[a], v, &lt, &eq);
+        ASSERT_EQ(at_k1.lt, lt) << prefixes[a] << " " << prefixes[b] << " v=" << v;
+        ASSERT_EQ(at_k1.eq, eq) << prefixes[a] << " " << prefixes[b] << " v=" << v;
+        wm.PrefixCounts(prefixes[b], v, &lt, &eq);
+        ASSERT_EQ(at_k2.lt, lt) << prefixes[a] << " " << prefixes[b] << " v=" << v;
+        ASSERT_EQ(at_k2.eq, eq) << prefixes[a] << " " << prefixes[b] << " v=" << v;
+        k1s.push_back(prefixes[a]);
+        k2s.push_back(prefixes[b]);
+        vs.push_back(v);
+        want1.push_back(at_k1);
+        want2.push_back(at_k2);
+      }
+    }
+  }
+  // The same probes as one level-by-level batch.
+  std::vector<WaveletMatrix::Counts> got1(vs.size());
+  std::vector<WaveletMatrix::Counts> got2(vs.size());
+  wm.PrefixCountsPairs(vs.size(), k1s.data(), k2s.data(), vs.data(), got1.data(), got2.data());
+  for (size_t i = 0; i < vs.size(); ++i) {
+    ASSERT_EQ(got1[i].lt, want1[i].lt) << "probe " << i;
+    ASSERT_EQ(got1[i].eq, want1[i].eq) << "probe " << i;
+    ASSERT_EQ(got2[i].lt, want2[i].lt) << "probe " << i;
+    ASSERT_EQ(got2[i].eq, want2[i].eq) << "probe " << i;
+  }
+}
+
 struct Quadrants {
   int64_t concordant = 0;
   int64_t discordant = 0;
@@ -219,9 +267,10 @@ void ExpectSameTieSums(const TieSums& got, const TieSums& want, const std::strin
   EXPECT_EQ(got.t3, want.t3) << context;
 }
 
-// Batches small enough for the buffer, at its capacity and past it, and
-// large runs, with single appends between them, so runs merge at every
-// size class. After every append S and the tie sums must match brute
+// Batches that go point by point (under 32 points), at and past the
+// size from which a batch becomes a run, at the buffer's capacity (256)
+// and past it, and large runs, with single appends between them, so runs
+// merge at every size class. After every append S and the tie sums must match brute
 // force, on tied, signed-zero and NaN values.
 TEST(ConcordanceIndexTest, BatchAppendsMatchBruteForceAtEveryBoundary) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -255,7 +304,7 @@ TEST(ConcordanceIndexTest, BatchAppendsMatchBruteForceAtEveryBoundary) {
       }
       return s;
     };
-    for (size_t batch : {1, 2, 255, 256, 257, 1024, 4096}) {
+    for (size_t batch : {1, 2, 31, 32, 33, 100, 255, 256, 257, 1024, 4096}) {
       const std::string context =
           "domain " + std::to_string(domain) + ", batch " + std::to_string(batch);
       for (int single = 0; single < 3; ++single) {
